@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .dataio import ConfigError, load_json, tf_from_config, write_bode_csv
+from .dataio import ConfigError, from_config, load_json, tf_from_config, write_bode_csv
 from .harness import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -26,14 +27,12 @@ from .harness import (
 )
 from .lti import magnitude_slope, margins
 from .plant import SimNumericsError
-from .sysid import ChirpConfig, SweepDivergence
+from .sysid import SweepDivergence
 
 
-def _add_common(p):
+def _add_run_flags(p):
     p.add_argument("--out-dir", default="out", help="artifact directory")
     p.add_argument("--seed", type=int, default=None, help="override run seed")
-    p.add_argument("--format", default="csv", choices=["csv"],
-                   help="artifact format (CSV is the contract)")
 
 
 def build_parser():
@@ -46,7 +45,7 @@ def build_parser():
     run_p = sub.add_parser("run", help="run a scenario (builtin name or JSON file)")
     run_p.add_argument("scenario",
                        help=f"builtin ({', '.join(builtin_scenarios())}) or path")
-    _add_common(run_p)
+    _add_run_flags(run_p)
 
     pipe_p = sub.add_parser("pipeline",
                             help="sweep -> identify -> design pipeline")
@@ -54,65 +53,30 @@ def build_parser():
                         help="optional pipeline JSON config")
     pipe_p.add_argument("--skip-notch", action="store_true",
                         help="design without the notch stage (diagnostic)")
-    _add_common(pipe_p)
+    _add_run_flags(pipe_p)
 
     bode_p = sub.add_parser("bode", help="export Bode CSV for a TF config")
     bode_p.add_argument("tf_config", help="transfer-function JSON config")
     bode_p.add_argument("--out", default=None, help="output CSV path")
     bode_p.add_argument("--f-lo", type=float, default=0.1)
     bode_p.add_argument("--f-hi", type=float, default=100.0)
-    _add_common(bode_p)
+    bode_p.add_argument("--out-dir", default="out",
+                        help="directory of bode.csv when --out is not given")
 
     marg_p = sub.add_parser("margins", help="stability margins of a TF config")
     marg_p.add_argument("tf_config")
     marg_p.add_argument("--slope-band", type=float, nargs=2, default=None,
                         metavar=("F_LO", "F_HI"))
-    _add_common(marg_p)
 
     cmp_p = sub.add_parser("compare", help="diff two CSV logs")
     cmp_p.add_argument("log_a")
     cmp_p.add_argument("log_b")
-    _add_common(cmp_p)
 
     scen_p = sub.add_parser("scenarios",
                             help="list builtin scenarios or dump them as JSON")
     scen_p.add_argument("--dump-dir", default=None,
                         help="write each builtin scenario as a JSON file")
-    _add_common(scen_p)
     return p
-
-
-def _pipeline_config(args):
-    if args.config is None:
-        cfg = PipelineConfig(skip_notch=args.skip_notch)
-    else:
-        raw = load_json(args.config)
-        chirp_raw = raw.get("chirp", {})
-        cfg = PipelineConfig(
-            chirp=ChirpConfig(
-                f0=chirp_raw.get("f0", 1.0),
-                f1=chirp_raw.get("f1", 60.0),
-                duration_s=chirp_raw.get("duration_s", 60.0),
-                amplitude=chirp_raw.get("amplitude", 0.1),
-                sample_hz=chirp_raw.get("sample_hz", 250.0),
-            ),
-            n_freqs=int(raw.get("n_freqs", 64)),
-            cycles_per_window=float(raw.get("cycles_per_window", 60.0)),
-            correct_hold=bool(raw.get("correct_hold", True)),
-            noise_std=float(raw.get("noise_std", 0.0)),
-            seed=int(raw.get("seed", 3)),
-            kp=float(raw.get("kp", 0.09)),
-            ki=float(raw.get("ki", 0.1)),
-            kd=float(raw.get("kd", 0.01)),
-            deriv_corner_hz=float(raw.get("deriv_corner_hz", 18.0)),
-            notch_k1=float(raw.get("notch_k1", 0.15)),
-            notch_k2=float(raw.get("notch_k2", 0.018)),
-            skip_notch=bool(raw.get("skip_notch", args.skip_notch)),
-        )
-    if args.seed is not None:
-        from dataclasses import replace
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -124,7 +88,13 @@ def main(argv=None) -> int:
             return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
         if args.command == "pipeline":
-            report = design_pipeline(_pipeline_config(args), args.out_dir)
+            cfg = (PipelineConfig() if args.config is None
+                   else from_config(PipelineConfig, load_json(args.config)))
+            if args.seed is not None:
+                cfg = replace(cfg, seed=args.seed)
+            if args.skip_notch:
+                cfg = replace(cfg, skip_notch=True)
+            report = design_pipeline(cfg, args.out_dir)
             sys.stdout.write(report.to_text())
             return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

@@ -18,22 +18,19 @@ import numpy as np
 from . import quat
 from .biquad import discretize_tustin
 from .lti import ContinuousTF, butterworth2, notch, pid_tf, tf_series
-from .plant import AeroTable, AircraftParams, aero_forces
+from .plant import CONTROL_RATE_HZ, AeroTable, AircraftParams, aero_forces
 
 __all__ = [
     "NotchConfig",
     "RateLoopConfig",
     "AttitudeLoopConfig",
     "AltitudeLoopConfig",
-    "ControlOutput",
     "RateController",
     "AttitudeController",
     "AltitudeController",
     "altitude_ff_thrust",
     "default_notch_config",
 ]
-
-CONTROL_RATE_HZ = 250.0
 
 
 @dataclass(frozen=True)
@@ -68,20 +65,20 @@ def default_notch_config(center_hz: float | None = None) -> NotchConfig:
 class RateLoopConfig:
     """Per-axis PID gains, derivative filter, optional notches and limits.
 
-    The loop rate is pinned at 250 Hz to match the identification
-    conditions.  Torque output is in normalized units, the same channel the
-    plant model was identified against; ``integrator_limit`` bounds the
-    integral state (rad), ``output_limit`` the commanded torque.
+    The loop runs at the 250 Hz control rate (``plant.CONTROL_RATE_HZ``),
+    the identification conditions.  Torque output is in normalized units,
+    the same channel the plant model was identified against;
+    ``integrator_limit`` bounds the integral state (rad), ``output_limit``
+    the commanded torque.
     """
 
-    kp: tuple = (0.09, 0.09, 0.09)
-    ki: tuple = (0.1, 0.1, 0.1)
-    kd: tuple = (0.01, 0.01, 0.01)
+    kp: tuple[float, float, float] = (0.09, 0.09, 0.09)
+    ki: tuple[float, float, float] = (0.1, 0.1, 0.1)
+    kd: tuple[float, float, float] = (0.01, 0.01, 0.01)
     deriv_corner_hz: float = 18.0
-    notches: tuple = (None, None, None)
+    notches: tuple[NotchConfig | None, ...] = (None, None, None)
     integrator_limit: float = 1.0
     output_limit: float = 1.0
-    sample_hz: float = CONTROL_RATE_HZ
 
     def __post_init__(self):
         for name in ("kp", "ki", "kd"):
@@ -92,8 +89,6 @@ class RateLoopConfig:
             raise ValueError("deriv_corner_hz must be > 0")
         if self.integrator_limit <= 0.0 or self.output_limit <= 0.0:
             raise ValueError("limits must be > 0")
-        if self.sample_hz != CONTROL_RATE_HZ:
-            raise ValueError("rate loop runs at 250 Hz (identification rate)")
         if len(self.notches) != 3:
             raise ValueError("need one notch slot per axis")
 
@@ -120,18 +115,18 @@ class RateController:
 
     def __init__(self, cfg: RateLoopConfig):
         self.cfg = cfg
-        self.dt = 1.0 / cfg.sample_hz
+        self.dt = 1.0 / CONTROL_RATE_HZ
         b = butterworth2(cfg.deriv_corner_hz)
         # kd s B(s) is proper (degree 1 over 2) and discretizes per axis
         self._deriv = [
             discretize_tustin(
                 ContinuousTF(np.convolve([0.0, cfg.kd[i]], b.num), b.den),
-                cfg.sample_hz,
+                CONTROL_RATE_HZ,
             )
             for i in range(3)
         ]
         self._notch = [
-            discretize_tustin(n.tf(), cfg.sample_hz, prewarp_hz=n.center_hz)
+            discretize_tustin(n.tf(), CONTROL_RATE_HZ, prewarp_hz=n.center_hz)
             if n is not None
             else None
             for n in cfg.notches
@@ -155,7 +150,7 @@ class RateController:
             if cfg is None:
                 raise ValueError(f"axis {axis} has no notch configured")
             self._notch[axis] = discretize_tustin(
-                cfg.tf(), self.cfg.sample_hz, prewarp_hz=cfg.center_hz
+                cfg.tf(), CONTROL_RATE_HZ, prewarp_hz=cfg.center_hz
             )
         else:
             self._notch[axis] = None
@@ -189,7 +184,7 @@ class RateController:
 class AttitudeLoopConfig:
     """Proportional gains (1/s) from half-angle attitude error to rate command."""
 
-    gains: tuple = (4.0, 4.0, 2.0)
+    gains: tuple[float, float, float] = (4.0, 4.0, 2.0)
 
     def __post_init__(self):
         g = np.asarray(self.gains, dtype=float)
@@ -229,22 +224,6 @@ class AltitudeLoopConfig:
             raise ValueError("gains must be >= 0")
         if self.v_z_limit <= 0.0:
             raise ValueError("v_z_limit must be > 0")
-
-
-@dataclass(frozen=True)
-class ControlOutput:
-    """One tick of cascade output: normalized torque 3-vector and collective."""
-
-    torque: np.ndarray
-    thrust: float
-    flags: tuple = ()
-
-    def __post_init__(self):
-        t = np.asarray(self.torque, dtype=float)
-        if t.shape != (3,) or not np.all(np.isfinite(t)) or not math.isfinite(self.thrust):
-            raise ValueError("control output must be three finite torques and thrust")
-        object.__setattr__(self, "torque", t)
-        t.flags.writeable = False
 
 
 def altitude_ff_thrust(v_zd: float, q: quat.Quaternion, speed: float, alpha: float,
@@ -293,11 +272,11 @@ class AltitudeController:
     """
 
     def __init__(self, cfg: AltitudeLoopConfig, params: AircraftParams,
-                 table: AeroTable, sample_hz: float = CONTROL_RATE_HZ):
+                 table: AeroTable):
         self.cfg = cfg
         self.params = params
         self.table = table
-        self.dt = 1.0 / sample_hz
+        self.dt = 1.0 / CONTROL_RATE_HZ
         self.integrator = 0.0
 
     def reset(self):

@@ -1,5 +1,9 @@
 """File formats: CSV logs and exports, JSON configs, aero-table CSV.
 
+JSON configs are the config dataclasses' own fields: ``to_config`` and
+``from_config`` derive the mapping from ``dataclasses.fields`` and the type
+hints, so no field or default is restated here.
+
 All CSV is plain comma-separated text with a single header row.  Floats are
 written with repr-level precision so identical runs produce bit-identical
 files (the determinism contract).
@@ -8,13 +12,17 @@ files (the determinism contract).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 
-from .lti import ContinuousTF, PlantFitParams, ResonanceParams, fitted_plant, frequency_response
+from .lti import ContinuousTF, PlantFitParams, fitted_plant, frequency_response
 from .plant import AeroTable
+from .sim import Event
 
 __all__ = [
     "ConfigError",
@@ -26,6 +34,8 @@ __all__ = [
     "save_aero_table",
     "load_aero_table",
     "load_json",
+    "to_config",
+    "from_config",
     "tf_from_config",
     "plant_params_from_config",
     "plant_params_to_config",
@@ -61,8 +71,15 @@ def read_csv(path):
     """(header list, float ndarray of shape (rows, cols))."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
-        data = [[float(x) for x in row] for row in r if row]
+        header = next(r, None)
+        if header is None:
+            raise ConfigError(f"{path}: empty file, no header row")
+        try:
+            data = [[float(x) for x in row] for row in r if row]
+        except ValueError as e:
+            raise ConfigError(f"{path}:{r.line_num}: {e}")
+    if not data:
+        raise ConfigError(f"{path}: no data rows")
     return header, np.array(data)
 
 
@@ -132,10 +149,115 @@ def load_json(path):
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
 
 
+# ---------------------------------------------------------------------------
+# configs: JSON mappings derived from the dataclass fields
+
+
+def _key(f):
+    """JSON key of a dataclass field: its name unless metadata says otherwise."""
+    return f.metadata.get("key", f.name)
+
+
+def _reject_unknown(mapping, keys, path=""):
+    unknown = sorted(set(mapping) - set(keys))
+    if unknown:
+        raise ConfigError(f"{path + '.' if path else ''}{unknown[0]}: unknown key")
+
+
+def to_config(obj):
+    """JSON-ready form of a config dataclass, keyed as the config files are."""
+    if isinstance(obj, Event):
+        return {"t": obj.t, "kind": obj.kind, **obj.args}
+    if dataclasses.is_dataclass(obj):
+        return {_key(f): to_config(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (tuple, list)):
+        return [to_config(x) for x in obj]
+    return obj
+
+
+def from_config(cls, mapping):
+    """Build the config dataclass ``cls`` from a JSON mapping.
+
+    Every nested section is laid over the field's default, so a partial
+    section keeps the defaults of the keys it leaves out.  An unknown key, a
+    value of the wrong type, or a value the dataclass itself rejects raises
+    ConfigError naming the dotted path (e.g. ``rate_loop.kp``).
+    """
+    return _load(cls, mapping, "", None)
+
+
+def _load(tp, value, path, default):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _load(tp, value, path, default)
+    if tp is Event:  # the one flat mapping: {"t": s, "kind": name, **args}
+        if isinstance(value, dict):
+            value = {**{k: value[k] for k in ("t", "kind") if k in value},
+                     "args": {k: v for k, v in value.items()
+                              if k not in ("t", "kind")}}
+        return _load_dataclass(Event, value, path, None)
+    if dataclasses.is_dataclass(tp):
+        return _load_dataclass(tp, value, path, default)
+    if origin is tuple:
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value) if isinstance(value, list) else ()
+        if not isinstance(value, list) or len(value) != len(args):
+            raise ConfigError(f"{path}: expected a list of {len(args) or 'values'}")
+        return tuple(_load(a, v, f"{path}[{i}]", None)
+                     for i, (a, v) in enumerate(zip(args, value)))
+    if tp is np.ndarray:
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # ragged nesting
+            arr = np.asarray(None)
+        if arr.dtype.kind not in "iuf":
+            raise ConfigError(f"{path}: expected a numeric array")
+        return arr.astype(float)
+    if tp is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if type(value) is tp:
+        return value
+    raise ConfigError(f"{path}: expected {tp.__name__}, got {type(value).__name__}")
+
+
+def _load_dataclass(cls, value, path, default):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path or cls.__name__}: expected a mapping, "
+                          f"got {type(value).__name__}")
+    fields = dataclasses.fields(cls)
+    _reject_unknown(value, [_key(f) for f in fields], path)
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields:
+        key = _key(f)
+        sub = f"{path}.{key}" if path else key
+        if key in value:
+            if default is not None:
+                base = getattr(default, f.name)
+            else:
+                base = (None if f.default_factory is dataclasses.MISSING
+                        else f.default_factory())
+            kwargs[f.name] = _load(hints[f.name], value[key], sub, base)
+        elif default is None and f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{sub}: required")
+    try:
+        if default is not None:
+            return dataclasses.replace(default, **kwargs)
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}" if path else str(e))
+
+
 def tf_from_config(cfg) -> ContinuousTF:
     """Build a ContinuousTF from a config mapping.
 
-    Accepted forms:
+    Accepted forms, each with only its own keys:
       {"num": [...ascending...], "den": [...], "delay": s}
       {"plant": "reference"}                      - stock identified plant
       {"plant_params": {...}}                     - explicit structure params
@@ -143,47 +265,26 @@ def tf_from_config(cfg) -> ContinuousTF:
     if not isinstance(cfg, dict):
         raise ConfigError("transfer-function config must be a JSON object")
     if "num" in cfg or "den" in cfg:
+        _reject_unknown(cfg, ("num", "den", "delay"))
         try:
             return ContinuousTF(cfg["num"], cfg["den"], float(cfg.get("delay", 0.0)))
         except (KeyError, ValueError) as e:
             raise ConfigError(f"bad transfer-function config: {e}")
     if cfg.get("plant") == "reference":
+        _reject_unknown(cfg, ("plant",))
         return fitted_plant()
     if "plant_params" in cfg:
-        return fitted_plant(plant_params_from_config(cfg["plant_params"]))
+        _reject_unknown(cfg, ("plant_params",))
+        return fitted_plant(_load(PlantFitParams, cfg["plant_params"],
+                                  "plant_params", None))
     raise ConfigError(
         "transfer-function config needs num/den, plant: reference, or plant_params"
     )
 
 
-def _resonance_from_config(d) -> ResonanceParams:
-    return ResonanceParams(float(d["freq_hz"]), float(d["num_damp"]),
-                           float(d["den_damp"]))
-
-
 def plant_params_from_config(d) -> PlantFitParams:
-    try:
-        ref = PlantFitParams.reference()
-        return PlantFitParams(
-            lf_corner_hz=float(d.get("lf_corner_hz", ref.lf_corner_hz)),
-            main_num=tuple(float(x) for x in d.get("main_num", ref.main_num)),
-            main_pole_tc=float(d.get("main_pole_tc", ref.main_pole_tc)),
-            peak=_resonance_from_config(d["peak"]) if "peak" in d else ref.peak,
-            anti=_resonance_from_config(d["anti"]) if "anti" in d else ref.anti,
-            delay_s=float(d.get("delay_s", ref.delay_s)),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad plant_params config: {e}")
+    return from_config(PlantFitParams, d)
 
 
 def plant_params_to_config(p: PlantFitParams) -> dict:
-    return {
-        "lf_corner_hz": p.lf_corner_hz,
-        "main_num": list(p.main_num),
-        "main_pole_tc": p.main_pole_tc,
-        "peak": {"freq_hz": p.peak.freq_hz, "num_damp": p.peak.num_damp,
-                 "den_damp": p.peak.den_damp},
-        "anti": {"freq_hz": p.anti.freq_hz, "num_damp": p.anti.num_damp,
-                 "den_damp": p.anti.den_damp},
-        "delay_s": p.delay_s,
-    }
+    return to_config(p)

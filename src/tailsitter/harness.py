@@ -16,19 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, quat
-from .control import (
-    AltitudeLoopConfig,
-    AttitudeLoopConfig,
-    NotchConfig,
-    RateLoopConfig,
-    default_notch_config,
-)
+from .control import NotchConfig, RateLoopConfig, default_notch_config
 from .dataio import (
     ConfigError,
+    from_config,
     load_json,
-    plant_params_from_config,
     plant_params_to_config,
     read_csv,
+    to_config,
     write_bode_csv,
     write_csv,
     write_frf_csv,
@@ -43,13 +38,7 @@ from .lti import (
     tf_eval,
     tf_series,
 )
-from .plant import (
-    PLANT_RATE_HZ,
-    AircraftParams,
-    LinearAxisPlant,
-    SensorConfig,
-    VibrationConfig,
-)
+from .plant import CONTROL_RATE_HZ, PLANT_RATE_HZ, LinearAxisPlant
 from .sim import (
     SIMLOG_HEADER,
     TELEMETRY_HEADER,
@@ -79,8 +68,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ABORT = 3
-
-HOVER_PITCH = 0.5 * math.pi
 
 
 @dataclass
@@ -183,163 +170,12 @@ def builtin_scenarios() -> dict:
 # scenario (de)serialization
 
 
-def _notch_to_cfg(n: NotchConfig | None):
-    if n is None:
-        return None
-    return {"center_hz": n.center_hz, "k1": n.k1, "k2": n.k2}
-
-
-def _aircraft_to_cfg(p):
-    return {
-        "mass": p.mass,
-        "inertia": np.diag(p.inertia_matrix).tolist(),
-        "wing_area": p.wing_area,
-        "air_density": p.air_density,
-        "rotor_positions": np.asarray(p.rotor_positions).tolist(),
-        "spin_directions": list(p.spin_directions),
-        "rotor_torque_ratio": p.rotor_torque_ratio,
-        "thrust_coeff": p.thrust_coeff,
-        "hover_command": p.hover_command,
-        "motor_tau_s": p.motor_tau_s,
-        "rate_damping": list(p.rate_damping),
-    }
-
-
-def _aircraft_from_cfg(d) -> AircraftParams:
-    ref = AircraftParams()
-    return AircraftParams(
-        mass=float(d.get("mass", ref.mass)),
-        inertia=d.get("inertia", np.diag(ref.inertia_matrix)),
-        wing_area=float(d.get("wing_area", ref.wing_area)),
-        air_density=float(d.get("air_density", ref.air_density)),
-        rotor_positions=np.asarray(d.get("rotor_positions",
-                                         ref.rotor_positions), dtype=float),
-        spin_directions=tuple(d.get("spin_directions", ref.spin_directions)),
-        rotor_torque_ratio=float(d.get("rotor_torque_ratio",
-                                       ref.rotor_torque_ratio)),
-        thrust_coeff=float(d.get("thrust_coeff", ref.thrust_coeff)),
-        hover_command=float(d.get("hover_command", ref.hover_command)),
-        motor_tau_s=float(d.get("motor_tau_s", ref.motor_tau_s)),
-        rate_damping=tuple(d.get("rate_damping", ref.rate_damping)),
-    )
-
-
 def scenario_to_config(sc: Scenario) -> dict:
-    return {
-        "name": sc.name,
-        "mode": sc.mode,
-        "duration_s": sc.duration_s,
-        "seed": sc.seed,
-        "aircraft": _aircraft_to_cfg(sc.params),
-        "events": [{"t": e.t, "kind": e.kind, **e.args} for e in sc.events],
-        "rate_loop": {
-            "kp": list(sc.rate_cfg.kp),
-            "ki": list(sc.rate_cfg.ki),
-            "kd": list(sc.rate_cfg.kd),
-            "deriv_corner_hz": sc.rate_cfg.deriv_corner_hz,
-            "notches": [_notch_to_cfg(n) for n in sc.rate_cfg.notches],
-            "integrator_limit": sc.rate_cfg.integrator_limit,
-            "output_limit": sc.rate_cfg.output_limit,
-        },
-        "attitude_loop": {"gains": list(sc.attitude_cfg.gains)},
-        "altitude_loop": {
-            "alt_gain": sc.altitude_cfg.alt_gain,
-            "ff_gain": sc.altitude_cfg.ff_gain,
-            "kp_vz": sc.altitude_cfg.kp_vz,
-            "ki_vz": sc.altitude_cfg.ki_vz,
-            "v_z_limit": sc.altitude_cfg.v_z_limit,
-        },
-        "plant_params": plant_params_to_config(sc.plant_params),
-        "flex_enabled": sc.flex_enabled,
-        "delay_enabled": sc.delay_enabled,
-        "sensor": {
-            "gyro_noise_std": sc.sensor_cfg.gyro_noise_std,
-            "corner_hz": sc.sensor_cfg.corner_hz,
-        },
-        "vibration": {
-            "amplitude": sc.vibration_cfg.amplitude,
-            "f_lo": sc.vibration_cfg.f_lo,
-            "f_hi": sc.vibration_cfg.f_hi,
-            "n_tones": sc.vibration_cfg.n_tones,
-            "seed": sc.vibration_cfg.seed,
-        },
-        "meas_noise_std": sc.meas_noise_std,
-        "initial_altitude_m": sc.initial_altitude_m,
-        "initial_pitch_rate": sc.initial_pitch_rate,
-        "aero_table_path": sc.aero_table_path,
-        "check_suite": sc.check_suite,
-    }
+    return to_config(sc)
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
-    try:
-        events = tuple(
-            Event(float(e["t"]), str(e["kind"]),
-                  {k: v for k, v in e.items() if k not in ("t", "kind")})
-            for e in cfg.get("events", [])
-        )
-        rc = cfg.get("rate_loop", {})
-        notches = rc.get("notches")
-        if notches is None:
-            notch_cfgs = (None, default_notch_config(), None)
-        else:
-            notch_cfgs = tuple(
-                NotchConfig(n["center_hz"], n["k1"], n["k2"]) if n else None
-                for n in notches
-            )
-        rate_cfg = RateLoopConfig(
-            kp=tuple(rc.get("kp", (0.09, 0.09, 0.09))),
-            ki=tuple(rc.get("ki", (0.1, 0.1, 0.1))),
-            kd=tuple(rc.get("kd", (0.01, 0.01, 0.01))),
-            deriv_corner_hz=rc.get("deriv_corner_hz", 18.0),
-            notches=notch_cfgs,
-            integrator_limit=rc.get("integrator_limit", 1.0),
-            output_limit=rc.get("output_limit", 1.0),
-        )
-        ac = cfg.get("attitude_loop", {})
-        al = cfg.get("altitude_loop", {})
-        sn = cfg.get("sensor", {})
-        vb = cfg.get("vibration", {})
-        return Scenario(
-            name=str(cfg["name"]),
-            mode=cfg.get("mode", "nonlinear"),
-            duration_s=float(cfg.get("duration_s", 20.0)),
-            seed=int(cfg.get("seed", 0)),
-            events=events,
-            params=_aircraft_from_cfg(cfg.get("aircraft", {})),
-            rate_cfg=rate_cfg,
-            attitude_cfg=AttitudeLoopConfig(tuple(ac.get("gains", (4.0, 4.0, 2.0)))),
-            altitude_cfg=AltitudeLoopConfig(
-                alt_gain=al.get("alt_gain", 1.0),
-                ff_gain=al.get("ff_gain", 1.0),
-                kp_vz=al.get("kp_vz", 0.15),
-                ki_vz=al.get("ki_vz", 0.05),
-                v_z_limit=al.get("v_z_limit", 3.0),
-            ),
-            plant_params=plant_params_from_config(cfg.get("plant_params", {})),
-            flex_enabled=bool(cfg.get("flex_enabled", True)),
-            delay_enabled=bool(cfg.get("delay_enabled", True)),
-            sensor_cfg=SensorConfig(
-                gyro_noise_std=sn.get("gyro_noise_std", 0.005),
-                corner_hz=sn.get("corner_hz", 100.0),
-            ),
-            vibration_cfg=VibrationConfig(
-                amplitude=vb.get("amplitude", 0.0),
-                f_lo=vb.get("f_lo", 75.0),
-                f_hi=vb.get("f_hi", 90.0),
-                n_tones=vb.get("n_tones", 5),
-                seed=vb.get("seed", 0),
-            ),
-            meas_noise_std=float(cfg.get("meas_noise_std", 0.0)),
-            initial_altitude_m=float(cfg.get("initial_altitude_m", 50.0)),
-            initial_pitch_rate=float(cfg.get("initial_pitch_rate", 0.0)),
-            aero_table_path=cfg.get("aero_table_path"),
-            check_suite=cfg.get("check_suite"),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(f"bad scenario config: {e}")
+    return from_config(Scenario, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +262,7 @@ def _checks_transition(sc: Scenario, data: np.ndarray, report: RunReport,
             quat.Quaternion.from_array(row[7:11], normalize=True)).pitch
         for row in simlog
     ])
-    step_ev = [e for e in sc.events if e.kind == "attitude"][-1]
+    step_ev = [e for e in sc.events if e.kind == "attitude" and "pitch" in e.args][-1]
     tau, r2 = metrics.first_order_fit(t, pitch, step_ev.t)
     p0 = pitch[np.argmin(np.abs(t - step_ev.t))]
     ov = metrics.overshoot_pct(t, pitch, step_ev.t, p0, step_ev.args["pitch"])
@@ -480,8 +316,8 @@ def run_scenario(source, out_dir="out", seed=None) -> RunReport:
         report.metrics["diverged_at_s"] = log.diverged_at
 
     # recompute every metric from the files just written
-    suite = CHECK_SUITES.get(sc.check_suite or "")
-    if suite is not None:
+    if sc.check_suite is not None:
+        suite = CHECK_SUITES[sc.check_suite]
         _, tele = read_csv(tele_path)
         if sc.check_suite == "transition":
             _, simdata = read_csv(sim_path)
@@ -519,7 +355,7 @@ class PipelineConfig:
     notch_k1: float = 0.15
     notch_k2: float = 0.018
     skip_notch: bool = False
-    slope_band: tuple = (0.6, 14.0)
+    slope_band: tuple[float, float] = (0.6, 14.0)
 
 
 def _max_stable_gain_crossover(loop_base, lo=0.01, hi=8.0):
@@ -691,7 +527,7 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     from .biquad import discretize_tustin
     from .dataio import write_biquad_csv
 
-    cascade = discretize_tustin(comp, 250.0,
+    cascade = discretize_tustin(comp, CONTROL_RATE_HZ,
                                 prewarp_hz=None if cfg.skip_notch
                                 else p.peak.freq_hz)
     report.artifacts.append(str(write_biquad_csv(

@@ -237,7 +237,7 @@ class PlantFitParams:
     """
 
     lf_corner_hz: float = 69.0
-    main_num: tuple = (260.0, 3.764, 0.01362)
+    main_num: tuple[float, float, float] = (260.0, 3.764, 0.01362)
     main_pole_tc: float = 0.0637
     peak: ResonanceParams = field(default_factory=_reference_peak)
     anti: ResonanceParams = field(default_factory=_reference_anti)

@@ -80,17 +80,17 @@ class AircraftParams:
     """
 
     mass: float = 1.2
-    inertia: tuple = (0.03, 0.008, 0.036)
+    inertia: np.ndarray = field(default_factory=lambda: np.diag((0.03, 0.008, 0.036)))
     wing_area: float = 0.1332
     air_density: float = 1.225
     gravity: float = 9.81
     rotor_positions: np.ndarray = field(default_factory=_default_rotor_positions)
-    spin_directions: tuple = (1.0, -1.0, 1.0, -1.0)
+    spin_directions: tuple[float, float, float, float] = (1.0, -1.0, 1.0, -1.0)
     rotor_torque_ratio: float = 0.015
     thrust_coeff: float = 23.544
     hover_command: float = 0.5
     motor_tau_s: float = 0.0637
-    rate_damping: tuple = (0.02, 0.02, 0.03)
+    rate_damping: tuple[float, float, float] = (0.02, 0.02, 0.03)
 
     def __post_init__(self):
         if self.mass <= 0.0 or self.wing_area <= 0.0:
@@ -136,10 +136,6 @@ class AircraftParams:
         return self.thrust_coeff / 4.0
 
     @property
-    def hover_thrust_n(self):
-        return self.mass * self.gravity
-
-    @property
     def thrust_ratio(self):
         """Normalized command per newton of thrust (hover identity)."""
         return self.hover_command / (self.mass * self.gravity)
@@ -161,9 +157,6 @@ class AircraftParams:
     def allocation_matrix(self):
         """Map motor commands to (total thrust N, torque N m x/y/z)."""
         return self._alloc.copy()
-
-    def allocation_inverse(self):
-        return self._alloc_inv.copy()
 
     def torque_scale(self):
         """Physical torque (N m) produced per unit normalized torque command.
@@ -520,13 +513,13 @@ class FlexibleModeParams:
 
 @dataclass(frozen=True)
 class SensorConfig:
-    """Gyro measurement chain: additive noise, anti-alias filter, decimate."""
+    """Gyro measurement chain: additive noise, anti-alias filter, decimate.
+
+    The chain decimates from the plant rate to the control rate.
+    """
 
     gyro_noise_std: float = 0.005
     corner_hz: float = 100.0
-    decimation: int = 4
-    altitude_noise_std: float = 0.0
-    v_z_noise_std: float = 0.0
 
 
 class RateSensor:
@@ -542,6 +535,7 @@ class RateSensor:
             for _ in range(3)
         ]
         self._rng = np.random.default_rng(seed)
+        self._decimation = int(round(self.sample_hz / CONTROL_RATE_HZ))
         self._count = 0
 
     def process(self, true_rate):
@@ -551,12 +545,12 @@ class RateSensor:
             noisy = noisy + self._rng.normal(0.0, self.cfg.gyro_noise_std, 3)
         out = np.array([f.process(x) for f, x in zip(self._filters, noisy)])
         self._count += 1
-        if self._count % self.cfg.decimation == 0:
+        if self._count % self._decimation == 0:
             return out
         return None
 
     def process_block(self, rates):
-        """(N, 3) at 1 kHz -> (N/decimation, 3) at the decimated rate."""
+        """(N, 3) at 1 kHz -> (N/4, 3) at the control rate."""
         rates = np.atleast_2d(np.asarray(rates, dtype=float))
         out = []
         for row in rates:

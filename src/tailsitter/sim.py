@@ -25,6 +25,7 @@ from .control import (
 )
 from .lti import PlantFitParams, fitted_plant
 from .plant import (
+    CONTROL_RATE_HZ,
     PLANT_RATE_HZ,
     AircraftParams,
     FlexibleModeParams,
@@ -40,6 +41,8 @@ from .plant import (
 from .sysid import ChirpConfig, chirp
 
 __all__ = [
+    "EVENT_KINDS",
+    "CHECK_SUITE_NEEDS",
     "Event",
     "Scenario",
     "SimLog",
@@ -53,8 +56,8 @@ __all__ = [
     "FLAG_MOTOR_SAT",
 ]
 
-CONTROL_DT = 1.0 / 250.0
-SUBSTEPS = int(round(PLANT_RATE_HZ / 250.0))
+CONTROL_DT = 1.0 / CONTROL_RATE_HZ
+SUBSTEPS = int(round(PLANT_RATE_HZ / CONTROL_RATE_HZ))
 
 FLAG_RATE_SAT = 1
 FLAG_THRUST_SAT = 2
@@ -77,6 +80,28 @@ TELEMETRY_HEADER = [
 ]
 
 
+# event kind -> (modes it is valid in, args it accepts, args it requires);
+# "enabled" is true/false, every other arg a number
+EVENT_KINDS = {
+    "attitude": (("nonlinear",), ("roll", "pitch", "yaw"), ()),
+    "pitch_ramp": (("nonlinear",), ("pitch_to", "duration"), ("pitch_to", "duration")),
+    "altitude": (("nonlinear",), ("alt",), ("alt",)),
+    "rate_cmd": (("linear-axis",), ("x", "y", "z"), ()),
+    "notch": (("nonlinear", "linear-axis"), ("enabled",), ("enabled",)),
+    "inject_chirp": (("linear-axis",), ("f0", "f1", "duration", "amplitude"),
+                     ("f0", "f1", "duration", "amplitude")),
+}
+
+# check suite -> (mode, the event its checks measure, that event's description)
+CHECK_SUITE_NEEDS = {
+    "notch_ab": ("linear-axis", lambda e: e.kind == "notch" and e.args["enabled"],
+                 "a notch event with enabled true"),
+    "rate_step": ("linear-axis", lambda e: e.kind == "rate_cmd", "a rate_cmd event"),
+    "transition": ("nonlinear", lambda e: e.kind == "attitude" and "pitch" in e.args,
+                   "an attitude event with a pitch"),
+}
+
+
 @dataclass(frozen=True)
 class Event:
     """One timed command in a scenario script.
@@ -90,35 +115,56 @@ class Event:
     kind: str
     args: dict = field(default_factory=dict)
 
-    _KINDS = ("attitude", "pitch_ramp", "altitude", "rate_cmd", "notch",
-              "inject_chirp")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
         if self.t < 0.0:
             raise ValueError("event time must be >= 0")
+        _, accepted, required = EVENT_KINDS[self.kind]
+        for k, v in self.args.items():
+            if k not in accepted:
+                raise ValueError(f"{self.kind} event has unknown arg {k!r}")
+            if (isinstance(v, bool) != (k == "enabled")
+                    or not isinstance(v, (int, float))):
+                want = "true or false" if k == "enabled" else "a number"
+                raise ValueError(f"{self.kind} event arg {k!r} must be {want}")
+        for k in required:
+            if k not in self.args:
+                raise ValueError(f"{self.kind} event needs arg {k!r}")
+        if self.kind == "inject_chirp":  # a sweep the control loop can play
+            ChirpConfig(self.args["f0"], self.args["f1"], self.args["duration"],
+                        self.args["amplitude"], CONTROL_RATE_HZ)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A deterministic scripted run against one plant mode."""
+    """A deterministic scripted run against one plant mode.
+
+    Six fields load from a config key other than their name, stated once in
+    the field metadata (``rate_cfg`` is ``rate_loop`` and so on).
+    """
 
     name: str
     mode: str = "nonlinear"  # or "linear-axis"
     duration_s: float = 20.0
     seed: int = 0
-    events: tuple = ()
+    events: tuple[Event, ...] = ()
     rate_cfg: RateLoopConfig = field(
-        default_factory=RateLoopConfig.reference_pitch_design)
-    attitude_cfg: AttitudeLoopConfig = field(default_factory=AttitudeLoopConfig)
-    altitude_cfg: AltitudeLoopConfig = field(default_factory=AltitudeLoopConfig)
-    params: AircraftParams = field(default_factory=AircraftParams)
+        default_factory=RateLoopConfig.reference_pitch_design,
+        metadata={"key": "rate_loop"})
+    attitude_cfg: AttitudeLoopConfig = field(
+        default_factory=AttitudeLoopConfig, metadata={"key": "attitude_loop"})
+    altitude_cfg: AltitudeLoopConfig = field(
+        default_factory=AltitudeLoopConfig, metadata={"key": "altitude_loop"})
+    params: AircraftParams = field(default_factory=AircraftParams,
+                                   metadata={"key": "aircraft"})
     plant_params: PlantFitParams = field(default_factory=PlantFitParams.reference)
     flex_enabled: bool = True
     delay_enabled: bool = True
-    sensor_cfg: SensorConfig = field(default_factory=SensorConfig)
-    vibration_cfg: VibrationConfig = field(default_factory=VibrationConfig)
+    sensor_cfg: SensorConfig = field(default_factory=SensorConfig,
+                                     metadata={"key": "sensor"})
+    vibration_cfg: VibrationConfig = field(default_factory=VibrationConfig,
+                                           metadata={"key": "vibration"})
     meas_noise_std: float = 0.0  # linear-axis measurement noise
     initial_altitude_m: float = 50.0
     initial_pitch_rate: float = 0.0
@@ -127,12 +173,28 @@ class Scenario:
 
     def __post_init__(self):
         if self.mode not in ("nonlinear", "linear-axis"):
-            raise ValueError("mode must be nonlinear or linear-axis")
+            raise ValueError("mode: must be nonlinear or linear-axis")
         if self.duration_s <= 0.0:
-            raise ValueError("duration must be positive")
+            raise ValueError("duration_s: must be positive")
         ts = [e.t for e in self.events]
         if ts != sorted(ts):
-            raise ValueError("events must be time-ordered")
+            raise ValueError("events: must be time-ordered")
+        for i, e in enumerate(self.events):
+            where = f"events[{i}]: {e.kind} event"
+            if self.mode not in EVENT_KINDS[e.kind][0]:
+                raise ValueError(f"{where} is not valid in {self.mode} mode")
+            if (e.kind == "notch" and e.args["enabled"]
+                    and self.rate_cfg.notches[1] is None):
+                raise ValueError(f"{where} enables a pitch notch that "
+                                 "rate_loop.notches does not configure")
+        if self.check_suite is not None:
+            if self.check_suite not in CHECK_SUITE_NEEDS:
+                raise ValueError(f"check_suite: unknown suite {self.check_suite!r}")
+            mode, measured, what = CHECK_SUITE_NEEDS[self.check_suite]
+            if self.mode != mode:
+                raise ValueError(f"check_suite: {self.check_suite} needs {mode} mode")
+            if not any(measured(e) for e in self.events):
+                raise ValueError(f"check_suite: {self.check_suite} needs {what}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,15 +253,13 @@ def run_linear_axis(sc: Scenario, abort_limit: float = 1e6) -> SimLog:
                 w_cmd = np.array([ev.args.get("x", 0.0), ev.args.get("y", 0.0),
                                   ev.args.get("z", 0.0)])
             elif ev.kind == "notch":
-                ctrl.set_notch_enabled(bool(ev.args["enabled"]))
+                ctrl.set_notch_enabled(ev.args["enabled"])
             elif ev.kind == "inject_chirp":
                 cfg = ChirpConfig(ev.args["f0"], ev.args["f1"],
                                   ev.args["duration"], ev.args["amplitude"],
-                                  1.0 / CONTROL_DT)
+                                  CONTROL_RATE_HZ)
                 inject = chirp(cfg).values
                 inject_start = i
-            else:
-                raise ValueError(f"event {ev.kind!r} not valid in linear-axis mode")
         meas = y + (rng.normal(0.0, sc.meas_noise_std)
                     if sc.meas_noise_std > 0.0 else 0.0)
         w_meas = np.array([0.0, meas, 0.0])
@@ -277,9 +337,7 @@ def run_nonlinear(sc: Scenario) -> SimLog:
             elif ev.kind == "altitude":
                 alt_cmd = float(ev.args["alt"])
             elif ev.kind == "notch":
-                rate_ctrl.set_notch_enabled(bool(ev.args["enabled"]))
-            else:
-                raise ValueError(f"event {ev.kind!r} not valid in nonlinear mode")
+                rate_ctrl.set_notch_enabled(ev.args["enabled"])
 
         if ramp is not None:
             t0, p_from, p_to, dur, roll0, yaw0 = ramp

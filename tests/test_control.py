@@ -111,8 +111,10 @@ class TestRateController:
             c.step(np.array([np.nan, 0, 0]), np.zeros(3))
 
     def test_sample_rate_pinned(self):
+        from tailsitter.harness import scenario_from_config
+
         with pytest.raises(ValueError):
-            RateLoopConfig(sample_hz=500.0)
+            scenario_from_config({"name": "x", "rate_loop": {"sample_hz": 500.0}})
 
     def test_notch_toggle_requires_configuration(self):
         c = RateController(RateLoopConfig(notches=(None, None, None)))

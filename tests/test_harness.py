@@ -1,16 +1,25 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from tailsitter import cli, metrics
-from tailsitter.control import RateLoopConfig, default_notch_config
+from tailsitter.control import (
+    AltitudeLoopConfig,
+    AttitudeLoopConfig,
+    NotchConfig,
+    RateLoopConfig,
+    default_notch_config,
+)
 from tailsitter.dataio import (
     ConfigError,
+    from_config,
     load_aero_table,
     read_csv,
     save_aero_table,
     tf_from_config,
+    to_config,
     write_bode_csv,
     write_biquad_csv,
 )
@@ -18,13 +27,17 @@ from tailsitter.harness import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
+    PipelineConfig,
     builtin_scenarios,
     compare_runs,
     run_scenario,
     scenario_from_config,
     scenario_to_config,
 )
+from tailsitter.lti import PlantFitParams, ResonanceParams
+from tailsitter.plant import AircraftParams, SensorConfig, VibrationConfig
 from tailsitter.sim import Event, Scenario, run_linear_axis
+from tailsitter.sysid import ChirpConfig
 
 
 def short_ab_scenario(name="ab_short", enabled_at=6.0, duration=9.0, seed=1,
@@ -124,19 +137,180 @@ class TestCompareRuns:
             compare_runs(report.artifacts[0], other)
 
 
+# short_ab_scenario(duration=4.0) in the format of dumps written by earlier
+# versions, which must keep loading: diagonal inertia only, no gravity, and
+# sensor and altitude sections without some of their fields
+PARENT_FORMAT_AB_SHORT = {
+    "name": "ab_short", "mode": "linear-axis", "duration_s": 4.0, "seed": 1,
+    "aircraft": {
+        "mass": 1.2, "inertia": [0.03, 0.008, 0.036], "wing_area": 0.1332,
+        "air_density": 1.225,
+        "rotor_positions": [[0.0, 0.22, 0.09], [0.0, -0.22, 0.09],
+                            [0.0, -0.22, -0.09], [0.0, 0.22, -0.09]],
+        "spin_directions": [1.0, -1.0, 1.0, -1.0], "rotor_torque_ratio": 0.015,
+        "thrust_coeff": 23.544, "hover_command": 0.5, "motor_tau_s": 0.0637,
+        "rate_damping": [0.02, 0.02, 0.03]},
+    "events": [{"t": 0.0, "kind": "notch", "enabled": False},
+               {"t": 6.0, "kind": "notch", "enabled": True}],
+    "rate_loop": {
+        "kp": [0.054, 0.054, 0.054], "ki": [0.06, 0.06, 0.06],
+        "kd": [0.006, 0.006, 0.006], "deriv_corner_hz": 18.0,
+        "notches": [None, {"center_hz": 14.012811389146233, "k1": 0.15,
+                           "k2": 0.018}, None],
+        "integrator_limit": 1.0, "output_limit": 1.0},
+    "attitude_loop": {"gains": [4.0, 4.0, 2.0]},
+    "altitude_loop": {"alt_gain": 1.0, "ff_gain": 1.0, "kp_vz": 0.15,
+                      "ki_vz": 0.05, "v_z_limit": 3.0},
+    "plant_params": {
+        "lf_corner_hz": 69.0, "main_num": [260.0, 3.764, 0.01362],
+        "main_pole_tc": 0.0637,
+        "peak": {"freq_hz": 14.012811389146233, "num_damp": 0.2104277666118241,
+                 "den_damp": 0.03002337590570377},
+        "anti": {"freq_hz": 26.979289582865313, "num_damp": 0.020002873356813906,
+                 "den_damp": 0.22037063867676335},
+        "delay_s": 0.021},
+    "flex_enabled": True, "delay_enabled": True,
+    "sensor": {"gyro_noise_std": 0.005, "corner_hz": 100.0},
+    "vibration": {"amplitude": 0.0, "f_lo": 75.0, "f_hi": 90.0, "n_tones": 5,
+                  "seed": 0},
+    "meas_noise_std": 0.0, "initial_altitude_m": 50.0,
+    "initial_pitch_rate": 0.01, "aero_table_path": None,
+    "check_suite": "notch_ab",
+}
+
+
+def every_field_scenario():
+    """A scenario whose every field, nested ones too, is off its default."""
+    return Scenario(
+        name="every_field", mode="nonlinear", duration_s=3.0, seed=9,
+        events=(Event(0.5, "altitude", {"alt": 51.0}),
+                Event(1.0, "pitch_ramp", {"pitch_to": 1.2, "duration": 0.5}),
+                Event(2.0, "attitude", {"roll": 0.1, "pitch": 1.5, "yaw": -0.1}),
+                Event(2.5, "notch", {"enabled": False})),
+        rate_cfg=RateLoopConfig(
+            kp=(0.08, 0.09, 0.07), ki=(0.11, 0.1, 0.12), kd=(0.01, 0.011, 0.012),
+            deriv_corner_hz=17.0,
+            notches=(None, NotchConfig(13.5, 0.2, 0.02), None),
+            integrator_limit=0.8, output_limit=0.9),
+        attitude_cfg=AttitudeLoopConfig((3.0, 4.5, 2.5)),
+        altitude_cfg=AltitudeLoopConfig(
+            alt_gain=0.9, ff_gain=0.8, kp_vz=0.2, ki_vz=0.04, v_z_limit=2.5,
+            min_vertical_authority=0.1),
+        params=AircraftParams(
+            mass=1.3, gravity=9.80665,
+            inertia=[[0.03, 0.001, 0.0], [0.001, 0.008, 0.0002],
+                     [0.0, 0.0002, 0.036]],
+            wing_area=0.14, air_density=1.2,
+            rotor_positions=[[0.01, 0.21, 0.09], [0.01, -0.21, 0.09],
+                             [-0.01, -0.21, -0.09], [-0.01, 0.21, -0.09]],
+            spin_directions=(-1.0, 1.0, -1.0, 1.0), rotor_torque_ratio=0.016,
+            thrust_coeff=25.0, hover_command=0.51, motor_tau_s=0.06,
+            rate_damping=(0.021, 0.022, 0.031)),
+        plant_params=PlantFitParams(
+            lf_corner_hz=70.0, main_num=(250.0, 3.7, 0.0135), main_pole_tc=0.064,
+            peak=ResonanceParams(14.5, 0.22, 0.031),
+            anti=ResonanceParams(27.5, 0.021, 0.23), delay_s=0.02),
+        flex_enabled=False, delay_enabled=False,
+        sensor_cfg=SensorConfig(gyro_noise_std=0.004, corner_hz=90.0),
+        vibration_cfg=VibrationConfig(amplitude=0.01, f_lo=76.0, f_hi=89.0,
+                                      n_tones=4, seed=2),
+        meas_noise_std=0.001, initial_altitude_m=40.0, initial_pitch_rate=0.02,
+        aero_table_path="table.csv", check_suite="transition",
+    )
+
+
+def every_field_pipeline():
+    return PipelineConfig(
+        chirp=ChirpConfig(2.0, 50.0, 30.0, 0.05, 200.0),
+        true_params=PlantFitParams(delay_s=0.02,
+                                   peak=ResonanceParams(14.5, 0.22, 0.031)),
+        n_freqs=40, cycles_per_window=50.0, correct_hold=False, noise_std=0.01,
+        seed=5, kp=0.08, ki=0.11, kd=0.012, deriv_corner_hz=17.0,
+        notch_k1=0.16, notch_k2=0.017, skip_notch=True, slope_band=(0.5, 12.0))
+
+
+def assert_same_fields(a, b, path=""):
+    """Field-by-field equality, values and their types, through nesting."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), path
+        for f in dataclasses.fields(a):
+            assert_same_fields(getattr(a, f.name), getattr(b, f.name),
+                               f"{path}.{f.name}")
+    elif isinstance(a, tuple):
+        assert isinstance(b, tuple) and len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same_fields(x, y, f"{path}[{i}]")
+    elif isinstance(a, np.ndarray):
+        np.testing.assert_array_equal(a, b, err_msg=path)
+    else:
+        assert type(a) is type(b) and a == b, f"{path}: {a!r} != {b!r}"
+
+
+# (scenario config, dotted path the error must name)
+BAD_SCENARIOS = [
+    ({"name": "x", "events": [{"t": 0.0, "kind": "warp_drive"}]}, "events[0]"),
+    ({"name": "x", "rate_loop": {"kpp": 0.1}}, "rate_loop.kpp"),
+    ({"name": "x", "aircraft": {"gravity": 9.8, "gravityy": 9.8}},
+     "aircraft.gravityy"),
+    ({"name": "x", "plant_params": {"peak": {"freq_hz": 14.0, "q": 1.0}}},
+     "plant_params.peak.q"),
+    ({"name": "x", "rate_loop": {"sample_hz": 500.0}}, "rate_loop.sample_hz"),
+    ({"name": "x", "sensor": {"decimation": 8}}, "sensor.decimation"),
+    ({"name": "x", "flex_enabled": "no"}, "flex_enabled"),
+    ({"name": "x", "rate_loop": {"kp": [0.1, 0.1]}}, "rate_loop.kp"),
+    ({"name": "x", "rate_loop": {"kp": [0.1, -0.1, 0.1]}}, "rate_loop"),
+    ({"name": "x", "mode": "linear-axis",
+      "events": [{"t": 1.0, "kind": "altitude", "alt": 60.0}]}, "events[0]"),
+    ({"name": "x", "mode": "linear-axis", "events": [{"t": 1.0, "kind": "notch"}]},
+     "events[0]"),
+    ({"name": "x", "mode": "linear-axis",
+      "events": [{"t": 1.0, "kind": "rate_cmd", "yy": 0.3}]}, "events[0]"),
+    ({"name": "x", "mode": "linear-axis", "check_suite": "rate_stepp",
+      "events": [{"t": 1.0, "kind": "rate_cmd", "y": 0.3}]}, "check_suite"),
+    ({"name": "x", "mode": "linear-axis", "check_suite": "transition",
+      "events": [{"t": 1.0, "kind": "notch", "enabled": True}]}, "check_suite"),
+    ({"name": "x", "mode": "linear-axis", "check_suite": "rate_step"},
+     "check_suite"),
+    ({"name": "x", "mode": "linear-axis",
+      "events": [{"t": 1.0, "kind": "inject_chirp", "f0": 1.0, "f1": 200.0,
+                  "duration": 1.0, "amplitude": 0.1}]}, "events[0]"),
+]
+
+
 class TestScenarioSerialization:
     def test_round_trip_preserves_behavior(self, tmp_path):
         sc = short_ab_scenario(duration=4.0)
-        cfg = scenario_to_config(sc)
-        sc2 = scenario_from_config(json.loads(json.dumps(cfg)))
         a = run_linear_axis(sc)
-        b = run_linear_axis(sc2)
-        np.testing.assert_array_equal(a.telemetry, b.telemetry)
+        for cfg in (scenario_to_config(sc), PARENT_FORMAT_AB_SHORT):
+            sc2 = scenario_from_config(json.loads(json.dumps(cfg)))
+            b = run_linear_axis(sc2)
+            np.testing.assert_array_equal(a.telemetry, b.telemetry)
+        # every field, nested ones included, survives config -> JSON -> config
+        for cls, obj in ((Scenario, every_field_scenario()),
+                         (PipelineConfig, every_field_pipeline())):
+            loaded = from_config(cls, json.loads(json.dumps(to_config(obj))))
+            assert_same_fields(obj, loaded, cls.__name__)
+        sc = scenario_from_config(json.loads(json.dumps(
+            scenario_to_config(every_field_scenario()))))
+        assert sc.params.gravity == 9.80665
+        assert sc.params.inertia[0, 1] == 0.001
+        assert sc.altitude_cfg.min_vertical_authority == 0.1
 
     def test_bad_event_kind_rejected(self):
-        with pytest.raises((ConfigError, ValueError)):
-            scenario_from_config({"name": "x", "events": [
-                {"t": 0.0, "kind": "warp_drive"}]})
+        for cfg, path in BAD_SCENARIOS:
+            with pytest.raises(ConfigError) as exc:
+                scenario_from_config(cfg)
+            assert str(exc.value).startswith(path + ":"), (cfg, str(exc.value))
+
+    def test_partial_section_keeps_defaults(self):
+        sc = scenario_from_config({"name": "x", "rate_loop": {"kp": [0.1, 0.1, 0.1]}})
+        assert sc.rate_cfg.kp == (0.1, 0.1, 0.1)
+        assert sc.rate_cfg.notches == RateLoopConfig.reference_pitch_design().notches
+        p = from_config(PipelineConfig, {"true_params": {"peak": {"freq_hz": 15.0}}})
+        ref = PlantFitParams.reference()
+        assert p.true_params.peak == ResonanceParams(15.0, ref.peak.num_damp,
+                                                     ref.peak.den_damp)
+        assert p.true_params.anti == ref.anti
 
     def test_aircraft_overrides(self):
         sc = scenario_from_config({
@@ -233,8 +407,10 @@ class TestDataIO:
     def test_tf_config_forms(self):
         tf = tf_from_config({"num": [1.0], "den": [1.0, 0.1], "delay": 0.02})
         assert tf.delay == 0.02
-        with pytest.raises(ConfigError):
-            tf_from_config({"nonsense": 1})
+        for bad in ({"nonsense": 1}, {"num": [1.0], "den": [1.0, 0.1], "dealy": 0.02},
+                    {"plant": "reference", "delay": 0.02}):
+            with pytest.raises(ConfigError):
+                tf_from_config(bad)
 
 
 class TestPipeline:
@@ -303,6 +479,37 @@ class TestCli:
         missing = tmp_path / "missing.json"
         rc = cli.main(["run", str(missing), "--out-dir", str(tmp_path)])
         assert rc == EXIT_CONFIG_ERROR
+        # each bad config fails at load time: exit 2, the dotted path, no
+        # traceback and no artifact
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        header_only = tmp_path / "header_only.csv"
+        header_only.write_text("t,a\n")
+        cases = [(["run"], cfg, path) for cfg, path in BAD_SCENARIOS]
+        cases += [
+            (["pipeline"], {"chirp": {"f0": -1.0}}, "chirp"),
+            (["pipeline"], {"slope_bandd": [0.6, 14.0]}, "slope_bandd"),
+            (["pipeline"], {"seed": 1.5}, "seed"),
+            (["bode"], {"num": [1.0], "den": [1.0, 0.1], "dealy": 0.02}, "dealy"),
+            (["margins"], {"plant_params": {"delay": 0.02}}, "plant_params.delay"),
+            (["compare", str(empty), str(empty)], None, str(empty)),
+            (["compare", str(header_only), str(header_only)], None,
+             str(header_only)),
+        ]
+        for i, (argv, cfg, path) in enumerate(cases):
+            out = tmp_path / f"out{i}"
+            if cfg is not None:
+                cfg_path = tmp_path / f"cfg{i}.json"
+                cfg_path.write_text(json.dumps(cfg))
+                argv = argv + [str(cfg_path)]
+            if argv[0] in ("run", "pipeline", "bode"):
+                argv = argv + ["--out-dir", str(out)]
+            capsys.readouterr()
+            rc = cli.main(argv)
+            err = capsys.readouterr().err
+            assert rc == EXIT_CONFIG_ERROR, (argv, cfg, err)
+            assert err.startswith(f"config error: {path}:"), (cfg, err)
+            assert not out.exists(), argv
 
     def test_margins_command(self, tmp_path, capsys):
         cfg = tmp_path / "tf.json"
