@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error,
-3 numerical abort inside a simulation.
+3 numerical abort inside a simulation.  ``compare`` exits 0 when the two
+logs are identical and 1 when any column differs.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             diff = compare_runs(args.log_a, args.log_b)
             sys.stdout.write(diff.to_text())
-            return EXIT_OK
+            return EXIT_OK if diff.identical else EXIT_CHECK_FAILED
 
         if args.command == "scenarios":
             for name, sc in builtin_scenarios().items():

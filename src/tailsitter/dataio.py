@@ -57,13 +57,19 @@ def _fmt(x):
 
 
 def write_csv(path, header, rows):
+    """Header plus one line per row, ``\r\n``-terminated as csv.writer does.
+
+    A 2-D float array is formatted a row at a time with ``repr``, the form
+    ``_fmt`` gives each float; other rows go through ``_fmt`` per value.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    floats = isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
+        csv.writer(fh).writerow(header)
         for row in rows:
-            w.writerow([_fmt(x) for x in row])
+            cells = map(repr, row.tolist()) if floats else map(_fmt, row)
+            fh.write(",".join(cells) + "\r\n")
     return path
 
 
@@ -92,7 +98,7 @@ def write_bode_csv(path, tf: ContinuousTF, f_lo=0.1, f_hi=100.0,
     ph = np.degrees(np.unwrap(np.angle(frequency_response(rational, f_lo, f_hi,
                                                           points_per_decade).values)))
     ph -= 360.0 * fr.freqs * tf.delay
-    rows = zip(fr.freqs, fr.magnitude_db, ph)
+    rows = np.column_stack([fr.freqs, fr.magnitude_db, ph])
     return write_csv(path, ["freq_hz", "mag_db", "phase_deg"], rows)
 
 
@@ -106,7 +112,8 @@ def write_biquad_csv(path, cascade):
 
 
 def write_frf_csv(path, frf):
-    rows = zip(frf.freqs, frf.response.real, frf.response.imag, frf.coherence)
+    rows = np.column_stack([frf.freqs, frf.response.real, frf.response.imag,
+                            frf.coherence])
     return write_csv(path, ["freq_hz", "re", "im", "coherence"], rows)
 
 

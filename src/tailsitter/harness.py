@@ -338,7 +338,8 @@ class PipelineConfig:
 
     The FRF stage defaults to 60 cycles per window (finer than the general
     default because the structural peak is only ~3 % wide) and deconvolves
-    the known 250 Hz command hold.
+    the known 250 Hz command hold.  Values the stages would reject mid-run
+    are rejected here, before anything is simulated or written.
     """
 
     chirp: ChirpConfig = field(default_factory=ChirpConfig)
@@ -356,6 +357,24 @@ class PipelineConfig:
     notch_k2: float = 0.018
     skip_notch: bool = False
     slope_band: tuple[float, float] = (0.6, 14.0)
+
+    def __post_init__(self):
+        if not self.chirp.f0 < self.chirp.f1:
+            raise ValueError("chirp: the FRF band needs f0 < f1")
+        if self.n_freqs < 2:
+            raise ValueError("n_freqs: need at least 2 frequencies to span the band")
+        if self.cycles_per_window <= 0.0:
+            raise ValueError("cycles_per_window: must be > 0")
+        if not 0.0 < self.slope_band[0] < self.slope_band[1]:
+            raise ValueError("slope_band: need 0 < f_lo < f_hi")
+        try:
+            pid_tf(self.kp, self.ki, self.kd, self.deriv_corner_hz)
+        except ValueError as e:
+            raise ValueError(f"kp: PID gains: {e}")
+        try:  # the notch is placed at the fitted peak; any center will do here
+            NotchConfig(1.0, self.notch_k1, self.notch_k2)
+        except ValueError as e:
+            raise ValueError(f"notch_k1: {e}")
 
 
 def _max_stable_gain_crossover(loop_base, lo=0.01, hi=8.0):
@@ -398,8 +417,8 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     sweep_path = write_csv(
         out_dir / "sweep_io.csv",
         ["t", "u_injected", "u_total", "omega_meas"],
-        zip(sweep.total_input.times, sweep.injected.values,
-            sweep.total_input.values, sweep.measured.values),
+        np.column_stack([sweep.total_input.times, sweep.injected.values,
+                         sweep.total_input.values, sweep.measured.values]),
     )
     report.artifacts.append(str(sweep_path))
 

@@ -12,11 +12,22 @@ Two interchangeable plants back the closed-loop experiments:
   frequency-domain-faithful loop verification.
 
 Both are deterministic under a fixed seed.
+
+The 1 kHz substep of ``TailsitterSim`` is a scalar kernel: the vehicle state
+is one flat list of 13 floats (NED position and velocity, the attitude
+quaternion, body rates) and every stage of the substep (delay line, flex
+biquad, torque scaling, mixer headroom scaling, motor lag, the rigid-body
+derivatives, the RK4 combine and renormalization, and the gyro chain) runs
+on plain floats, with no array or state object built per substep.  The
+public ``mixer``, ``step_dynamics`` and ``aero_forces`` are thin wrappers
+over the same scalar code (``_mix``, ``_rk4``, ``_lift_drag``), so the
+property tests exercise the kernel the simulator runs.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -117,18 +128,18 @@ class AircraftParams:
         if np.linalg.cond(a) > 1e6:
             raise ValueError("rotor geometry gives a singular thrust allocation")
         object.__setattr__(self, "_alloc", a)
-        object.__setattr__(self, "_alloc_inv", np.linalg.inv(a))
-        object.__setattr__(self, "_inertia_inv", np.linalg.inv(inertia))
-        object.__setattr__(self, "_damping_arr",
-                           np.asarray(self.rate_damping, dtype=float))
+        # constants of the scalar kernel, as plain floats
+        object.__setattr__(self, "_alloc_inv_rows",
+                           tuple(map(tuple, np.linalg.inv(a).tolist())))
+        object.__setattr__(self, "_inertia_rows", tuple(map(tuple, inertia.tolist())))
+        object.__setattr__(self, "_inertia_inv_rows",
+                           tuple(map(tuple, np.linalg.inv(inertia).tolist())))
+        object.__setattr__(self, "_rotor_yz", (tuple(pos[:, 1].tolist()),
+                                               tuple(pos[:, 2].tolist())))
 
     @property
     def inertia_matrix(self):
         return self.inertia
-
-    @property
-    def inertia_inv(self):
-        return self._inertia_inv
 
     @property
     def motor_thrust_coeff(self):
@@ -189,10 +200,10 @@ class AeroTable:
     """
 
     def __init__(self, alpha_grid, v_grid, cl, cd):
-        self.alpha_grid = np.asarray(alpha_grid, dtype=float)
-        self.v_grid = np.asarray(v_grid, dtype=float)
-        self.cl = np.asarray(cl, dtype=float)
-        self.cd = np.asarray(cd, dtype=float)
+        self.alpha_grid = np.array(alpha_grid, dtype=float)
+        self.v_grid = np.array(v_grid, dtype=float)
+        self.cl = np.array(cl, dtype=float)
+        self.cd = np.array(cd, dtype=float)
         if np.any(np.diff(self.alpha_grid) <= 0) or np.any(np.diff(self.v_grid) <= 0):
             raise ValueError("grids must be strictly increasing")
         shape = (self.alpha_grid.size, self.v_grid.size)
@@ -200,33 +211,31 @@ class AeroTable:
             raise ValueError(f"coefficient tables must have shape {shape}")
         if np.any(self.cd < 0.0):
             raise ValueError("drag coefficient must be nonnegative")
+        # the lookup runs on these float lists; freeze the arrays they mirror
+        for arr in (self.alpha_grid, self.v_grid, self.cl, self.cd):
+            arr.flags.writeable = False
+        self._alphas = self.alpha_grid.tolist()
+        self._vs = self.v_grid.tolist()
+        self._cl = self.cl.tolist()
+        self._cd = self.cd.tolist()
 
     def interpolate(self, alpha, v):
         """(CL, CD, clamped) at one query point."""
-        clamped = not (
-            self.alpha_grid[0] <= alpha <= self.alpha_grid[-1]
-            and self.v_grid[0] <= v <= self.v_grid[-1]
-        )
-        a = min(max(alpha, self.alpha_grid[0]), self.alpha_grid[-1])
-        vv = min(max(v, self.v_grid[0]), self.v_grid[-1])
-        i = min(np.searchsorted(self.alpha_grid, a, side="right") - 1,
-                self.alpha_grid.size - 2)
-        j = min(np.searchsorted(self.v_grid, vv, side="right") - 1,
-                self.v_grid.size - 2)
-        i = max(i, 0)
-        j = max(j, 0)
-        ta = (a - self.alpha_grid[i]) / (self.alpha_grid[i + 1] - self.alpha_grid[i])
-        tv = (vv - self.v_grid[j]) / (self.v_grid[j + 1] - self.v_grid[j])
-
-        def lerp2(tab):
-            return (
-                tab[i, j] * (1 - ta) * (1 - tv)
-                + tab[i + 1, j] * ta * (1 - tv)
-                + tab[i, j + 1] * (1 - ta) * tv
-                + tab[i + 1, j + 1] * ta * tv
-            )
-
-        return float(lerp2(self.cl)), float(lerp2(self.cd)), clamped
+        alphas, vs = self._alphas, self._vs
+        clamped = not (alphas[0] <= alpha <= alphas[-1] and vs[0] <= v <= vs[-1])
+        a = min(max(alpha, alphas[0]), alphas[-1])
+        vv = min(max(v, vs[0]), vs[-1])
+        i = max(min(bisect_right(alphas, a) - 1, len(alphas) - 2), 0)
+        j = max(min(bisect_right(vs, vv) - 1, len(vs) - 2), 0)
+        ta = (a - alphas[i]) / (alphas[i + 1] - alphas[i])
+        tv = (vv - vs[j]) / (vs[j + 1] - vs[j])
+        ua, uv = 1 - ta, 1 - tv
+        cl0, cl1, cd0, cd1 = self._cl[i], self._cl[i + 1], self._cd[i], self._cd[i + 1]
+        return (cl0[j] * ua * uv + cl1[j] * ta * uv
+                + cl0[j + 1] * ua * tv + cl1[j + 1] * ta * tv,
+                cd0[j] * ua * uv + cd1[j] * ta * uv
+                + cd0[j + 1] * ua * tv + cd1[j + 1] * ta * tv,
+                clamped)
 
 
 def default_aero_table(lift_slope=4.73, alpha_stall=0.2618, blend_width=0.0873,
@@ -251,6 +260,13 @@ def default_aero_table(lift_slope=4.73, alpha_stall=0.2618, blend_width=0.0873,
                      np.tile(cd[:, None], (1, v.size)))
 
 
+def _lift_drag(alpha, v, table: AeroTable, params: AircraftParams):
+    """(lift N, drag N, clamped): L = 1/2 rho V^2 S CL(a, V), same for drag."""
+    cl, cd, clamped = table.interpolate(alpha, v)
+    q = 0.5 * params.air_density * v * v * params.wing_area
+    return q * cl, q * cd, clamped
+
+
 def aero_forces(alpha, v, table: AeroTable, params: AircraftParams) -> AeroForces:
     """Lift and drag in newtons: L = 1/2 rho V^2 S CL(a, V), same for drag.
 
@@ -258,9 +274,7 @@ def aero_forces(alpha, v, table: AeroTable, params: AircraftParams) -> AeroForce
     """
     if v < 0.0:
         raise ValueError("airspeed must be >= 0")
-    cl, cd, clamped = table.interpolate(alpha, v)
-    q = 0.5 * params.air_density * v * v * params.wing_area
-    return AeroForces(q * cl, q * cd, clamped)
+    return AeroForces(*_lift_drag(alpha, v, table, params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,6 +292,36 @@ class MotorCommand:
         u.flags.writeable = False
 
 
+def _headroom_scale(u0, du):
+    """Largest factor in [0, 1] keeping u0 + f*du inside [0, 1]."""
+    f = 1.0
+    for b, d in zip(u0, du):
+        if d > 1e-12:
+            f = min(f, (1.0 - b) / d)
+        elif d < -1e-12:
+            f = min(f, (0.0 - b) / d)
+    return max(f, 0.0)
+
+
+def _mix(tx, ty, tz, thrust_cmd, params: AircraftParams):
+    """Scalar mixer body: (u1, u2, u3, u4, saturated); see ``mixer``."""
+    a = params._alloc_inv_rows
+    thrust_n = min(max(thrust_cmd, 0.0), 1.0) * params.thrust_coeff
+    base = [r[0] * thrust_n for r in a]
+    rp = [r[1] * tx + r[2] * ty for r in a]
+    yaw = [r[3] * tz for r in a]
+    saturated = thrust_cmd < 0.0 or thrust_cmd > 1.0
+
+    f_rp = _headroom_scale(base, rp)
+    u = [b + f_rp * d for b, d in zip(base, rp)]
+    f_yaw = _headroom_scale(u, yaw)
+    u = [b + f_yaw * d for b, d in zip(u, yaw)]
+    out = [min(max(x, 0.0), 1.0) for x in u]
+    # np.allclose(out, u, atol=1e-12) with its default rtol of 1e-5
+    clipped = any(abs(o - x) > 1e-12 + 1e-5 * abs(x) for o, x in zip(out, u))
+    return (*out, saturated or f_rp < 1.0 or f_yaw < 1.0 or clipped)
+
+
 def mixer(torque_nm, thrust_cmd, params: AircraftParams) -> MotorCommand:
     """Invert the allocation matrix with priority thrust > roll/pitch > yaw.
 
@@ -285,39 +329,12 @@ def mixer(torque_nm, thrust_cmd, params: AircraftParams) -> MotorCommand:
     collective in [0, 1].  When the unsaturated solution leaves [0, 1] the
     roll/pitch group is scaled first, then yaw, and the command is flagged.
     """
-    torque_nm = np.asarray(torque_nm, dtype=float)
-    if not (np.all(np.isfinite(torque_nm)) and np.isfinite(thrust_cmd)):
+    tx, ty, tz = (float(t) for t in torque_nm)
+    thrust_cmd = float(thrust_cmd)
+    if not all(map(math.isfinite, (tx, ty, tz, thrust_cmd))):
         raise ValueError("mixer inputs must be finite")
-    a_inv = params._alloc_inv
-    thrust_n = float(np.clip(thrust_cmd, 0.0, 1.0)) * params.thrust_coeff
-    base = a_inv @ np.array([thrust_n, 0.0, 0.0, 0.0])
-    rp = a_inv @ np.array([0.0, torque_nm[0], torque_nm[1], 0.0])
-    yaw = a_inv @ np.array([0.0, 0.0, 0.0, torque_nm[2]])
-
-    saturated = bool(thrust_cmd < 0.0 or thrust_cmd > 1.0)
-
-    def headroom_scale(u0, du):
-        """Largest factor in [0, 1] keeping u0 + f*du inside [0, 1]."""
-        f = 1.0
-        for lo, hi, b, d in zip(np.zeros(4), np.ones(4), u0, du):
-            if d > 1e-12:
-                f = min(f, (hi - b) / d)
-            elif d < -1e-12:
-                f = min(f, (lo - b) / d)
-        return max(f, 0.0)
-
-    f_rp = headroom_scale(base, rp)
-    if f_rp < 1.0:
-        saturated = True
-    u = base + f_rp * rp
-    f_yaw = headroom_scale(u, yaw)
-    if f_yaw < 1.0:
-        saturated = True
-    u = u + f_yaw * yaw
-    out = np.clip(u, 0.0, 1.0)
-    if not np.allclose(out, u, atol=1e-12):
-        saturated = True
-    return MotorCommand(out, saturated)
+    *u, saturated = _mix(tx, ty, tz, thrust_cmd, params)
+    return MotorCommand(u, saturated)
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,31 +383,6 @@ def hover_state(params: AircraftParams, altitude_m=50.0) -> RigidBodyState:
     )
 
 
-def _velocity_frame(v_inertial, rot_b2i):
-    """x/z axes of the velocity frame in inertial coordinates, or None at rest.
-
-    x_v points along velocity; z_v lies in the aircraft symmetry plane
-    (coordinated flight keeps body-y perpendicular to the airstream).
-    """
-    speed = np.linalg.norm(v_inertial)
-    if speed < 1e-9:
-        return None
-    x_v = v_inertial / speed
-    y_b = rot_b2i[:, 1]
-    y_v = y_b - (y_b @ x_v) * x_v
-    n = np.linalg.norm(y_v)
-    if n < 1e-9:
-        # velocity along body y (pure side-slip); symmetry plane undefined,
-        # fall back to body z for a continuous-ish frame
-        y_v = np.cross(rot_b2i[:, 2], x_v)
-        n = np.linalg.norm(y_v)
-        if n < 1e-9:
-            return None
-    y_v /= n
-    z_v = np.cross(x_v, y_v)
-    return x_v, z_v
-
-
 def angle_of_attack(state: RigidBodyState):
     """(alpha rad, speed m/s) from the inertial velocity and attitude."""
     r = quat.rotmat_from_array(state.q)
@@ -401,74 +393,125 @@ def angle_of_attack(state: RigidBodyState):
     return float(math.atan2(vb[2], vb[0])), speed
 
 
-def _derivatives(x, thrusts_n, params: AircraftParams, table: AeroTable,
-                 extra_torque_nm):
-    p, v, q, w = x[0:3], x[3:6], x[6:10], x[10:13]
-    qn = q / np.linalg.norm(q)
-    r = quat.rotmat_from_array(qn)
+def _propeller_wrench(u, params: AircraftParams):
+    """(total thrust N, roll, pitch, yaw torque N m) of normalized motor commands.
 
-    # propeller force along body x; arm torques reduce to dot products since
-    # every thrust vector is (T_i, 0, 0) in body axes
-    t_total = float(np.sum(thrusts_n))
-    f_p_i = r @ np.array([t_total, 0.0, 0.0])
-    pos = params.rotor_positions
-    spins = np.asarray(params.spin_directions, dtype=float)
-    tau = np.array(
-        [
-            params.rotor_torque_ratio * float(spins @ thrusts_n),
-            float(pos[:, 2] @ thrusts_n),
-            -float(pos[:, 1] @ thrusts_n),
-        ]
-    )
+    Every thrust vector is (T_i, 0, 0) in body axes, so the arm torques
+    reduce to dot products with the rotor coordinates.
+    """
+    c = params.motor_thrust_coeff
+    t1, t2, t3, t4 = (c * x for x in u)
+    s1, s2, s3, s4 = params.spin_directions
+    (y1, y2, y3, y4), (z1, z2, z3, z4) = params._rotor_yz
+    return (t1 + t2 + t3 + t4,
+            params.rotor_torque_ratio * (s1 * t1 + s2 * t2 + s3 * t3 + s4 * t4),
+            z1 * t1 + z2 * t2 + z3 * t3 + z4 * t4,
+            -(y1 * t1 + y2 * t2 + y3 * t3 + y4 * t4))
 
-    # aero force in the velocity frame: (-D, 0, -L)
-    f_a_i = np.zeros(3)
-    speed = np.linalg.norm(v)
+
+def _derivatives(x, wrench, params: AircraftParams, table: AeroTable):
+    """(d/dt of the flat 13-float state, aero query clamped) at fixed thrust.
+
+    The state is (p, v, q, omega): NED position and velocity, the attitude
+    quaternion (eta, ex, ey, ez), normalized here, and the body rates.
+    """
+    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = x
+    n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
+    # body-to-inertial rotation matrix, as quat.rotmat_from_array
+    xx, yy, zz = qx * qx, qy * qy, qz * qz
+    xy, xz, yz = qx * qy, qx * qz, qy * qz
+    wxq, wyq, wzq = qw * qx, qw * qy, qw * qz
+    r00, r01, r02 = 1.0 - 2.0 * (yy + zz), 2.0 * (xy - wzq), 2.0 * (xz + wyq)
+    r10, r11, r12 = 2.0 * (xy + wzq), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wxq)
+    r20, r21, r22 = 2.0 * (xz - wyq), 2.0 * (yz + wxq), 1.0 - 2.0 * (xx + yy)
+
+    thrust, tau_x, tau_y, tau_z = wrench
+    fx, fy, fz = r00 * thrust, r10 * thrust, r20 * thrust
+
+    # aero force in the velocity frame, (-D, 0, -L): x_v along the velocity,
+    # z_v in the aircraft symmetry plane (coordinated flight keeps body y
+    # perpendicular to the airstream)
+    clamped = False
+    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
     if speed >= 1e-9:
-        vb = r.T @ v
-        alpha = math.atan2(vb[2], vb[0])
-        forces = aero_forces(alpha, float(speed), table, params)
-        frame = _velocity_frame(v, r)
-        if frame is not None:
-            x_v, z_v = frame
-            f_a_i = -forces.drag_n * x_v - forces.lift_n * z_v
+        alpha = math.atan2(r02 * vx + r12 * vy + r22 * vz,
+                           r00 * vx + r10 * vy + r20 * vz)
+        lift, drag, clamped = _lift_drag(alpha, speed, table, params)
+        ax, ay, az = vx / speed, vy / speed, vz / speed
+        d = r01 * ax + r11 * ay + r21 * az
+        bx, by, bz = r01 - d * ax, r11 - d * ay, r21 - d * az
+        nb = math.sqrt(bx * bx + by * by + bz * bz)
+        if nb < 1e-9:
+            # velocity along body y (pure side-slip); the symmetry plane is
+            # undefined, so body z x x_v stands in for a continuous-ish frame
+            bx, by, bz = r12 * az - r22 * ay, r22 * ax - r02 * az, r02 * ay - r12 * ax
+            nb = math.sqrt(bx * bx + by * by + bz * bz)
+        if nb >= 1e-9:
+            bx, by, bz = bx / nb, by / nb, bz / nb
+            fx = -drag * ax - lift * (ay * bz - az * by) + fx
+            fy = -drag * ay - lift * (az * bx - ax * bz) + fy
+            fz = -drag * az - lift * (ax * by - ay * bx) + fz
 
-    m_a = -params._damping_arr * w
-    if extra_torque_nm is not None:
-        tau = tau + extra_torque_nm
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = params._inertia_rows
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = params._inertia_inv_rows
+    dx, dy, dz = params.rate_damping
+    hx = i00 * wx + i01 * wy + i02 * wz
+    hy = i10 * wx + i11 * wy + i12 * wz
+    hz = i20 * wx + i21 * wy + i22 * wz
+    # Euler: I dw = -w x (I w) + tau_propellers - damping * w
+    mx = -(wy * hz - wz * hy) + tau_x + -dx * wx
+    my = -(wz * hx - wx * hz) + tau_y + -dy * wy
+    mz = -(wx * hy - wy * hx) + tau_z + -dz * wz
+    m = params.mass
+    return (vx, vy, vz,
+            fx / m, fy / m, params.gravity + fz / m,
+            0.5 * (-qx * wx - qy * wy - qz * wz),
+            0.5 * (qw * wx + qy * wz - qz * wy),
+            0.5 * (qw * wy - qx * wz + qz * wx),
+            0.5 * (qw * wz + qx * wy - qy * wx),
+            j00 * mx + j01 * my + j02 * mz,
+            j10 * mx + j11 * my + j12 * mz,
+            j20 * mx + j21 * my + j22 * mz), clamped
 
-    inertia = params.inertia_matrix
-    dp = v
-    dv = params.gravity * np.array([0.0, 0.0, 1.0]) + (f_a_i + f_p_i) / params.mass
-    dq = quat.quat_derivative(qn, w)
-    dw = params.inertia_inv @ (-np.cross(w, inertia @ w) + tau + m_a)
-    return np.concatenate([dp, dv, dq, dw])
+
+def _rk4(x, wrench, dt, params: AircraftParams, table: AeroTable):
+    """One RK4 step of the flat state: (new state list, any aero query clamped).
+
+    Raises SimNumericsError on a non-finite result; the quaternion is
+    renormalized after the step.
+    """
+    h = 0.5 * dt
+    k1, c1 = _derivatives(x, wrench, params, table)
+    k2, c2 = _derivatives([a + h * b for a, b in zip(x, k1)], wrench, params, table)
+    k3, c3 = _derivatives([a + h * b for a, b in zip(x, k2)], wrench, params, table)
+    k4, c4 = _derivatives([a + dt * b for a, b in zip(x, k3)], wrench, params, table)
+    h = dt / 6.0
+    out = [a + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+           for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
+        raise SimNumericsError("state became non-finite during integration")
+    qw, qx, qy, qz = out[6:10]
+    n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    out[6:10] = qw / n, qx / n, qy / n, qz / n
+    return out, c1 or c2 or c3 or c4
 
 
 def step_dynamics(state: RigidBodyState, motors, dt: float,
-                  params: AircraftParams, table: AeroTable,
-                  extra_torque_nm=None) -> RigidBodyState:
+                  params: AircraftParams, table: AeroTable) -> RigidBodyState:
     """One RK4 step of the rigid-body dynamics with fixed motor thrusts.
 
     ``motors`` is a MotorCommand or a length-4 array of normalized commands
     held constant over the step (the motor lag, when simulated, lives in
-    TailsitterSim).  The quaternion is renormalized after the step.
+    TailsitterSim).  The quaternion is renormalized after the step.  This is
+    the kernel TailsitterSim runs, on the state as a RigidBodyState.
     """
     if not 0.0 < dt <= 0.002:
         raise ValueError("dt must lie in (0, 2 ms]")
     u = motors.u if isinstance(motors, MotorCommand) else np.asarray(motors, float)
-    thrusts = params.motor_thrust_coeff * u
-
-    x = state.as_vector()
-    k1 = _derivatives(x, thrusts, params, table, extra_torque_nm)
-    k2 = _derivatives(x + 0.5 * dt * k1, thrusts, params, table, extra_torque_nm)
-    k3 = _derivatives(x + 0.5 * dt * k2, thrusts, params, table, extra_torque_nm)
-    k4 = _derivatives(x + dt * k3, thrusts, params, table, extra_torque_nm)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise SimNumericsError("state became non-finite during integration")
-    out[6:10] /= np.linalg.norm(out[6:10])
-    return RigidBodyState.from_vector(out)
+    x, _ = _rk4(state.as_vector().tolist(), _propeller_wrench(u.tolist(), params),
+                dt, params, table)
+    return RigidBodyState.from_vector(x)
 
 
 class LinearAxisPlant:
@@ -523,7 +566,15 @@ class SensorConfig:
 
 
 class RateSensor:
-    """1 kHz true rates -> 250 Hz measured rates, deterministic under seed."""
+    """1 kHz true rates -> 250 Hz measured rates, deterministic under seed.
+
+    Gyro noise is drawn ``NOISE_BLOCK`` samples at a time; the generator
+    hands out the same normal stream whether it is asked for 3 values per
+    sample or 3 * NOISE_BLOCK at once, so the measurements do not depend on
+    the block size.
+    """
+
+    NOISE_BLOCK = 1000
 
     def __init__(self, cfg: SensorConfig, sample_hz=PLANT_RATE_HZ, seed=0):
         from .lti import butterworth2
@@ -537,17 +588,31 @@ class RateSensor:
         self._rng = np.random.default_rng(seed)
         self._decimation = int(round(self.sample_hz / CONTROL_RATE_HZ))
         self._count = 0
+        self._noise = []
+        self._noise_at = 0
 
-    def process(self, true_rate):
-        """Feed one 1 kHz sample; returns the 250 Hz measurement or None."""
-        noisy = np.asarray(true_rate, float)
-        if self.cfg.gyro_noise_std > 0.0:
-            noisy = noisy + self._rng.normal(0.0, self.cfg.gyro_noise_std, 3)
-        out = np.array([f.process(x) for f, x in zip(self._filters, noisy)])
+    def _sample(self, wx, wy, wz):
+        """Feed one 1 kHz sample as floats; the 250 Hz measurement or None."""
+        std = self.cfg.gyro_noise_std
+        if std > 0.0:
+            k = self._noise_at
+            if k == len(self._noise):
+                self._noise = self._rng.normal(0.0, std, 3 * self.NOISE_BLOCK).tolist()
+                k = 0
+            noise = self._noise
+            wx, wy, wz = wx + noise[k], wy + noise[k + 1], wz + noise[k + 2]
+            self._noise_at = k + 3
+        fx, fy, fz = self._filters
+        out = (fx.process(wx), fy.process(wy), fz.process(wz))
         self._count += 1
         if self._count % self._decimation == 0:
             return out
         return None
+
+    def process(self, true_rate):
+        """Feed one 1 kHz sample; returns the 250 Hz measurement or None."""
+        out = self._sample(*(float(w) for w in true_rate))
+        return None if out is None else np.array(out)
 
     def process_block(self, rates):
         """(N, 3) at 1 kHz -> (N/4, 3) at the control rate."""
@@ -611,6 +676,12 @@ class TailsitterSim:
     torque channel -> torque scaling and thrust allocation -> motor lag ->
     rigid-body RK4 -> vibration injection -> gyro chain.  Single-threaded,
     stateful; run several instances for parallel scenarios.
+
+    The substep runs on plain floats: the vehicle state is one flat list of
+    13 floats (p, v, q, omega) and the delay line holds command tuples, so
+    no array or state object is built per substep.  ``state`` is the
+    RigidBodyState view of the flat state, built on the first read after a
+    step; reading it once per control tick builds it once per tick.
     """
 
     def __init__(self, params: AircraftParams, table: AeroTable,
@@ -627,9 +698,9 @@ class TailsitterSim:
         self.dt = 1.0 / PLANT_RATE_HZ
         self.sensor = RateSensor(sensor_cfg, PLANT_RATE_HZ, seed)
         self.vibration_cfg = vibration_cfg
-        self._cmd = np.array([0.0, 0.0, 0.0, params.hover_command])
+        self._cmd = (0.0, 0.0, 0.0, float(params.hover_command))
         n_delay = int(round(delay_s * PLANT_RATE_HZ))
-        self._delay_buf = [self._cmd.copy() for _ in range(n_delay)]
+        self._delay_buf = [self._cmd] * n_delay
         self._delay_idx = 0
         self._flex = None
         if flex is not None:
@@ -639,56 +710,77 @@ class TailsitterSim:
             # settle the filter at the current (zero) pitch torque
             for _ in range(8):
                 self._flex.process(0.0)
-        self._torque_scale = params.torque_scale()
-        self._motor_u = mixer(np.zeros(3), params.hover_command, params).u.copy()
+        self._torque_scale = tuple(params.torque_scale().tolist())
+        # exact first-order motor lag over one substep
+        self._motor_decay = math.exp(-self.dt / params.motor_tau_s)
+        self._motor_u = _mix(0.0, 0.0, 0.0, float(params.hover_command), params)[:4]
         self.saturated_last = False
+        self.aero_clamped_last = False
         self.last_measurement = None
+
+    @property
+    def state(self) -> RigidBodyState:
+        """The current rigid-body state."""
+        if self._state is None:
+            self._state = RigidBodyState.from_vector(self._x)
+        return self._state
+
+    @state.setter
+    def state(self, st: RigidBodyState):
+        self._x = st.as_vector().tolist()
+        self._state = st
 
     def set_command(self, torque_norm, thrust_norm):
         """Latch the 250 Hz controller output (normalized units)."""
-        t = np.asarray(torque_norm, dtype=float)
-        if not (np.all(np.isfinite(t)) and np.isfinite(thrust_norm)):
+        tx, ty, tz = (float(t) for t in torque_norm)
+        cmd = (tx, ty, tz, float(thrust_norm))
+        if not all(map(math.isfinite, cmd)):
             raise SimNumericsError("controller command is non-finite")
-        self._cmd = np.array([t[0], t[1], t[2], float(thrust_norm)])
+        self._cmd = cmd
 
     def step(self):
-        """Advance one 1 ms plant substep; returns the new state.
+        """Advance one 1 ms plant substep.
 
-        Sets ``last_measurement`` to the 250 Hz gyro sample on decimation
-        ticks (None otherwise).
+        Sets ``saturated_last`` (motor mixer saturated), ``aero_clamped_last``
+        (an aero query of the substep clamped to the table edge) and
+        ``last_measurement`` (the 250 Hz gyro sample on decimation ticks,
+        None otherwise).
         """
         cmd = self._cmd
-        if self._delay_buf:
+        buf = self._delay_buf
+        if buf:
             i = self._delay_idx
-            cmd, self._delay_buf[i] = self._delay_buf[i], self._cmd.copy()
-            self._delay_idx = (i + 1) % len(self._delay_buf)
-        torque_norm = cmd[:3].copy()
+            cmd, buf[i] = buf[i], cmd
+            self._delay_idx = (i + 1) % len(buf)
+        tx, ty, tz, thrust = cmd
         if self._flex is not None:
-            torque_norm[1] = self._flex.process(torque_norm[1])
-        torque_nm = self._torque_scale * torque_norm
-        motor_cmd = mixer(torque_nm, cmd[3], self.params)
-        self.saturated_last = motor_cmd.saturated
+            ty = self._flex.process(ty)
+        sx, sy, sz = self._torque_scale
+        *u, self.saturated_last = _mix(sx * tx, sy * ty, sz * tz, thrust, self.params)
+        decay = self._motor_decay
+        self._motor_u = [c + (m - c) * decay for c, m in zip(u, self._motor_u)]
 
-        # exact first-order motor lag over the substep
-        decay = math.exp(-self.dt / self.params.motor_tau_s)
-        self._motor_u = motor_cmd.u + (self._motor_u - motor_cmd.u) * decay
-
-        self.state = step_dynamics(self.state, self._motor_u, self.dt,
-                                   self.params, self.table)
+        self._x, self.aero_clamped_last = _rk4(
+            self._x, _propeller_wrench(self._motor_u, self.params), self.dt,
+            self.params, self.table)
+        self._state = None
         self.t += self.dt
 
-        measured_rate = self.state.omega + rotor_vibration(self.t, self.vibration_cfg)
-        self.last_measurement = self.sensor.process(measured_rate)
-        return self.state
+        wx, wy, wz = self._x[10:13]
+        if self.vibration_cfg.amplitude > 0.0:
+            vib = rotor_vibration(self.t, self.vibration_cfg).tolist()
+            wx, wy, wz = wx + vib[0], wy + vib[1], wz + vib[2]
+        out = self.sensor._sample(wx, wy, wz)
+        self.last_measurement = None if out is None else np.array(out)
 
     def altitude(self):
-        return -float(self.state.p[2])
+        return -self._x[2]
 
     def v_z(self):
         """Vertical velocity, NED down-positive."""
-        return float(self.state.v[2])
+        return self._x[5]
 
     @property
     def motor_states(self):
         """Actual (lagged) normalized motor outputs."""
-        return self._motor_u.copy()
+        return np.array(self._motor_u)

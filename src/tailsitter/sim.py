@@ -4,7 +4,9 @@ recomputed from.
 
 Flags column encoding (bitmask): 1 rate-loop saturation, 2 thrust
 saturation, 4 no-vertical-authority feedforward fallback, 8 motor-command
-saturation.
+saturation, 16 aero query clamped to the table edge in any substep of the
+tick, 32 feedforward thrust clamped to [0, 1].  Bits are append-only: a
+bit keeps its meaning once assigned.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ __all__ = [
     "FLAG_THRUST_SAT",
     "FLAG_NO_AUTHORITY",
     "FLAG_MOTOR_SAT",
+    "FLAG_AERO_CLAMP",
+    "FLAG_FF_CLAMP",
 ]
 
 CONTROL_DT = 1.0 / CONTROL_RATE_HZ
@@ -63,6 +67,8 @@ FLAG_RATE_SAT = 1
 FLAG_THRUST_SAT = 2
 FLAG_NO_AUTHORITY = 4
 FLAG_MOTOR_SAT = 8
+FLAG_AERO_CLAMP = 16
+FLAG_FF_CLAMP = 32
 
 SIMLOG_HEADER = [
     "t", "px", "py", "pz", "vx", "vy", "vz",
@@ -210,7 +216,7 @@ class SimLog:
         return self.telemetry[:, 0], self.telemetry[:, i]
 
 
-def _flags_bits(rate_sat, thrust_flags, motor_sat):
+def _flags_bits(rate_sat, thrust_flags, motor_sat, aero_clamped):
     bits = 0
     if np.any(rate_sat):
         bits |= FLAG_RATE_SAT
@@ -220,6 +226,10 @@ def _flags_bits(rate_sat, thrust_flags, motor_sat):
         bits |= FLAG_NO_AUTHORITY
     if motor_sat:
         bits |= FLAG_MOTOR_SAT
+    if aero_clamped:
+        bits |= FLAG_AERO_CLAMP
+    if "thrust_clamped" in thrust_flags:
+        bits |= FLAG_FF_CLAMP
     return bits
 
 
@@ -269,7 +279,7 @@ def run_linear_axis(sc: Scenario, abort_limit: float = 1e6) -> SimLog:
             torque[1] += inject[i - inject_start]
         for _ in range(SUBSTEPS):
             y = plant.step(torque[1])
-        bits = _flags_bits(ctrl.saturated, (), False)
+        bits = _flags_bits(ctrl.saturated, (), False, False)
         rows.append((t, *qid, *qid, *w_cmd, *w_meas, *torque, 0.0, bits))
         if abs(y) > abort_limit:
             diverged_at = t
@@ -353,17 +363,20 @@ def run_nonlinear(sc: Scenario) -> SimLog:
         torque = rate_ctrl.step(w_meas, w_cmd)
         thrust, alt_flags = alt_ctrl.step(sim.altitude(), alt_cmd, sim.v_z(),
                                           q_meas, speed, alpha)
+        aero_clamped = False
         try:
             sim.set_command(torque, thrust)
             for _ in range(SUBSTEPS):
                 sim.step()
+                aero_clamped = aero_clamped or sim.aero_clamped_last
         except SimNumericsError:
             diverged_at = t
             break
         if sim.last_measurement is not None:
             w_meas = sim.last_measurement
 
-        bits = _flags_bits(rate_ctrl.saturated, alt_flags, sim.saturated_last)
+        bits = _flags_bits(rate_ctrl.saturated, alt_flags, sim.saturated_last,
+                           aero_clamped)
         st = sim.state
         telemetry.append((t, *q_cmd.as_array(), *st.q, *w_cmd, *w_meas,
                           *torque, thrust, bits))

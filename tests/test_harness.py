@@ -22,6 +22,7 @@ from tailsitter.dataio import (
     to_config,
     write_bode_csv,
     write_biquad_csv,
+    write_csv,
 )
 from tailsitter.harness import (
     EXIT_CHECK_FAILED,
@@ -377,6 +378,20 @@ class TestDataIO:
         # delay keeps unwrapped phase monotone negative at high frequency
         assert data[-1, 2] < -360.0
 
+    def test_write_csv_bytes(self, tmp_path):
+        # bool and int cells as 1/0 and decimal, floats at repr precision,
+        # csv line ends; a float array and the same rows as tuples agree
+        path = write_csv(tmp_path / "mixed.csv", ["a", "b", "c", "d"],
+                         [(True, 3, np.float64(0.1), 2.5e-300),
+                          (np.bool_(False), np.int64(-7), 1 / 3, float("nan"))])
+        assert path.read_bytes() == (b"a,b,c,d\r\n1,3,0.1,2.5e-300\r\n"
+                                     b"0,-7,0.3333333333333333,nan\r\n")
+        arr = np.array([[0.1, -2.0, 1e20], [np.pi, 0.0, -1.5e-7]])
+        expected = b"x,y,z\r\n0.1,-2.0,1e+20\r\n3.141592653589793,0.0,-1.5e-07\r\n"
+        for rows in (arr, [tuple(r) for r in arr]):
+            assert write_csv(tmp_path / "f.csv", ["x", "y", "z"],
+                             rows).read_bytes() == expected
+
     def test_biquad_export_schema(self, tmp_path):
         from tailsitter.biquad import discretize_tustin
         from tailsitter.lti import notch
@@ -464,6 +479,28 @@ class TestSaturationHonesty:
         sim_header, sim = read_csv(tmp_path / "alt_step_simlog.csv")
         assert sim_header[-1] == "sat_flag"
 
+    def test_aero_and_feedforward_clamp_bits(self, tmp_path):
+        from tailsitter.plant import AeroTable, default_aero_table
+        from tailsitter.sim import FLAG_AERO_CLAMP, FLAG_FF_CLAMP, run_nonlinear
+
+        def flags(sc):
+            return run_nonlinear(sc).telemetry[:, -1].astype(int)
+
+        # a speed grid starting at 1 m/s clamps every query near hover; the
+        # first ticks query nothing, below 1e-9 m/s
+        t = default_aero_table()
+        path = save_aero_table(tmp_path / "aero.csv", AeroTable(
+            t.alpha_grid, [1.0, 20.0], t.cl[:, :2], t.cd[:, :2]))
+        base = Scenario(name="clamps", duration_s=0.5, seed=2)
+        assert not np.any(flags(base) & (FLAG_AERO_CLAMP | FLAG_FF_CLAMP))
+        bits = flags(dataclasses.replace(base, aero_table_path=str(path)))
+        assert np.all(bits[10:] & FLAG_AERO_CLAMP)
+        # a steep climb command asks the feedforward for more than full thrust
+        climb = dataclasses.replace(
+            base, events=(Event(0.0, "altitude", {"alt": 60.0}),),
+            altitude_cfg=AltitudeLoopConfig(ff_gain=10.0))
+        assert np.any(flags(climb) & FLAG_FF_CLAMP)
+
 
 class TestCli:
     def test_run_exit_codes(self, tmp_path, capsys):
@@ -490,6 +527,11 @@ class TestCli:
             (["pipeline"], {"chirp": {"f0": -1.0}}, "chirp"),
             (["pipeline"], {"slope_bandd": [0.6, 14.0]}, "slope_bandd"),
             (["pipeline"], {"seed": 1.5}, "seed"),
+            (["pipeline"], {"n_freqs": 0, "chirp": {"duration_s": 10.0}}, "n_freqs"),
+            (["pipeline"], {"slope_band": [14.0, 0.6]}, "slope_band"),
+            (["pipeline"], {"cycles_per_window": 0}, "cycles_per_window"),
+            (["pipeline"], {"chirp": {"f0": 5.0, "f1": 5.0}}, "chirp"),
+            (["pipeline"], {"notch_k1": 0.01}, "notch_k1"),
             (["bode"], {"num": [1.0], "den": [1.0, 0.1], "dealy": 0.02}, "dealy"),
             (["margins"], {"plant_params": {"delay": 0.02}}, "plant_params.delay"),
             (["compare", str(empty), str(empty)], None, str(empty)),
@@ -528,10 +570,15 @@ class TestCli:
 
     def test_compare_command(self, tmp_path, capsys):
         run_scenario(short_ab_scenario(duration=3.0), tmp_path)
+        run_scenario(short_ab_scenario("ab_noisy", duration=3.0, noise=1e-4),
+                     tmp_path)
         log = str(tmp_path / "ab_short_telemetry.csv")
         rc = cli.main(["compare", log, log])
         assert rc == EXIT_OK
         assert "bit-identical" in capsys.readouterr().out
+        rc = cli.main(["compare", log, str(tmp_path / "ab_noisy_telemetry.csv")])
+        assert rc == EXIT_CHECK_FAILED
+        assert "verdict: differs" in capsys.readouterr().out
 
     def test_scenarios_dump(self, tmp_path, capsys):
         rc = cli.main(["scenarios", "--dump-dir", str(tmp_path)])

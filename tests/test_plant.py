@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tailsitter import quat
+from tailsitter.harness import builtin_scenarios
 from tailsitter.lti import PlantFitParams, butterworth2, fitted_plant, tf_eval
 from tailsitter.biquad import discretize_tustin
 from tailsitter.plant import (
@@ -12,6 +14,8 @@ from tailsitter.plant import (
     RigidBodyState,
     RateSensor,
     SensorConfig,
+    SimNumericsError,
+    TailsitterSim,
     VibrationConfig,
     LinearAxisPlant,
     aero_forces,
@@ -21,6 +25,7 @@ from tailsitter.plant import (
     rotor_vibration,
     step_dynamics,
 )
+from tailsitter.sim import FLAG_AERO_CLAMP, FLAG_FF_CLAMP, run_nonlinear
 
 
 @pytest.fixture(scope="module")
@@ -354,3 +359,77 @@ class TestVibration:
             np.mean(np.abs(filt.clone().response(freqs)) ** 2))
         assert att_db == pytest.approx(expected, abs=0.5)
         assert att_db > 3.5
+
+
+# State-log rows 62, 124 and 249 of the builtin transition (the states at
+# t = 0.252, 0.5 and 1.0 s) as computed by the numpy-array implementation of
+# the plant that the flat-state kernel replaced: t, p, v, q, omega, motors.
+TRANSITION_GOLDEN = {
+    62: [0.248, -6.597006531636318e-06, -4.928325206427879e-06,
+         -49.999999999809155, -5.311461797733228e-05, -6.154690327777202e-05,
+         1.2915691810870092e-09, 0.7071192307964406, -2.0714463048773433e-05,
+         0.7070943309529758, -1.1955119685778537e-05, -0.00015704561439611238,
+         0.0015910748358850264, -0.00036996000999584694, 0.5003061342512171,
+         0.5004831646241064, 0.49959263703712303, 0.49961806856820906],
+    124: [0.496, -3.040547805782191e-05, -4.200522110637087e-05,
+          -49.999999998811816, -0.00022473370263159979, -0.00026748903333006683,
+          1.3040165955639316e-08, 0.7070866284897227, -5.3205896569817394e-05,
+          0.7071269300023603, -4.2960524760272584e-05, -5.444631397243804e-05,
+          -0.005905382930268005, 0.00019469725426828733, 0.4998518238686718,
+          0.5003883214959481, 0.500083375658491, 0.4996765183370536],
+    249: [0.996, -0.00028730794350370495, -0.00034768572534107754,
+          -49.99999999453906, -0.0008785121582260756, -0.0009773708807778896,
+          -2.7687887807677695e-09, 0.7070456732378151, -6.265665018107604e-05,
+          0.7071678807986879, -1.9912857183215042e-05, -0.00015733593969697134,
+          -0.004011413301353549, 0.00035023411263882133, 0.49886019732695225,
+          0.49907944701135193, 0.5011120889354047, 0.5009483208826826],
+}
+
+
+class TestKernel:
+    @pytest.fixture(scope="class")
+    def transition_first_second(self):
+        sc = replace(builtin_scenarios()["transition"], duration_s=1.0)
+        return run_nonlinear(sc), run_nonlinear(sc)
+
+    def test_matches_numpy_implementation(self, transition_first_second):
+        log, _ = transition_first_second
+        for row, values in TRANSITION_GOLDEN.items():
+            np.testing.assert_allclose(log.simlog[row, :18], values, rtol=0.0,
+                                       atol=1e-9)
+        flags = log.telemetry[:, -1].astype(int)
+        assert not np.any(flags & (FLAG_AERO_CLAMP | FLAG_FF_CLAMP))
+
+    def test_same_seed_bit_identical(self, transition_first_second):
+        a, b = transition_first_second
+        np.testing.assert_array_equal(a.telemetry, b.telemetry)
+        np.testing.assert_array_equal(a.simlog, b.simlog)
+
+    def test_block_noise_equals_per_sample_draws(self):
+        # reference: one rng.normal(0, std, 3) draw per 1 kHz sample
+        cfg = SensorConfig(gyro_noise_std=0.02)
+        n = 2 * RateSensor.NOISE_BLOCK + 7  # crosses two block refills
+        rates = np.random.default_rng(1).normal(0.0, 0.1, (n, 3))
+        out = RateSensor(cfg, 1000.0, seed=9).process_block(rates)
+        rng = np.random.default_rng(9)
+        filters = [discretize_tustin(butterworth2(cfg.corner_hz), 1000.0)
+                   for _ in range(3)]
+        ref = []
+        for k, row in enumerate(rates):
+            noisy = row + rng.normal(0.0, cfg.gyro_noise_std, 3)
+            y = [f.process(x) for f, x in zip(filters, noisy)]
+            if (k + 1) % 4 == 0:
+                ref.append(y)
+        np.testing.assert_array_equal(out, np.array(ref))
+
+    def test_nonfinite_command_or_state_rejected(self, params, table):
+        with pytest.raises(ValueError):
+            mixer([0.0, math.nan, 0.0], 0.5, params)
+        sim = TailsitterSim(params, table)
+        with pytest.raises(SimNumericsError):
+            sim.set_command([0.0, math.inf, 0.0], 0.5)
+        st = hover_state(params)
+        sim = TailsitterSim(params, table, state=RigidBodyState(
+            st.p, np.array([1e200, 0.0, 0.0]), st.q, st.omega))
+        with pytest.raises(SimNumericsError):
+            sim.step()
