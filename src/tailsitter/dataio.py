@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .lti import ContinuousTF, PlantFitParams, fitted_plant, frequency_response
+from .lti import (ContinuousTF, PlantFitParams, fitted_plant, frequency_response,
+                  unwrapped_phase_deg)
 from .plant import AeroTable
 from .sim import Event
 
@@ -74,14 +75,20 @@ def write_csv(path, header, rows):
 
 
 def read_csv(path):
-    """(header list, float ndarray of shape (rows, cols))."""
+    """(header list, float ndarray of shape (rows, cols)); a row narrower or
+    wider than the header, or a non-number, is a ConfigError at its line."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, None)
         if header is None:
             raise ConfigError(f"{path}: empty file, no header row")
+        width = len(header)
+        data = []
         try:
-            data = [[float(x) for x in row] for row in r if row]
+            for row in filter(None, r):  # blank lines skipped
+                if len(row) != width:
+                    raise ValueError(f"{len(row)} fields, header has {width}")
+                data.append([float(x) for x in row])
         except ValueError as e:
             raise ConfigError(f"{path}:{r.line_num}: {e}")
     if not data:
@@ -93,12 +100,8 @@ def write_bode_csv(path, tf: ContinuousTF, f_lo=0.1, f_hi=100.0,
                    points_per_decade=100):
     """`freq_hz,mag_db,phase_deg` at >= 100 log-spaced points per decade."""
     fr = frequency_response(tf, f_lo, f_hi, points_per_decade)
-    # unwrap the rational part, add delay phase exactly
-    rational = ContinuousTF(tf.num, tf.den, 0.0)
-    ph = np.degrees(np.unwrap(np.angle(frequency_response(rational, f_lo, f_hi,
-                                                          points_per_decade).values)))
-    ph -= 360.0 * fr.freqs * tf.delay
-    rows = np.column_stack([fr.freqs, fr.magnitude_db, ph])
+    rows = np.column_stack([fr.freqs, fr.magnitude_db,
+                            unwrapped_phase_deg(tf, fr.freqs)])
     return write_csv(path, ["freq_hz", "mag_db", "phase_deg"], rows)
 
 

@@ -47,7 +47,8 @@ from .sim import (
     run_linear_axis,
     run_nonlinear,
 )
-from .sysid import ChirpConfig, FitConfig, estimate_frf, fit_plant_model, sweep_experiment
+from .sysid import (ChirpConfig, averaged_bin_share, chirp, estimate_frf,
+                    fit_plant_model, sweep_experiment)
 
 __all__ = [
     "RunReport",
@@ -365,6 +366,13 @@ class PipelineConfig:
             raise ValueError("n_freqs: need at least 2 frequencies to span the band")
         if self.cycles_per_window <= 0.0:
             raise ValueError("cycles_per_window: must be > 0")
+        # the fit needs half the bins trusted, and a bin needs two windows
+        share = averaged_bin_share(len(chirp(self.chirp)), self.chirp.sample_hz,
+                                   self.n_freqs, self.chirp.f0, self.chirp.f1,
+                                   self.cycles_per_window)
+        if share < 0.5:
+            raise ValueError(f"chirp: too short for its FRF windows: {share:.0%} "
+                             "of the bins average two or more, the fit needs 50 %")
         if not 0.0 < self.slope_band[0] < self.slope_band[1]:
             raise ValueError("slope_band: need 0 < f_lo < f_hi")
         try:
@@ -432,7 +440,7 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     report.artifacts.append(str(write_frf_csv(out_dir / "frf.csv", frf)))
     report.metrics["frf_trusted_fraction"] = float(np.mean(frf.trusted))
 
-    fit = fit_plant_model(frf, FitConfig(seed=cfg.seed))
+    fit = fit_plant_model(frf, seed=cfg.seed)
     report.metrics["fit_converged"] = fit.converged
     report.metrics["fit_cost_per_bin"] = fit.cost_per_bin
     if not fit.converged:
@@ -452,13 +460,14 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
         f"fitted peak {p.peak.freq_hz:.3f} Hz vs true {true_peak:.3f} Hz",
     )
 
+    plant_fit_tf = fitted_plant(p)
     fit_report = out_dir / "fit_report.txt"
     fit_lines = ["identified plant parameters:"]
     for k, v in plant_params_to_config(p).items():
         fit_lines.append(f"  {k} = {v}")
     fit_lines.append(f"fit cost per bin = {fit.cost_per_bin:.4f}")
     fit_lines.append("per-band magnitude error vs FRF (dB):")
-    h_fit = tf_eval(fitted_plant(p), frf.freqs)
+    h_fit = tf_eval(plant_fit_tf, frf.freqs)
     err_db = 20.0 * np.log10(np.abs(h_fit / frf.response))
     for f0, f1 in ((cfg.chirp.f0, 5.0), (5.0, 20.0), (20.0, cfg.chirp.f1)):
         m = (frf.freqs >= f0) & (frf.freqs <= f1) & frf.trusted
@@ -470,7 +479,6 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
 
     # loop shaping on the identified model
     pid = pid_tf(cfg.kp, cfg.ki, cfg.kd, cfg.deriv_corner_hz)
-    plant_fit_tf = fitted_plant(p)
     if cfg.skip_notch:
         comp = pid
     else:
@@ -481,13 +489,14 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     m = margins(loop)
     peak_mag_db = 20.0 * math.log10(abs(tf_eval(loop, p.peak.freq_hz)))
     report.metrics["loop_peak_mag_db"] = peak_mag_db
-    report.metrics["closed_loop_stable"] = nyquist_stable(loop)
+    stable = nyquist_stable(loop)
+    report.metrics["closed_loop_stable"] = stable
     if cfg.skip_notch:
         report.add_check(
             "no_notch_flagged_unstable",
-            peak_mag_db > 0.0 and not nyquist_stable(loop),
+            peak_mag_db > 0.0 and not stable,
             f"resonance at {peak_mag_db:.2f} dB (> 0 dB) and Nyquist "
-            f"{'unstable' if not nyquist_stable(loop) else 'stable'}",
+            f"{'stable' if stable else 'unstable'}",
         )
     if m.has_gain_crossover:
         report.metrics["crossover_hz"] = m.gain_crossover_hz

@@ -8,6 +8,10 @@ ascending powers plus a nonnegative transport delay in seconds:
 Everything downstream of system identification speaks this type: the fitted
 plant, the notch filter, the PID compensator and the open loop are all
 ContinuousTF values composed with tf_series.
+
+unwrapped_phase_deg is the one home of a transfer function's phase: it
+unwraps the rational part on a grid and subtracts the delay phase exactly.
+margins and the Bode export both read their phase from it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "pid_tf",
     "fitted_plant",
     "frequency_response",
+    "unwrapped_phase_deg",
     "margins",
     "magnitude_slope",
     "nyquist_stable",
@@ -289,10 +294,6 @@ class FrequencyResponse:
     def magnitude_db(self):
         return 20.0 * np.log10(np.abs(self.values))
 
-    @property
-    def phase_deg(self):
-        return np.degrees(np.angle(self.values))
-
 
 def frequency_response(tf: ContinuousTF, f_lo: float, f_hi: float,
                        points_per_decade: int = 200) -> FrequencyResponse:
@@ -304,7 +305,7 @@ def frequency_response(tf: ContinuousTF, f_lo: float, f_hi: float,
     return FrequencyResponse(f, tf_eval(tf, f))
 
 
-def _unwrapped_phase_deg(tf: ContinuousTF, f):
+def unwrapped_phase_deg(tf: ContinuousTF, f):
     """Unwrapped phase in degrees at frequencies f.
 
     The rational part is unwrapped on the (dense) grid; the delay term is
@@ -351,56 +352,49 @@ def margins(loop: ContinuousTF, f_lo: float = 0.05, f_hi: float = 100.0,
     n = max(16, int(math.ceil(points_per_decade * math.log10(f_hi / f_lo))) + 1)
     f = np.logspace(math.log10(f_lo), math.log10(f_hi), n)
     mag = np.abs(tf_eval(loop, f))
+    rational = ContinuousTF(loop.num, loop.den, 0.0)
+    ph_rational = unwrapped_phase_deg(rational, f)
+    log_f = np.log(f)
+
+    def phase_at(f0):
+        # rational phase at f0, shifted by the multiple of 360 that matches
+        # the unwrapped grid value at the nearest grid point (in log f)
+        k = int(np.argmin(np.abs(log_f - math.log(f0))))
+        raw = math.degrees(np.angle(tf_eval(rational, f0)))
+        wraps = round((ph_rational[k] - raw) / 360.0)
+        return raw + 360.0 * wraps - 360.0 * f0 * loop.delay
 
     idx = np.where((mag[:-1] >= 1.0) & (mag[1:] < 1.0))[0]
     fc = None
     pm = None
     if idx.size:
-        lo, hi = f[idx[0]], f[idx[0] + 1]
-        for _ in range(100):
-            mid = math.sqrt(lo * hi)
-            if abs(tf_eval(loop, mid)) >= 1.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-7 * lo:
-                break
-        fc = math.sqrt(lo * hi)
-        pm = 180.0 + _phase_at(loop, f, fc)
+        fc = _bisect_log(lambda x: abs(tf_eval(loop, x)) >= 1.0,
+                         f[idx[0]], f[idx[0] + 1])
+        pm = 180.0 + phase_at(fc)
 
-    phase = _unwrapped_phase_deg(loop, f)
+    phase = ph_rational - 360.0 * f * loop.delay
     fpc = None
     gm = None
     cross = np.where((phase[:-1] > -180.0) & (phase[1:] <= -180.0))[0]
     if cross.size:
         j = cross[0]
-        lo, hi = f[j], f[j + 1]
-        for _ in range(100):
-            mid = math.sqrt(lo * hi)
-            if _phase_at(loop, f, mid) > -180.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-7 * lo:
-                break
-        fpc = math.sqrt(lo * hi)
+        fpc = _bisect_log(lambda x: phase_at(x) > -180.0, f[j], f[j + 1])
         gm = -20.0 * math.log10(abs(tf_eval(loop, fpc)))
     return StabilityMargins(fc, pm, fpc, gm)
 
 
-def _phase_at(loop: ContinuousTF, grid, f0: float) -> float:
-    """Unwrapped phase (deg) at a single frequency, anchored to the grid.
-
-    Evaluates the rational phase at f0 and shifts it by the multiple of 360
-    that matches the unwrapped grid value at the nearest grid point.
-    """
-    rational = ContinuousTF(loop.num, loop.den, 0.0)
-    grid = np.asarray(grid, dtype=float)
-    ph_grid = np.degrees(np.unwrap(np.angle(tf_eval(rational, grid))))
-    k = int(np.argmin(np.abs(np.log(grid) - math.log(f0))))
-    raw = math.degrees(np.angle(tf_eval(rational, f0)))
-    wraps = round((ph_grid[k] - raw) / 360.0)
-    return raw + 360.0 * wraps - 360.0 * f0 * loop.delay
+def _bisect_log(pred, lo, hi):
+    """Geometric midpoint of [lo, hi] bisected (at most 100 times, until
+    hi - lo < 1e-7 lo) to where ``pred``, true at lo and false at hi, flips."""
+    for _ in range(100):
+        mid = math.sqrt(lo * hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-7 * lo:
+            break
+    return math.sqrt(lo * hi)
 
 
 def magnitude_slope(loop: ContinuousTF, f_lo_hz: float, f_hi_hz: float,

@@ -116,9 +116,6 @@ class Quaternion:
         q = self._q
         return Quaternion(q[0], -q[1], -q[2], -q[3], normalize=False)
 
-    # For unit quaternions the inverse is the conjugate.
-    inverse = conjugate
-
     def multiply(self, other):
         return quat_multiply(self, other)
 
@@ -137,13 +134,6 @@ class Quaternion:
 
     def to_rotmat(self):
         return quat_to_rotmat(self)
-
-    def rotate(self, v):
-        """Rotate a 3-vector from body into inertial coordinates."""
-        v = np.asarray(v, dtype=float)
-        u = self._q[1:]
-        t = 2.0 * np.cross(u, v)
-        return v + self.eta * t + np.cross(u, t)
 
     def same_rotation(self, other, tol=1e-9):
         """True if self and other encode the same rotation (sign-agnostic)."""

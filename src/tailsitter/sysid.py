@@ -25,15 +25,25 @@ from .lti import (
     tf_eval,
 )
 
+WINDOW_OVERLAP = 0.5  # of consecutive FRF windows
+COHERENCE_THRESHOLD = 0.6  # an FRF bin is trusted from this coherence up
+# Parametric fit.  The measurement-filter corner is known flight-stack
+# configuration, not optimized: sweep data rarely reaches far past it.
+PHASE_WEIGHT = 0.1
+FIT_RESTARTS = 5
+FIT_MAX_ITERATIONS = 4000
+CONVERGENCE_COST_PER_BIN = 3.0
+KNOWN_LF_CORNER_HZ = 69.0
+
 __all__ = [
     "ChirpConfig",
     "TimeSeries",
     "FRFEstimate",
-    "FitConfig",
     "FitResult",
     "SweepData",
     "SweepDivergence",
     "chirp",
+    "averaged_bin_share",
     "estimate_frf",
     "frf_of_tf",
     "fit_plant_model",
@@ -113,14 +123,13 @@ def chirp_instantaneous_freq(cfg: ChirpConfig, t):
 class FRFEstimate:
     """Nonparametric frequency response with per-bin coherence.
 
-    ``trusted`` marks bins whose coherence reaches the estimation threshold;
+    ``trusted`` marks bins whose coherence reaches ``COHERENCE_THRESHOLD``;
     untrusted bins stay in the arrays so nothing is dropped silently.
     """
 
     freqs: np.ndarray
     response: np.ndarray
     coherence: np.ndarray
-    coherence_threshold: float = 0.6
 
     def __post_init__(self):
         f = np.asarray(self.freqs, dtype=float)
@@ -138,7 +147,7 @@ class FRFEstimate:
 
     @property
     def trusted(self):
-        return self.coherence >= self.coherence_threshold
+        return self.coherence >= COHERENCE_THRESHOLD
 
     @property
     def magnitude_db(self):
@@ -162,32 +171,48 @@ class FRFEstimate:
         return np.degrees(out)
 
 
-def _single_bin_spectra(u, y, f, sample_hz, cycles_per_window, overlap):
-    """Averaged auto/cross spectra at one frequency via windowed DFT bins."""
-    n = u.size
+def _frf_freqs(f_lo, f_hi, n_freqs):
+    """The log-spaced output grid of estimate_frf."""
+    return np.logspace(math.log10(f_lo), math.log10(f_hi), n_freqs)
+
+
+def _windows(n, f, sample_hz, cycles_per_window):
+    """Length and start indices of the windows averaged at frequency f."""
     win_len = int(round(cycles_per_window * sample_hz / f))
     win_len = max(16, min(win_len, n))
-    step = max(1, int(round(win_len * (1.0 - overlap))))
+    step = max(1, int(round(win_len * (1.0 - WINDOW_OVERLAP))))
+    return win_len, range(0, n - win_len + 1, step)
+
+
+def averaged_bin_share(n_samples, sample_hz, n_freqs, f_lo, f_hi,
+                       cycles_per_window):
+    """Share of the estimate_frf bins that average two or more windows (a
+    bin with one window gets coherence 0, so it is never trusted)."""
+    return float(np.mean([
+        len(_windows(n_samples, f, sample_hz, cycles_per_window)[1]) >= 2
+        for f in _frf_freqs(f_lo, f_hi, n_freqs)]))
+
+
+def _single_bin_spectra(u, y, f, sample_hz, cycles_per_window):
+    """Averaged auto/cross spectra at one frequency via windowed DFT bins."""
+    win_len, starts = _windows(u.size, f, sample_hz, cycles_per_window)
     window = np.hanning(win_len)
     probe = window * np.exp(-2j * np.pi * f * np.arange(win_len) / sample_hz)
-    starts = range(0, n - win_len + 1, step)
     suu = syy = 0.0
     suy = 0.0 + 0.0j
-    count = 0
     for s in starts:
         fu = probe @ u[s : s + win_len]
         fy = probe @ y[s : s + win_len]
         suu += (fu * fu.conjugate()).real
         syy += (fy * fy.conjugate()).real
         suy += fu.conjugate() * fy
-        count += 1
+    count = len(starts)
     return suu / count, suy / count, syy / count, count
 
 
 def estimate_frf(u: TimeSeries, y: TimeSeries, n_freqs: int = 64,
                  f_lo: float = 1.0, f_hi: float = 60.0,
-                 cycles_per_window: float = 20.0, overlap: float = 0.5,
-                 coherence_threshold: float = 0.6,
+                 cycles_per_window: float = 20.0,
                  hold_rate_hz: float | None = None,
                  plant_rate_hz: float | None = None) -> FRFEstimate:
     """H(f) = S_uy/S_uu with frequency-dependent window lengths.
@@ -197,26 +222,27 @@ def estimate_frf(u: TimeSeries, y: TimeSeries, n_freqs: int = 64,
     resolution uniformly across the band.  Coherence is
     |S_uy|^2 / (S_uu S_yy) over the averaged segments.
 
-    ``hold_rate_hz`` deconvolves the known hold of the command channel so
-    the estimate refers to the plant alone.  With ``plant_rate_hz`` also
-    given, the exact discrete staircase is removed: each command latched at
-    t_k drives the plant substeps over (t_k, t_k + 1/hold_rate], whose
-    centroid sits half a plant sample later than a continuous zero-order
-    hold.  Resolving a resonance whose relative width is 2*zeta requires
-    roughly ``cycles_per_window > 2/zeta``; the default favors variance.
+    ``hold_rate_hz`` and ``plant_rate_hz``, given together, deconvolve the
+    exact discrete staircase of the command hold so the estimate refers to
+    the plant alone: each command latched at t_k drives the plant substeps
+    over (t_k, t_k + 1/hold_rate], whose centroid sits half a plant sample
+    later than a continuous zero-order hold.  Resolving a resonance whose
+    relative width is 2*zeta requires roughly ``cycles_per_window > 2/zeta``; the default favors variance.
     """
     if u.sample_hz != y.sample_hz or len(u) != len(y):
         raise ValueError("input and output series must share rate and length")
     if not 0.0 < f_lo < f_hi < 0.5 * u.sample_hz:
         raise ValueError("need 0 < f_lo < f_hi < Nyquist")
-    freqs = np.logspace(math.log10(f_lo), math.log10(f_hi), n_freqs)
+    if (hold_rate_hz is None) != (plant_rate_hz is None):
+        raise ValueError("hold_rate_hz and plant_rate_hz go together")
+    freqs = _frf_freqs(f_lo, f_hi, n_freqs)
     h = np.empty(n_freqs, dtype=complex)
     coh = np.empty(n_freqs)
     uu = u.values
     yy = y.values
     for i, f in enumerate(freqs):
         suu, suy, syy, count = _single_bin_spectra(
-            uu, yy, f, u.sample_hz, cycles_per_window, overlap
+            uu, yy, f, u.sample_hz, cycles_per_window
         )
         if suu <= 0.0 or syy <= 0.0:
             h[i] = 0.0
@@ -229,14 +255,12 @@ def estimate_frf(u: TimeSeries, y: TimeSeries, n_freqs: int = 64,
             coh[i] = min(1.0, (abs(suy) ** 2) / (suu * syy))
     if hold_rate_hz is not None:
         h = h / _hold_response(freqs, hold_rate_hz, plant_rate_hz)
-    return FRFEstimate(freqs, h, coh, coherence_threshold)
+    return FRFEstimate(freqs, h, coh)
 
 
-def _hold_response(freqs, hold_rate_hz, plant_rate_hz=None):
-    """Frequency response of the command hold, continuous or staircase."""
+def _hold_response(freqs, hold_rate_hz, plant_rate_hz):
+    """Frequency response of the command hold's staircase at the plant rate."""
     f = np.asarray(freqs, dtype=float)
-    if plant_rate_hz is None:
-        return np.sinc(f / hold_rate_hz) * np.exp(-1j * np.pi * f / hold_rate_hz)
     s = int(round(plant_rate_hz / hold_rate_hz))
     theta = 2.0 * np.pi * f / plant_rate_hz
     return (np.exp(-0.5j * theta * (s + 1))
@@ -250,24 +274,6 @@ def frf_of_tf(tf: ContinuousTF, freqs, coherence=1.0) -> FRFEstimate:
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    """Knobs of the two-stage parametric fit.
-
-    The measurement-filter corner is treated as known flight-stack
-    configuration and not optimized unless ``fit_lf_corner`` is set; sweep
-    data rarely reaches far enough past it to pin it down.
-    """
-
-    phase_weight: float = 0.1
-    restarts: int = 5
-    max_iterations: int = 4000
-    convergence_cost_per_bin: float = 3.0
-    known_lf_corner_hz: float = 69.0
-    fit_lf_corner: bool = False
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class FitResult:
     params: PlantFitParams
     cost: float
@@ -277,7 +283,7 @@ class FitResult:
     restart_costs: tuple
 
 
-def _stage1_initial(frf: FRFEstimate, cfg: FitConfig) -> PlantFitParams:
+def _stage1_initial(frf: FRFEstimate) -> PlantFitParams:
     """Heuristic initialization from the raw FRF.
 
     Resonances come from coherence-weighted extrema of the detrended
@@ -323,7 +329,7 @@ def _stage1_initial(frf: FRFEstimate, cfg: FitConfig) -> PlantFitParams:
     peak_gain_db = float(resid[peak_idx])
     depth = 10.0 ** (max(peak_gain_db, 3.0) / 20.0)
     return PlantFitParams(
-        lf_corner_hz=cfg.known_lf_corner_hz,
+        lf_corner_hz=KNOWN_LF_CORNER_HZ,
         main_num=(gain, gain / 70.0, gain / 19000.0),
         main_pole_tc=0.06,
         peak=ResonanceParams(f_peak, 0.2, 0.2 / depth),
@@ -332,8 +338,8 @@ def _stage1_initial(frf: FRFEstimate, cfg: FitConfig) -> PlantFitParams:
     )
 
 
-def _params_to_vector(p: PlantFitParams, cfg: FitConfig):
-    x = [
+def _params_to_vector(p: PlantFitParams):
+    return np.array([
         math.log(p.main_num[0]),
         math.log(p.main_num[1]),
         math.log(p.main_num[2]),
@@ -345,17 +351,13 @@ def _params_to_vector(p: PlantFitParams, cfg: FitConfig):
         math.log(p.anti.num_damp),
         math.log(p.anti.den_damp),
         math.log(max(p.delay_s, 1e-5)),
-    ]
-    if cfg.fit_lf_corner:
-        x.append(math.log(p.lf_corner_hz))
-    return np.array(x)
+    ])
 
 
-def _vector_to_params(x, cfg: FitConfig) -> PlantFitParams:
+def _vector_to_params(x) -> PlantFitParams:
     e = np.exp(np.clip(x, -40.0, 40.0))
-    lf = e[11] if cfg.fit_lf_corner else cfg.known_lf_corner_hz
     return PlantFitParams(
-        lf_corner_hz=float(lf),
+        lf_corner_hz=KNOWN_LF_CORNER_HZ,
         main_num=(float(e[0]), float(e[1]), float(e[2])),
         main_pole_tc=float(e[3]),
         peak=ResonanceParams(float(e[4]), float(e[5]), float(e[6])),
@@ -364,7 +366,7 @@ def _vector_to_params(x, cfg: FitConfig) -> PlantFitParams:
     )
 
 
-def _fit_cost(frf: FRFEstimate, params: PlantFitParams, phase_weight: float):
+def _fit_cost(frf: FRFEstimate, params: PlantFitParams):
     model = fitted_plant(params)
     h = tf_eval(model, frf.freqs)
     w = np.where(frf.trusted, frf.coherence, 0.0)
@@ -376,35 +378,35 @@ def _fit_cost(frf: FRFEstimate, params: PlantFitParams, phase_weight: float):
         2j * np.pi * frf.freqs * params.delay_s)))) - 360.0 * frf.freqs * params.delay_s
     ph_data = frf.unwrapped_phase_deg()
     dph = ph_model - ph_data
-    return float(np.sum(w * (dmag**2 + phase_weight * dph**2)))
+    return float(np.sum(w * (dmag**2 + PHASE_WEIGHT * dph**2)))
 
 
-def fit_plant_model(frf: FRFEstimate, cfg: FitConfig | None = None) -> FitResult:
+def fit_plant_model(frf: FRFEstimate, seed: int = 0) -> FitResult:
     """Two-stage fit of the identified-plant structure to an FRF.
 
     Stage 1 initializes from FRF features; stage 2 runs coherence-weighted
-    Nelder-Mead on [log-magnitude, unwrapped-phase] error with seeded random
-    restarts (lowest cost wins, ties broken by restart index).  Requires at
-    least half the bins trusted; a fit that never reaches the convergence
-    threshold is returned flagged, carrying the stage-1 parameters.
+    Nelder-Mead on [log-magnitude, unwrapped-phase] error with random
+    restarts drawn from ``seed`` (lowest cost wins, ties broken by restart
+    index).  Requires at least half the bins trusted; a fit that never
+    reaches the convergence threshold is returned flagged, carrying the
+    stage-1 parameters.
     """
-    cfg = cfg or FitConfig()
     if np.mean(frf.trusted) < 0.5:
         raise ValueError("fewer than half the FRF bins are coherence-trusted")
-    stage1 = _stage1_initial(frf, cfg)
-    x0 = _params_to_vector(stage1, cfg)
-    rng = np.random.default_rng(cfg.seed)
+    stage1 = _stage1_initial(frf)
+    x0 = _params_to_vector(stage1)
+    rng = np.random.default_rng(seed)
 
     best = None
     costs = []
-    for restart in range(max(1, cfg.restarts)):
+    for restart in range(FIT_RESTARTS):
         xi = x0 if restart == 0 else x0 + rng.normal(0.0, 0.2, x0.shape)
         res = minimize(
-            lambda x: _fit_cost(frf, _vector_to_params(x, cfg), cfg.phase_weight),
+            lambda x: _fit_cost(frf, _vector_to_params(x)),
             xi,
             method="Nelder-Mead",
             options={
-                "maxiter": cfg.max_iterations,
+                "maxiter": FIT_MAX_ITERATIONS,
                 "xatol": 1e-6,
                 "fatol": 1e-9,
                 "adaptive": True,
@@ -416,8 +418,8 @@ def fit_plant_model(frf: FRFEstimate, cfg: FitConfig | None = None) -> FitResult
 
     n_bins = int(np.sum(frf.trusted))
     cost_per_bin = best[0] / max(n_bins, 1)
-    converged = cost_per_bin <= cfg.convergence_cost_per_bin
-    params = _vector_to_params(best[1], cfg) if converged else stage1
+    converged = cost_per_bin <= CONVERGENCE_COST_PER_BIN
+    params = _vector_to_params(best[1]) if converged else stage1
     return FitResult(
         params=params,
         cost=best[0],

@@ -46,7 +46,6 @@ from tailsitter.plant import (
 )
 from tailsitter.sysid import (
     ChirpConfig,
-    FitConfig,
     TimeSeries,
     estimate_frf,
     fit_plant_model,
@@ -183,7 +182,7 @@ class TestSysidRoundTrip:
         frf = estimate_frf(sweep.total_input, sweep.measured, 64, 1.0, 60.0,
                            cycles_per_window=60.0, hold_rate_hz=250.0,
                            plant_rate_hz=1000.0)
-        fit = fit_plant_model(frf, FitConfig(seed=3))
+        fit = fit_plant_model(frf, seed=3)
         elapsed = time.time() - t0
 
         check("sysid_fit_converged", fit.converged,

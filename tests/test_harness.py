@@ -377,6 +377,10 @@ class TestDataIO:
         assert np.all(np.diff(data[:, 0]) > 0.0)
         # delay keeps unwrapped phase monotone negative at high frequency
         assert data[-1, 2] < -360.0
+        # pinned to the last bit
+        assert data[::50, 2].tolist() == [
+            -102.92183915666762, -127.4052523677592, -169.49565404141362,
+            -282.0322622592767, -482.24624232795423]
 
     def test_write_csv_bytes(self, tmp_path):
         # bool and int cells as 1/0 and decimal, floats at repr precision,
@@ -522,6 +526,12 @@ class TestCli:
         empty.write_text("")
         header_only = tmp_path / "header_only.csv"
         header_only.write_text("t,a\n")
+        ok = tmp_path / "ok.csv"
+        ok.write_text("t,a\n0.0,1.0\n0.1,2.0\n")
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("t,a\n0.0,1.0\n0.1\n")
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("t,a,b\n0.0,1.0\n0.1,2.0\n")
         cases = [(["run"], cfg, path) for cfg, path in BAD_SCENARIOS]
         cases += [
             (["pipeline"], {"chirp": {"f0": -1.0}}, "chirp"),
@@ -532,11 +542,14 @@ class TestCli:
             (["pipeline"], {"cycles_per_window": 0}, "cycles_per_window"),
             (["pipeline"], {"chirp": {"f0": 5.0, "f1": 5.0}}, "chirp"),
             (["pipeline"], {"notch_k1": 0.01}, "notch_k1"),
+            (["pipeline"], {"chirp": {"duration_s": 10.0}}, "chirp"),
             (["bode"], {"num": [1.0], "den": [1.0, 0.1], "dealy": 0.02}, "dealy"),
             (["margins"], {"plant_params": {"delay": 0.02}}, "plant_params.delay"),
             (["compare", str(empty), str(empty)], None, str(empty)),
             (["compare", str(header_only), str(header_only)], None,
              str(header_only)),
+            (["compare", str(ok), str(ragged)], None, str(ragged)),
+            (["compare", str(ok), str(narrow)], None, str(narrow)),
         ]
         for i, (argv, cfg, path) in enumerate(cases):
             out = tmp_path / f"out{i}"
@@ -590,9 +603,11 @@ class TestCli:
         from tailsitter.harness import EXIT_NUMERICAL_ABORT
 
         # an oversized injection drives the sweep past its divergence guard
+        # (20 s: a 10 s chirp is too short for the FRF windows and is
+        # rejected at load time)
         cfg = tmp_path / "pipe.json"
         cfg.write_text(json.dumps({"chirp": {"amplitude": 1e4,
-                                             "duration_s": 10.0}}))
+                                             "duration_s": 20.0}}))
         rc = cli.main(["pipeline", str(cfg), "--out-dir", str(tmp_path)])
         assert rc == EXIT_NUMERICAL_ABORT
         assert "numerical abort" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from tailsitter.lti import (
     ContinuousTF,
     FrequencyResponse,
     PlantFitParams,
+    StabilityMargins,
     butterworth2,
     fitted_plant,
     frequency_response,
@@ -263,6 +264,12 @@ class TestMargins:
         ph = np.degrees(np.unwrap(np.angle(tf_eval(rational, f))))
         pm_oracle = 180.0 + ph[-1] - 360.0 * m.gain_crossover_hz * loop.delay
         assert abs(m.phase_margin_deg - pm_oracle) < 1e-3
+        # pinned to the last bit: the reference design loop, and a loop
+        # whose phase never reaches -180 deg
+        assert m == StabilityMargins(7.662492150494366, 33.776559811351234,
+                                     11.066833411482854, 2.2227288542545436)
+        assert margins(integrator_tf(10.0), 0.1, 50.0) == StabilityMargins(
+            1.5915493936708942, 90.0, None, None)
 
     def test_no_crossover_is_explicit(self):
         m = margins(ContinuousTF([0.5], [1.0]), 0.1, 10.0)

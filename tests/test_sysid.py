@@ -7,7 +7,6 @@ from tailsitter.lti import PlantFitParams, fitted_plant, integrator_tf, tf_eval
 from tailsitter.plant import LinearAxisPlant
 from tailsitter.sysid import (
     ChirpConfig,
-    FitConfig,
     FRFEstimate,
     SweepDivergence,
     TimeSeries,
@@ -168,7 +167,7 @@ class TestFit:
         ref = PlantFitParams.reference()
         freqs = np.logspace(0.0, math.log10(60.0), 64)
         frf = frf_of_tf(fitted_plant(ref), freqs)
-        fit = fit_plant_model(frf, FitConfig(seed=5))
+        fit = fit_plant_model(frf, seed=5)
         assert fit.converged
         assert abs(fit.params.peak.freq_hz / ref.peak.freq_hz - 1.0) < 0.02
         assert abs(fit.params.anti.freq_hz / ref.anti.freq_hz - 1.0) < 0.02
@@ -178,9 +177,9 @@ class TestFit:
         ref = PlantFitParams.reference()
         freqs = np.logspace(0.0, math.log10(60.0), 64)
         fit1 = fit_plant_model(frf_of_tf(fitted_plant(ref), freqs),
-                               FitConfig(seed=6))
+                               seed=6)
         fit2 = fit_plant_model(frf_of_tf(fitted_plant(fit1.params), freqs),
-                               FitConfig(seed=6))
+                               seed=6)
         h1 = tf_eval(fitted_plant(fit1.params), freqs)
         h2 = tf_eval(fitted_plant(fit2.params), freqs)
         err_db = 20.0 * np.log10(np.abs(h2 / h1))
@@ -194,7 +193,7 @@ class TestFit:
         frf = estimate_frf(sw.total_input, sw.measured, 64, 1.0, 60.0,
                            cycles_per_window=60.0, hold_rate_hz=250.0,
                            plant_rate_hz=1000.0)
-        fit = fit_plant_model(frf, FitConfig(seed=9))
+        fit = fit_plant_model(frf, seed=9)
         assert fit.converged
         assert abs(fit.params.peak.freq_hz / ref.peak.freq_hz - 1.0) < 0.04
         assert abs(fit.params.delay_s / ref.delay_s - 1.0) < 0.30
@@ -202,7 +201,7 @@ class TestFit:
     def test_integrator_degeneracy(self):
         freqs = np.logspace(0.0, math.log10(60.0), 64)
         frf = frf_of_tf(integrator_tf(35.0), freqs)
-        fit = fit_plant_model(frf, FitConfig(seed=7))
+        fit = fit_plant_model(frf, seed=7)
         h = tf_eval(fitted_plant(fit.params), freqs)
         err_db = 20.0 * np.log10(np.abs(h / frf.response))
         assert np.max(np.abs(err_db)) < 0.5
@@ -249,7 +248,7 @@ class TestSweepExperiment:
         frf = estimate_frf(reference_sweep.total_input, reference_sweep.measured,
                            64, 1.0, 60.0, cycles_per_window=60.0,
                            hold_rate_hz=250.0, plant_rate_hz=1000.0)
-        fit = fit_plant_model(frf, FitConfig(seed=3))
+        fit = fit_plant_model(frf, seed=3)
         assert fit.converged
         plant_fit = fitted_plant(fit.params)
         notch_cfg = default_notch_config(fit.params.peak.freq_hz)
