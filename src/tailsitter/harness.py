@@ -443,6 +443,7 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     fit = fit_plant_model(frf, seed=cfg.seed)
     report.metrics["fit_converged"] = fit.converged
     report.metrics["fit_cost_per_bin"] = fit.cost_per_bin
+    report.metrics["fit_evaluations"] = fit.evaluations
     if not fit.converged:
         report.add_check("fit_converged", False,
                          f"fit stalled at cost/bin {fit.cost_per_bin:.2f}; "
@@ -466,6 +467,9 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     for k, v in plant_params_to_config(p).items():
         fit_lines.append(f"  {k} = {v}")
     fit_lines.append(f"fit cost per bin = {fit.cost_per_bin:.4f}")
+    fit_lines.append(f"fit evaluations = {fit.evaluations}")
+    fit_lines.append("restart costs = "
+                     + ", ".join(f"{c:.6f}" for c in fit.restart_costs))
     fit_lines.append("per-band magnitude error vs FRF (dB):")
     h_fit = tf_eval(plant_fit_tf, frf.freqs)
     err_db = 20.0 * np.log10(np.abs(h_fit / frf.response))

@@ -7,6 +7,13 @@ window length (long at low frequency, short at high frequency), Hann
 weighting, 50 % overlap, and a single-bin DFT evaluated exactly at the
 target frequency.  Coherence below the threshold marks a bin untrusted
 rather than dropping it.
+
+The parametric fit minimizes the coherence-weighted log-magnitude and
+unwrapped-phase error (Tischler & Remple, Aircraft and Rotorcraft System
+Identification, 2012) with restarted Nelder-Mead.  Its objective is built
+once per fit with the data side precomputed, and evaluates the plant
+structure of ``lti.fitted_plant`` as a product of its factors on the FRF
+grid rather than as a composed transfer function.
 """
 
 from __future__ import annotations
@@ -21,11 +28,12 @@ from .lti import (
     ContinuousTF,
     PlantFitParams,
     ResonanceParams,
-    fitted_plant,
+    butterworth2,
     tf_eval,
 )
 
 WINDOW_OVERLAP = 0.5  # of consecutive FRF windows
+MIN_WINDOW_SAMPLES = 16  # shortest FRF window, and so the shortest series
 COHERENCE_THRESHOLD = 0.6  # an FRF bin is trusted from this coherence up
 # Parametric fit.  The measurement-filter corner is known flight-stack
 # configuration, not optimized: sweep data rarely reaches far past it.
@@ -179,7 +187,7 @@ def _frf_freqs(f_lo, f_hi, n_freqs):
 def _windows(n, f, sample_hz, cycles_per_window):
     """Length and start indices of the windows averaged at frequency f."""
     win_len = int(round(cycles_per_window * sample_hz / f))
-    win_len = max(16, min(win_len, n))
+    win_len = max(MIN_WINDOW_SAMPLES, min(win_len, n))
     step = max(1, int(round(win_len * (1.0 - WINDOW_OVERLAP))))
     return win_len, range(0, n - win_len + 1, step)
 
@@ -231,6 +239,9 @@ def estimate_frf(u: TimeSeries, y: TimeSeries, n_freqs: int = 64,
     """
     if u.sample_hz != y.sample_hz or len(u) != len(y):
         raise ValueError("input and output series must share rate and length")
+    if len(u) < MIN_WINDOW_SAMPLES:
+        raise ValueError(f"series of {len(u)} samples is shorter than the "
+                         f"{MIN_WINDOW_SAMPLES}-sample FRF window")
     if not 0.0 < f_lo < f_hi < 0.5 * u.sample_hz:
         raise ValueError("need 0 < f_lo < f_hi < Nyquist")
     if (hold_rate_hz is None) != (plant_rate_hz is None):
@@ -281,6 +292,7 @@ class FitResult:
     converged: bool
     stage1: PlantFitParams
     restart_costs: tuple
+    evaluations: int  # objective calls, summed over the restarts
 
 
 def _stage1_initial(frf: FRFEstimate) -> PlantFitParams:
@@ -366,43 +378,78 @@ def _vector_to_params(x) -> PlantFitParams:
     )
 
 
-def _fit_cost(frf: FRFEstimate, params: PlantFitParams):
-    model = fitted_plant(params)
-    h = tf_eval(model, frf.freqs)
-    w = np.where(frf.trusted, frf.coherence, 0.0)
-    if not np.any(w > 0.0):
-        return np.inf
-    dmag = 20.0 * (np.log10(np.abs(h)) - np.log10(np.abs(frf.response)))
-    # both phases unwrapped along the same grid; delay keeps them comparable
-    ph_model = np.degrees(np.unwrap(np.angle(h * np.exp(
-        2j * np.pi * frf.freqs * params.delay_s)))) - 360.0 * frf.freqs * params.delay_s
-    ph_data = frf.unwrapped_phase_deg()
-    dph = ph_model - ph_data
-    return float(np.sum(w * (dmag**2 + PHASE_WEIGHT * dph**2)))
+class _FitObjective:
+    """The fit cost of one FRF as a function of the log-parameter vector.
+
+    Everything that depends only on the data is computed once: the
+    coherence weights, the data's log-magnitude and unwrapped phase, s and
+    s^2 on the grid, and the fixed measurement-filter response.  Each call
+    then evaluates the factors of ``fitted_plant`` on the grid and
+    multiplies them, with the same clip and delay clamp as
+    ``_vector_to_params``; no transfer function is built.  The delay enters
+    only as its exact phase, -360 f delay degrees, so the model's rational
+    phase is unwrapped on its own, as ``lti.unwrapped_phase_deg`` does.
+    """
+
+    def __init__(self, frf: FRFEstimate):
+        f = frf.freqs
+        self.weight = np.where(frf.trusted, frf.coherence, 0.0)
+        self.log_mag = np.log10(np.abs(frf.response))
+        self.phase_deg = frf.unwrapped_phase_deg()
+        w = 2.0 * np.pi * f
+        self.s = 1j * w
+        self.s2 = -w * w  # s^2 on the imaginary axis is real
+        self.lf = tf_eval(butterworth2(KNOWN_LF_CORNER_HZ), f)
+        self.delay_phase_deg = 360.0 * f
+
+    def rational_response(self, x):
+        """(delay-free model response on the grid, delay in s) for vector x."""
+        b0, b1, b2, tc, fp, pn, pd, fa, an, ad, delay = np.exp(
+            np.clip(x, -40.0, 40.0)).tolist()
+        s, s2 = self.s, self.s2
+        wp = 2.0 * math.pi * fp
+        wa = 2.0 * math.pi * fa
+        q_p = 1.0 + s2 / (wp * wp)
+        q_a = 1.0 + s2 / (wa * wa)
+        h = (self.lf * (b0 + b1 * s + b2 * s2) / (s + tc * s2)
+             * (q_p + (pn / wp) * s) / (q_p + (pd / wp) * s)
+             * (q_a + (an / wa) * s) / (q_a + (ad / wa) * s))
+        return h, min(delay, 0.1)
+
+    def __call__(self, x):
+        h, delay = self.rational_response(x)
+        dmag = 20.0 * (np.log10(np.abs(h)) - self.log_mag)
+        dph = (np.degrees(np.unwrap(np.angle(h)))
+               - self.delay_phase_deg * delay - self.phase_deg)
+        return float(np.sum(self.weight * (dmag**2 + PHASE_WEIGHT * dph**2)))
 
 
 def fit_plant_model(frf: FRFEstimate, seed: int = 0) -> FitResult:
     """Two-stage fit of the identified-plant structure to an FRF.
 
-    Stage 1 initializes from FRF features; stage 2 runs coherence-weighted
-    Nelder-Mead on [log-magnitude, unwrapped-phase] error with random
+    Stage 1 initializes from FRF features; stage 2 runs Nelder-Mead on the
+    coherence-weighted [log-magnitude, unwrapped-phase] error with random
     restarts drawn from ``seed`` (lowest cost wins, ties broken by restart
-    index).  Requires at least half the bins trusted; a fit that never
-    reaches the convergence threshold is returned flagged, carrying the
-    stage-1 parameters.
+    index).  The objective (``_FitObjective``) is built once per fit: it
+    precomputes the data side and evaluates the model as a product of its
+    factors on the FRF grid.  Requires at least half the bins trusted; a
+    fit that never reaches the convergence threshold is returned flagged,
+    carrying the stage-1 parameters.
     """
     if np.mean(frf.trusted) < 0.5:
         raise ValueError("fewer than half the FRF bins are coherence-trusted")
     stage1 = _stage1_initial(frf)
     x0 = _params_to_vector(stage1)
     rng = np.random.default_rng(seed)
+    objective = _FitObjective(frf)
 
     best = None
     costs = []
+    evaluations = 0
     for restart in range(FIT_RESTARTS):
         xi = x0 if restart == 0 else x0 + rng.normal(0.0, 0.2, x0.shape)
         res = minimize(
-            lambda x: _fit_cost(frf, _vector_to_params(x)),
+            objective,
             xi,
             method="Nelder-Mead",
             options={
@@ -413,6 +460,7 @@ def fit_plant_model(frf: FRFEstimate, seed: int = 0) -> FitResult:
             },
         )
         costs.append(float(res.fun))
+        evaluations += res.nfev
         if best is None or res.fun < best[0]:
             best = (float(res.fun), res.x.copy())
 
@@ -427,6 +475,7 @@ def fit_plant_model(frf: FRFEstimate, seed: int = 0) -> FitResult:
         converged=converged,
         stage1=stage1,
         restart_costs=tuple(costs),
+        evaluations=evaluations,
     )
 
 

@@ -452,6 +452,13 @@ class TestPipeline:
         assert header == ["t", "u_injected", "u_total", "omega_meas"]
         header, _ = read_csv(tmp_path / "frf.csv")
         assert header == ["freq_hz", "re", "im", "coherence"]
+        # fit diagnostics sit on unindented lines, apart from the parameters
+        lines = (tmp_path / "fit_report.txt").read_text().splitlines()
+        evaluations = report.metrics["fit_evaluations"]
+        assert evaluations > 0
+        assert f"fit evaluations = {evaluations}" in lines
+        costs = [l for l in lines if l.startswith("restart costs = ")]
+        assert len(costs) == 1 and len(costs[0].split(", ")) == 5
 
     def test_skip_notch_flags_instability(self, tmp_path):
         from tailsitter.harness import PipelineConfig, design_pipeline

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from tailsitter import sysid
+from tailsitter.harness import PipelineConfig
 from tailsitter.lti import PlantFitParams, fitted_plant, integrator_tf, tf_eval
 from tailsitter.plant import LinearAxisPlant
 from tailsitter.sysid import (
@@ -10,6 +12,8 @@ from tailsitter.sysid import (
     FRFEstimate,
     SweepDivergence,
     TimeSeries,
+    _FitObjective,
+    _vector_to_params,
     chirp,
     chirp_instantaneous_freq,
     estimate_frf,
@@ -26,6 +30,24 @@ def reference_sweep():
     plant = LinearAxisPlant(fitted_plant(), 1000.0, prewarp_hz=ref.peak.freq_hz)
     cfg = ChirpConfig(1.0, 60.0, 60.0, 0.1, 250.0)
     return sweep_experiment(plant, cfg, closed_loop=True, seed=1)
+
+
+def _pipeline_frf(cfg: PipelineConfig):
+    """The sweep and hold-corrected FRF that design_pipeline fits."""
+    plant = LinearAxisPlant(fitted_plant(cfg.true_params), 1000.0,
+                            prewarp_hz=cfg.true_params.peak.freq_hz)
+    sw = sweep_experiment(plant, cfg.chirp, closed_loop=True,
+                          noise_std=cfg.noise_std, seed=cfg.seed)
+    return estimate_frf(sw.total_input, sw.measured, cfg.n_freqs,
+                        cfg.chirp.f0, cfg.chirp.f1,
+                        cycles_per_window=cfg.cycles_per_window,
+                        hold_rate_hz=cfg.chirp.sample_hz, plant_rate_hz=1000.0)
+
+
+@pytest.fixture(scope="module")
+def pipeline_frf():
+    """The FRF of the shipped pipeline config (noiseless, seed 3)."""
+    return _pipeline_frf(PipelineConfig())
 
 
 class TestChirp:
@@ -144,6 +166,15 @@ class TestEstimateFRF:
             out.append(np.mean(spec[band]))
         assert out[1] / out[0] == pytest.approx(4.0, rel=0.10)
 
+    def test_short_series_rejected(self):
+        # no 16-sample window fits: a clear error, not a division by zero
+        x = TimeSeries(250.0, np.arange(10.0))
+        with pytest.raises(ValueError, match="shorter than the 16-sample"):
+            estimate_frf(x, x, n_freqs=4, f_lo=2.0, f_hi=40.0)
+        x = TimeSeries(250.0, np.sin(np.arange(16.0)))
+        frf = estimate_frf(x, x, n_freqs=4, f_lo=2.0, f_hi=40.0)
+        assert frf.freqs.size == 4
+
     def test_coherence_monotone_in_noise(self):
         ref = PlantFitParams.reference()
         cfg = ChirpConfig(1.0, 60.0, 20.0, 0.1, 250.0)
@@ -213,6 +244,100 @@ class TestFit:
                           np.full(32, 0.1))
         with pytest.raises(ValueError):
             fit_plant_model(frf)
+
+
+class TestFitObjective:
+    # (log-parameter vector, cost) on the shipped pipeline FRF, from the
+    # composed-transfer-function cost the factored objective replaced; the
+    # last two vectors hit the 0.1 s delay clamp and both ends of the clip
+    PINNED_COSTS = (
+        ([5.3054, 1.0569, -4.5468, -2.8134, 2.6646, -1.6094, -2.7297,
+          3.3145, -3.912, -1.6094, -3.9848], 3298.7210773264605),
+        ([5.614, 1.5494, -4.2028, -3.1054, 2.2467, -1.5893, -2.4713,
+          3.4672, -3.3689, -1.3842, -3.7929], 6309.471648382532),
+        ([5.086, 0.7246, -4.1015, -2.7987, 2.908, -2.0224, -2.8607,
+          2.9271, -4.1447, -1.3385, -4.429], 54083.784129530555),
+        ([5.1451, 1.106, -4.7474, -2.8891, 2.598, -1.484, -2.8591,
+          3.3961, -3.895, -1.4821, -3.9173], 3501.963035469555),
+        ([5.8027, 0.8578, -4.1871, -2.9342, 2.3772, -1.2461, -2.8616,
+          3.1982, -4.3286, -2.2389, -3.7945], 5732.314826595312),
+        ([5.581, 1.3484, -4.3953, -2.7298, 2.6404, -1.5897, -3.5937,
+          3.2936, -4.5003, -1.5851, -3.8785], 17.912099278473885),
+        ([5.3054, 1.0569, -4.5468, -2.8134, 2.6646, -1.6094, -2.7297,
+          3.3145, -3.912, -1.6094, -1.0], 2366146.4104336677),
+        ([5.3054, 1.0569, -45.0, -2.8134, 2.6646, -1.6094, 41.5,
+          3.3145, -3.912, -1.6094, -3.9848], 7412903.3986439565),
+    )
+
+    def test_factored_response_matches_fitted_plant(self):
+        freqs = np.logspace(0.0, math.log10(60.0), 64)
+        objective = _FitObjective(frf_of_tf(fitted_plant(), freqs))
+        x0 = np.array(self.PINNED_COSTS[0][0])
+        rng = np.random.default_rng(11)
+        xs = [x0 + rng.normal(0.0, 1.0, x0.size) for _ in range(200)]
+        for i in range(x0.size):  # each coordinate past either clip end
+            for edge in (-45.0, 45.0):
+                x = x0.copy()
+                x[i] = edge
+                xs.append(x)
+        x = x0.copy()
+        x[10] = math.log(0.5)  # a 0.5 s delay, past the 0.1 s clamp
+        xs.append(x)
+        w = 2.0 * np.pi * freqs
+
+        def condition(coeffs):
+            # rounding amplification of the expanded polynomial at s = jw
+            terms = np.abs(coeffs)[:, None] * w ** np.arange(coeffs.size)[:, None]
+            return terms.sum(axis=0) / np.abs(
+                np.polynomial.polynomial.polyval(1j * w, coeffs))
+
+        clamped = 0
+        for x in xs:
+            h, delay = objective.rational_response(x)
+            ref_params = _vector_to_params(x)
+            clamped += delay == 0.1
+            assert delay == ref_params.delay_s
+            ref_tf = fitted_plant(ref_params)
+            ref = tf_eval(ref_tf, freqs)
+            got = h * np.exp(-1j * w * delay)
+            # 1e-12, except near an undamped mode (a damping at the -40
+            # clip), where the composed reference's own polynomial loses
+            # digits (condition up to ~1e5) and its rounding bound applies
+            tol = np.maximum(1e-12, 1e-15 * (condition(ref_tf.num)
+                                             + condition(ref_tf.den)))
+            assert np.all(np.abs(got - ref) / np.abs(ref) < tol)
+        assert clamped >= 2
+
+    def test_costs_pinned_to_composed_model(self, pipeline_frf):
+        objective = _FitObjective(pipeline_frf)
+        for x, cost in self.PINNED_COSTS:
+            assert objective(np.array(x)) == pytest.approx(cost, rel=1e-12)
+
+    @pytest.mark.parametrize("noise_std, seed, cost, peak_hz", [
+        (0.0, 3, 17.91135665552254, 14.019400315858643),
+        (0.05, 7, 17.064371123839226, 14.001886774839237),
+    ])
+    def test_pipeline_fit_pinned(self, pipeline_frf, monkeypatch, noise_std,
+                                 seed, cost, peak_hz):
+        # the shipped pipeline fit and one noisy case, pinned to the fit
+        # that evaluated composed transfer functions
+        cfg = PipelineConfig(noise_std=noise_std, seed=seed)
+        frf = pipeline_frf if cfg == PipelineConfig() else _pipeline_frf(cfg)
+        calls = []
+        minimize = sysid.minimize
+
+        def counted_minimize(fun, x0, **kwargs):
+            def counted(x):
+                calls.append(None)
+                return fun(x)
+            return minimize(counted, x0, **kwargs)
+
+        monkeypatch.setattr(sysid, "minimize", counted_minimize)
+        fit = fit_plant_model(frf, seed=seed)
+        assert fit.converged
+        assert fit.cost == pytest.approx(cost, rel=1e-9)
+        assert fit.params.peak.freq_hz == pytest.approx(peak_hz, rel=1e-6)
+        assert fit.evaluations == len(calls)
 
 
 class TestSweepExperiment:
