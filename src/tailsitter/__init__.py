@@ -9,11 +9,9 @@ from .quat import (
     attitude_error,
     euler_zxy_to_quat,
     quat_to_euler_zxy,
-    rate_command,
 )
 from .lti import (
     ContinuousTF,
-    FrequencyResponse,
     PlantFitParams,
     ResonanceParams,
     StabilityMargins,

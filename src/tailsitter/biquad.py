@@ -41,19 +41,12 @@ class BiquadSection:
         self._z2 = self.b2 * x - self.a2 * y
         return y
 
-    def reset(self):
-        self._z1 = 0.0
-        self._z2 = 0.0
-
     def response(self, freq_hz, sample_hz):
         """Complex response at freq_hz (vectorized)."""
         z = np.exp(-2j * np.pi * np.asarray(freq_hz, dtype=float) / sample_hz)
         return (self.b0 + self.b1 * z + self.b2 * z * z) / (
             1.0 + self.a1 * z + self.a2 * z * z
         )
-
-    def poles(self):
-        return np.roots([1.0, self.a1, self.a2])
 
     def coefficients(self):
         return (self.b0, self.b1, self.b2, self.a1, self.a2)
@@ -62,7 +55,7 @@ class BiquadSection:
 class BiquadCascade:
     """Series of biquad sections plus an integer-sample input delay line.
 
-    Carries mutable filter state: single-owner use, clone for what-if runs.
+    Carries mutable filter state: single-owner use.
     """
 
     def __init__(self, sections, sample_rate_hz, delay_samples=0,
@@ -88,26 +81,6 @@ class BiquadCascade:
     def process_block(self, xs):
         return np.array([self.process(float(x)) for x in np.asarray(xs)])
 
-    def reset(self):
-        for s in self.sections:
-            s.reset()
-        self._delay_buf = [0.0] * self.delay_samples
-        self._delay_idx = 0
-
-    def clone(self):
-        """Deep copy including filter state, for what-if rollouts."""
-        c = BiquadCascade(
-            [BiquadSection(*s.coefficients()) for s in self.sections],
-            self.sample_rate_hz,
-            self.delay_samples,
-            self.delay_remainder_s,
-        )
-        for src, dst in zip(self.sections, c.sections):
-            dst._z1, dst._z2 = src._z1, src._z2
-        c._delay_buf = list(self._delay_buf)
-        c._delay_idx = self._delay_idx
-        return c
-
     def response(self, freq_hz):
         """Complex response at freq_hz including the integer-sample delay."""
         f = np.asarray(freq_hz, dtype=float)
@@ -118,9 +91,6 @@ class BiquadCascade:
         if np.ndim(freq_hz) == 0:
             return complex(h)
         return h
-
-    def is_stable(self):
-        return all(np.all(np.abs(s.poles()) < 1.0) for s in self.sections)
 
 
 def _conjugate_pair_groups(roots):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,6 +35,12 @@ from .sysid import SweepDivergence
 def _add_run_flags(p):
     p.add_argument("--out-dir", default="out", help="artifact directory")
     p.add_argument("--seed", type=int, default=None, help="override run seed")
+
+
+def _check_band(flag, f_lo, f_hi):
+    """A frequency band from the command line, as a config error if empty."""
+    if not 0.0 < f_lo < f_hi < math.inf:
+        raise ConfigError(f"{flag}: need 0 < F_LO < F_HI, got {f_lo:g} {f_hi:g}")
 
 
 def build_parser():
@@ -100,6 +107,7 @@ def main(argv=None) -> int:
             return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
         if args.command == "bode":
+            _check_band("--f-lo", args.f_lo, args.f_hi)
             tf = tf_from_config(load_json(args.tf_config))
             out = args.out or str(Path(args.out_dir) / "bode.csv")
             write_bode_csv(out, tf, args.f_lo, args.f_hi)
@@ -107,6 +115,8 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "margins":
+            if args.slope_band:
+                _check_band("--slope-band", *args.slope_band)
             tf = tf_from_config(load_json(args.tf_config))
             m = margins(tf)
             if not m.has_gain_crossover:

@@ -134,15 +134,6 @@ class RateController:
         self.integrator = np.zeros(3)
         self.saturated = np.zeros(3, dtype=bool)
 
-    def reset(self):
-        self.integrator[:] = 0.0
-        self.saturated[:] = False
-        for d in self._deriv:
-            d.reset()
-        for n in self._notch:
-            if n is not None:
-                n.reset()
-
     def set_notch_enabled(self, enabled: bool, axis: int = 1):
         """Toggle one axis notch mid-run (state resets on enable)."""
         cfg = self.cfg.notches[axis]
@@ -193,14 +184,19 @@ class AttitudeLoopConfig:
 
 
 class AttitudeController:
-    """Stateless attitude P-loop around the quaternion error."""
+    """Stateless attitude P-loop around the quaternion error.
+
+    The rate command (rad/s) is ``gains * xi`` elementwise, with xi the
+    half-angle error of ``quat.attitude_error``; the config's positive
+    gains turn the current attitude toward the desired one.
+    """
 
     def __init__(self, cfg: AttitudeLoopConfig):
         self.cfg = cfg
+        self.gains = np.asarray(cfg.gains, dtype=float)
 
     def step(self, q_meas: quat.Quaternion, q_cmd: quat.Quaternion):
-        xi = quat.attitude_error(q_meas, q_cmd)
-        return quat.rate_command(self.cfg.gains, xi)
+        return self.gains * quat.attitude_error(q_meas, q_cmd)
 
 
 @dataclass(frozen=True)
@@ -277,9 +273,6 @@ class AltitudeController:
         self.params = params
         self.table = table
         self.dt = 1.0 / CONTROL_RATE_HZ
-        self.integrator = 0.0
-
-    def reset(self):
         self.integrator = 0.0
 
     def step(self, alt_meas: float, alt_cmd: float, v_z_meas: float,

@@ -14,13 +14,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import types
 import typing
 from pathlib import Path
 
 import numpy as np
 
-from .lti import (ContinuousTF, PlantFitParams, fitted_plant, frequency_response,
+from .lti import (ContinuousTF, PlantFitParams, _log_grid, fitted_plant, tf_eval,
                   unwrapped_phase_deg)
 from .plant import AeroTable
 from .sim import Event
@@ -41,6 +42,9 @@ __all__ = [
     "plant_params_from_config",
     "plant_params_to_config",
 ]
+
+
+BODE_POINTS_PER_DECADE = 100
 
 
 class ConfigError(ValueError):
@@ -96,12 +100,14 @@ def read_csv(path):
     return header, np.array(data)
 
 
-def write_bode_csv(path, tf: ContinuousTF, f_lo=0.1, f_hi=100.0,
-                   points_per_decade=100):
-    """`freq_hz,mag_db,phase_deg` at >= 100 log-spaced points per decade."""
-    fr = frequency_response(tf, f_lo, f_hi, points_per_decade)
-    rows = np.column_stack([fr.freqs, fr.magnitude_db,
-                            unwrapped_phase_deg(tf, fr.freqs)])
+def write_bode_csv(path, tf: ContinuousTF, f_lo=0.1, f_hi=100.0):
+    """`freq_hz,mag_db,phase_deg` at ``BODE_POINTS_PER_DECADE`` log-spaced
+    points per decade over [f_lo, f_hi]."""
+    if not 0.0 < f_lo < f_hi:
+        raise ValueError("need 0 < f_lo < f_hi")
+    f = _log_grid(f_lo, f_hi, BODE_POINTS_PER_DECADE)
+    rows = np.column_stack([f, 20.0 * np.log10(np.abs(tf_eval(tf, f))),
+                            unwrapped_phase_deg(tf, f)])
     return write_csv(path, ["freq_hz", "mag_db", "phase_deg"], rows)
 
 
@@ -133,6 +139,8 @@ def load_aero_table(path) -> AeroTable:
     header, data = read_csv(path)
     if header != ["alpha_rad", "V_ms", "CL", "CD"]:
         raise ConfigError(f"{path}: expected header alpha_rad,V_ms,CL,CD")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"{path}: values must be finite")
     alphas = np.unique(data[:, 0])
     vs = np.unique(data[:, 1])
     if data.shape[0] != alphas.size * vs.size:
@@ -228,8 +236,12 @@ def _load(tp, value, path, default):
             arr = np.asarray(None)
         if arr.dtype.kind not in "iuf":
             raise ConfigError(f"{path}: expected a numeric array")
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"{path}: values must be finite")
         return arr.astype(float)
     if tp is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: must be finite, got {value}")
         return float(value)
     if type(value) is tp:
         return value
@@ -277,9 +289,13 @@ def tf_from_config(cfg) -> ContinuousTF:
     if "num" in cfg or "den" in cfg:
         _reject_unknown(cfg, ("num", "den", "delay"))
         try:
-            return ContinuousTF(cfg["num"], cfg["den"], float(cfg.get("delay", 0.0)))
-        except (KeyError, ValueError) as e:
+            tf = ContinuousTF(cfg["num"], cfg["den"], float(cfg.get("delay", 0.0)))
+        except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad transfer-function config: {e}")
+        for key, v in (("num", tf.num), ("den", tf.den), ("delay", tf.delay)):
+            if not np.all(np.isfinite(v)):
+                raise ConfigError(f"{key}: values must be finite")
+        return tf
     if cfg.get("plant") == "reference":
         _reject_unknown(cfg, ("plant",))
         return fitted_plant()

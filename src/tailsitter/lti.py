@@ -23,19 +23,15 @@ import numpy as np
 
 __all__ = [
     "ContinuousTF",
-    "FrequencyResponse",
     "StabilityMargins",
     "ResonanceParams",
     "PlantFitParams",
     "tf_eval",
     "tf_series",
-    "unity_tf",
-    "integrator_tf",
     "butterworth2",
     "notch",
     "pid_tf",
     "fitted_plant",
-    "frequency_response",
     "unwrapped_phase_deg",
     "margins",
     "magnitude_slope",
@@ -43,6 +39,11 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# log-spaced grid densities (points per decade) and the Nyquist band
+MARGINS_POINTS_PER_DECADE = 400
+NYQUIST_POINTS_PER_DECADE = 2000
+NYQUIST_BAND_HZ = (1e-4, 500.0)
+SLOPE_POINTS = 50  # over the whole slope band
 
 
 def _ascending(coeffs):
@@ -93,14 +94,6 @@ class ContinuousTF:
         return NotImplemented
 
     __rmul__ = __mul__
-
-
-def unity_tf() -> ContinuousTF:
-    return ContinuousTF([1.0], [1.0])
-
-
-def integrator_tf(gain=1.0) -> ContinuousTF:
-    return ContinuousTF([float(gain)], [0.0, 1.0])
 
 
 def _polyval_jw(coeffs, w):
@@ -273,36 +266,10 @@ def fitted_plant(params: PlantFitParams | None = None) -> ContinuousTF:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class FrequencyResponse:
-    """Sampled complex response on a strictly increasing frequency grid (Hz)."""
-
-    freqs: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.freqs, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
-        if f.ndim != 1 or f.shape != v.shape:
-            raise ValueError("freqs and values must be 1-D and the same length")
-        if np.any(np.diff(f) <= 0.0):
-            raise ValueError("freqs must be strictly increasing")
-        object.__setattr__(self, "freqs", f)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def magnitude_db(self):
-        return 20.0 * np.log10(np.abs(self.values))
-
-
-def frequency_response(tf: ContinuousTF, f_lo: float, f_hi: float,
-                       points_per_decade: int = 200) -> FrequencyResponse:
-    """Log-spaced response of a ContinuousTF over [f_lo, f_hi]."""
-    if not 0.0 < f_lo < f_hi:
-        raise ValueError("need 0 < f_lo < f_hi")
-    n = max(2, int(math.ceil(points_per_decade * math.log10(f_hi / f_lo))) + 1)
-    f = np.logspace(math.log10(f_lo), math.log10(f_hi), n)
-    return FrequencyResponse(f, tf_eval(tf, f))
+def _log_grid(f_lo, f_hi, points_per_decade, min_points=2):
+    """Log-spaced frequencies over [f_lo, f_hi] at the given density."""
+    n = int(math.ceil(points_per_decade * math.log10(f_hi / f_lo))) + 1
+    return np.logspace(math.log10(f_lo), math.log10(f_hi), max(min_points, n))
 
 
 def unwrapped_phase_deg(tf: ContinuousTF, f):
@@ -338,8 +305,8 @@ class StabilityMargins:
         return self.gain_crossover_hz is not None
 
 
-def margins(loop: ContinuousTF, f_lo: float = 0.05, f_hi: float = 100.0,
-            points_per_decade: int = 400) -> StabilityMargins:
+def margins(loop: ContinuousTF, f_lo: float = 0.05,
+            f_hi: float = 100.0) -> StabilityMargins:
     """Stability margins of an open loop over a search band.
 
     The gain crossover is the lowest frequency where |L| crosses 1 downward,
@@ -349,8 +316,7 @@ def margins(loop: ContinuousTF, f_lo: float = 0.05, f_hi: float = 100.0,
     """
     if not 0.0 < f_lo < f_hi:
         raise ValueError("need 0 < f_lo < f_hi")
-    n = max(16, int(math.ceil(points_per_decade * math.log10(f_hi / f_lo))) + 1)
-    f = np.logspace(math.log10(f_lo), math.log10(f_hi), n)
+    f = _log_grid(f_lo, f_hi, MARGINS_POINTS_PER_DECADE, 16)
     mag = np.abs(tf_eval(loop, f))
     rational = ContinuousTF(loop.num, loop.den, 0.0)
     ph_rational = unwrapped_phase_deg(rational, f)
@@ -397,20 +363,18 @@ def _bisect_log(pred, lo, hi):
     return math.sqrt(lo * hi)
 
 
-def magnitude_slope(loop: ContinuousTF, f_lo_hz: float, f_hi_hz: float,
-                    n_points: int = 50) -> float:
+def magnitude_slope(loop: ContinuousTF, f_lo_hz: float, f_hi_hz: float) -> float:
     """Least-squares slope of 20 log10|L| vs log10(f), in dB/decade."""
     if not 0.0 < f_lo_hz < f_hi_hz:
         raise ValueError("need 0 < f_lo < f_hi")
-    f = np.logspace(math.log10(f_lo_hz), math.log10(f_hi_hz), n_points)
+    f = np.logspace(math.log10(f_lo_hz), math.log10(f_hi_hz), SLOPE_POINTS)
     mag_db = 20.0 * np.log10(np.abs(tf_eval(loop, f)))
     a = np.vstack([np.log10(f), np.ones_like(f)]).T
     coef, *_ = np.linalg.lstsq(a, mag_db, rcond=None)
     return float(coef[0])
 
 
-def nyquist_stable(loop: ContinuousTF, f_lo: float = 1e-4, f_hi: float = 500.0,
-                   points_per_decade: int = 2000) -> bool:
+def nyquist_stable(loop: ContinuousTF) -> bool:
     """Closed-loop stability of unity feedback around an open loop.
 
     Counts encirclements of -1 by L(jw) (winding of 1 + L) on a dense log
@@ -420,8 +384,7 @@ def nyquist_stable(loop: ContinuousTF, f_lo: float = 1e-4, f_hi: float = 500.0,
     which holds for every loop built from the identified plant family.
     Zero net encirclement means the closed loop is stable.
     """
-    n = max(64, int(math.ceil(points_per_decade * math.log10(f_hi / f_lo))) + 1)
-    f = np.logspace(math.log10(f_lo), math.log10(f_hi), n)
+    f = _log_grid(*NYQUIST_BAND_HZ, NYQUIST_POINTS_PER_DECADE, 64)
     h = tf_eval(loop, f) + 1.0
     ang = np.unwrap(np.angle(h))
     delta = ang[-1] - ang[0]

@@ -15,26 +15,33 @@ __all__ = [
     "rise_time",
 ]
 
+ENVELOPE_BIN_S = 0.25  # amplitude-envelope bin width
+GROWTH_WINDOW_S = 2.0  # sliding window of the growth-rate fit
+GROWTH_FLOOR = 1e-9  # envelope bins below this are noise floor, not signal
+DOMINANT_BAND_HZ = (5.0, 40.0)  # searched for the dominant oscillation
+FIT_WINDOW_S = 4.0  # response window of the first-order fit
 
-def amplitude_envelope(t, x, bin_s=0.25):
-    """Coarse amplitude envelope: peak |x| per time bin."""
+
+def amplitude_envelope(t, x):
+    """Coarse amplitude envelope: peak |x| per ``ENVELOPE_BIN_S`` bin."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    n_bins = max(1, int(math.floor((t[-1] - t[0]) / bin_s)))
-    edges = t[0] + bin_s * np.arange(n_bins + 1)
+    n_bins = max(1, int(math.floor((t[-1] - t[0]) / ENVELOPE_BIN_S)))
+    edges = t[0] + ENVELOPE_BIN_S * np.arange(n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     env = np.zeros(n_bins)
-    idx = np.clip(((t - t[0]) / bin_s).astype(int), 0, n_bins - 1)
+    idx = np.clip(((t - t[0]) / ENVELOPE_BIN_S).astype(int), 0, n_bins - 1)
     np.maximum.at(env, idx, np.abs(x))
     return centers, env
 
 
-def max_growth_rate(t, x, window_s=2.0, t_lo=None, t_hi=None, floor=1e-9):
+def max_growth_rate(t, x, t_lo=None, t_hi=None):
     """Largest exponential growth rate (1/s) of the |x| envelope.
 
-    Fits ln(envelope) against time over sliding windows of ``window_s``
-    restricted to [t_lo, t_hi]; bins below ``floor`` are excluded so the
-    noise floor cannot masquerade as decay or growth.
+    Fits ln(envelope) against time over sliding windows of
+    ``GROWTH_WINDOW_S`` restricted to [t_lo, t_hi]; bins below
+    ``GROWTH_FLOOR`` are excluded so the noise floor cannot masquerade as
+    decay or growth.
     """
     tc, env = amplitude_envelope(t, x)
     if t_lo is not None or t_hi is not None:
@@ -44,11 +51,11 @@ def max_growth_rate(t, x, window_s=2.0, t_lo=None, t_hi=None, floor=1e-9):
         if t_hi is not None:
             m &= tc <= t_hi
         tc, env = tc[m], env[m]
-    good = env > floor
+    good = env > GROWTH_FLOOR
     tc, env = tc[good], env[good]
     if tc.size < 3:
         return float("nan")
-    per_window = max(3, int(round(window_s / (tc[1] - tc[0]))))
+    per_window = max(3, int(round(GROWTH_WINDOW_S / (tc[1] - tc[0]))))
     best = -np.inf
     for s in range(0, tc.size - per_window + 1):
         tt = tc[s : s + per_window]
@@ -60,13 +67,14 @@ def max_growth_rate(t, x, window_s=2.0, t_lo=None, t_hi=None, floor=1e-9):
     return float(best)
 
 
-def dominant_frequency(x, sample_hz, f_lo=5.0, f_hi=40.0):
-    """Peak of the Hann-windowed periodogram restricted to [f_lo, f_hi]."""
+def dominant_frequency(x, sample_hz):
+    """Peak of the Hann-windowed periodogram within ``DOMINANT_BAND_HZ``."""
     x = np.asarray(x, dtype=float)
     x = x - np.mean(x)
     w = np.hanning(x.size)
     spec = np.abs(np.fft.rfft(x * w)) ** 2
     freqs = np.fft.rfftfreq(x.size, 1.0 / sample_hz)
+    f_lo, f_hi = DOMINANT_BAND_HZ
     band = (freqs >= f_lo) & (freqs <= f_hi)
     if not np.any(band):
         return float("nan")
@@ -97,8 +105,8 @@ def rise_time(t, y, t_step, y_initial, y_final):
     return float(t90 - t10)
 
 
-def first_order_fit(t, y, t_step, fit_window_s=4.0):
-    """Fit y = y0 + dy (1 - exp(-(t - t_step)/tau)) over the response window.
+def first_order_fit(t, y, t_step):
+    """Fit y = y0 + dy (1 - exp(-(t - t_step)/tau)) over ``FIT_WINDOW_S``.
 
     Returns (tau, r_squared).  tau is scanned over a log grid with the
     amplitude pair solved linearly at each candidate, which is robust for
@@ -106,7 +114,7 @@ def first_order_fit(t, y, t_step, fit_window_s=4.0):
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    m = (t >= t_step) & (t <= t_step + fit_window_s)
+    m = (t >= t_step) & (t <= t_step + FIT_WINDOW_S)
     tt = t[m] - t_step
     yy = y[m]
     ss_tot = float(np.sum((yy - np.mean(yy)) ** 2))

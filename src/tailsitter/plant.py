@@ -35,7 +35,7 @@ import numpy as np
 
 from . import quat
 from .biquad import discretize_tustin
-from .lti import ContinuousTF, ResonanceParams, tf_series
+from .lti import ContinuousTF, ResonanceParams, butterworth2, tf_series
 
 __all__ = [
     "AircraftParams",
@@ -60,6 +60,13 @@ __all__ = [
 
 PLANT_RATE_HZ = 1000.0
 CONTROL_RATE_HZ = 250.0
+# Shape of the analytic aero table: finite-wing lift slope (1/rad), stall
+# angle and blend width (rad), zero-lift drag and induced-drag factor.
+LIFT_SLOPE = 4.73
+ALPHA_STALL = 0.2618
+BLEND_WIDTH = 0.0873
+CD0 = 0.03
+INDUCED_FACTOR = 0.0654
 
 
 class SimNumericsError(RuntimeError):
@@ -106,6 +113,8 @@ class AircraftParams:
     def __post_init__(self):
         if self.mass <= 0.0 or self.wing_area <= 0.0:
             raise ValueError("mass and wing area must be positive")
+        if self.motor_tau_s <= 0.0:
+            raise ValueError("motor_tau_s must be positive")
         inertia = np.asarray(self.inertia, dtype=float)
         if inertia.shape == (3,):
             inertia = np.diag(inertia)
@@ -136,10 +145,6 @@ class AircraftParams:
                            tuple(map(tuple, np.linalg.inv(inertia).tolist())))
         object.__setattr__(self, "_rotor_yz", (tuple(pos[:, 1].tolist()),
                                                tuple(pos[:, 2].tolist())))
-
-    @property
-    def inertia_matrix(self):
-        return self.inertia
 
     @property
     def motor_thrust_coeff(self):
@@ -238,8 +243,7 @@ class AeroTable:
                 clamped)
 
 
-def default_aero_table(lift_slope=4.73, alpha_stall=0.2618, blend_width=0.0873,
-                       cd0=0.03, induced_factor=0.0654):
+def default_aero_table():
     """Full-envelope table: thin-airfoil pre-stall blended into flat plate.
 
     Pre-stall lift is linear (finite-wing slope), post-stall follows the
@@ -251,11 +255,11 @@ def default_aero_table(lift_slope=4.73, alpha_stall=0.2618, blend_width=0.0873,
     """
     alpha = np.radians(np.arange(-180.0, 180.1, 2.5))
     v = np.array([0.0, 4.0, 8.0, 12.0, 16.0, 20.0])
-    w = 1.0 / (1.0 + np.exp(-(np.abs(alpha) - alpha_stall) / (blend_width / 4.0)))
-    cl_lin = lift_slope * alpha
+    w = 1.0 / (1.0 + np.exp(-(np.abs(alpha) - ALPHA_STALL) / (BLEND_WIDTH / 4.0)))
+    cl_lin = LIFT_SLOPE * alpha
     cl_fp = 2.0 * np.sin(alpha) * np.cos(alpha)
     cl = (1.0 - w) * cl_lin + w * cl_fp
-    cd = cd0 + (1.0 - w) * induced_factor * cl_lin**2 + w * 2.0 * np.sin(alpha) ** 2
+    cd = CD0 + (1.0 - w) * INDUCED_FACTOR * cl_lin**2 + w * 2.0 * np.sin(alpha) ** 2
     return AeroTable(alpha, v, np.tile(cl[:, None], (1, v.size)),
                      np.tile(cd[:, None], (1, v.size)))
 
@@ -518,23 +522,20 @@ class LinearAxisPlant:
     """Stateful single-axis plant realized from an identified TF.
 
     Maps a normalized torque command to the measured rate, including the
-    transport delay as an integer-sample line.  Runs at ``sample_hz``
-    (normally the 1 kHz plant rate); prewarping defaults to the resonance
-    so the structural peak lands exactly on its continuous frequency.
+    transport delay as an integer-sample line.  Runs at the fixed 1 kHz
+    ``PLANT_RATE_HZ``; ``prewarp_hz``, when given (normally the resonance),
+    makes the response exact there, so the structural peak lands on its
+    continuous frequency.
     """
 
-    def __init__(self, tf: ContinuousTF, sample_hz=PLANT_RATE_HZ, prewarp_hz=None):
+    def __init__(self, tf: ContinuousTF, prewarp_hz=None):
         if tf.num_degree > tf.den_degree:
             raise ValueError("improper transfer function is not realizable")
         self.tf = tf
-        self.sample_hz = float(sample_hz)
-        self.cascade = discretize_tustin(tf, self.sample_hz, prewarp_hz)
+        self.cascade = discretize_tustin(tf, PLANT_RATE_HZ, prewarp_hz)
 
     def step(self, u: float) -> float:
         return self.cascade.process(float(u))
-
-    def reset(self):
-        self.cascade.reset()
 
 
 @dataclass(frozen=True)
@@ -568,25 +569,23 @@ class SensorConfig:
 class RateSensor:
     """1 kHz true rates -> 250 Hz measured rates, deterministic under seed.
 
-    Gyro noise is drawn ``NOISE_BLOCK`` samples at a time; the generator
-    hands out the same normal stream whether it is asked for 3 values per
-    sample or 3 * NOISE_BLOCK at once, so the measurements do not depend on
-    the block size.
+    The chain runs at the fixed ``PLANT_RATE_HZ`` and decimates to
+    ``CONTROL_RATE_HZ``.  Gyro noise is drawn ``NOISE_BLOCK`` samples at a
+    time; the generator hands out the same normal stream whether it is
+    asked for 3 values per sample or 3 * NOISE_BLOCK at once, so the
+    measurements do not depend on the block size.
     """
 
     NOISE_BLOCK = 1000
 
-    def __init__(self, cfg: SensorConfig, sample_hz=PLANT_RATE_HZ, seed=0):
-        from .lti import butterworth2
-
+    def __init__(self, cfg: SensorConfig, seed=0):
         self.cfg = cfg
-        self.sample_hz = float(sample_hz)
         self._filters = [
-            discretize_tustin(butterworth2(cfg.corner_hz), self.sample_hz)
+            discretize_tustin(butterworth2(cfg.corner_hz), PLANT_RATE_HZ)
             for _ in range(3)
         ]
         self._rng = np.random.default_rng(seed)
-        self._decimation = int(round(self.sample_hz / CONTROL_RATE_HZ))
+        self._decimation = int(round(PLANT_RATE_HZ / CONTROL_RATE_HZ))
         self._count = 0
         self._noise = []
         self._noise_at = 0
@@ -696,7 +695,7 @@ class TailsitterSim:
         self.state = state if state is not None else hover_state(params)
         self.t = 0.0
         self.dt = 1.0 / PLANT_RATE_HZ
-        self.sensor = RateSensor(sensor_cfg, PLANT_RATE_HZ, seed)
+        self.sensor = RateSensor(sensor_cfg, seed)
         self.vibration_cfg = vibration_cfg
         self._cmd = (0.0, 0.0, 0.0, float(params.hover_command))
         n_delay = int(round(delay_s * PLANT_RATE_HZ))

@@ -30,9 +30,6 @@ __all__ = [
     "euler_zxy_to_quat",
     "quat_to_euler_zxy",
     "attitude_error",
-    "rate_command",
-    "quat_derivative",
-    "integrate_rates",
 ]
 
 # Below this half-angle the exact (theta/2)/sin(theta/2) factor is replaced
@@ -128,17 +125,8 @@ class Quaternion:
         q = self._q
         return Quaternion(-q[0], -q[1], -q[2], -q[3], normalize=False)
 
-    def rotation_angle(self):
-        """Total rotation angle in [0, pi]."""
-        return 2.0 * math.acos(min(1.0, abs(self.eta)))
-
     def to_rotmat(self):
         return quat_to_rotmat(self)
-
-    def same_rotation(self, other, tol=1e-9):
-        """True if self and other encode the same rotation (sign-agnostic)."""
-        d = min(np.linalg.norm(self._q - other._q), np.linalg.norm(self._q + other._q))
-        return d < tol
 
     def __repr__(self):
         e = self._q
@@ -242,33 +230,3 @@ def attitude_error(q_current: Quaternion, q_desired: Quaternion) -> np.ndarray:
         scale = half / math.sin(half)
     sgn = -1.0 if eta < 0.0 else 1.0
     return sgn * scale * eps
-
-
-def rate_command(gains, xi_e) -> np.ndarray:
-    """Angular-rate command ``K o xi_e`` (elementwise), rad/s.
-
-    Positive output rotates the current attitude toward the desired one for
-    the error convention of attitude_error, so gains must be positive.
-    """
-    gains = np.asarray(gains, dtype=float)
-    if np.any(gains <= 0.0):
-        raise ValueError("rate-command gains must be componentwise positive")
-    return gains * np.asarray(xi_e, dtype=float)
-
-
-def quat_derivative(q, omega_body) -> np.ndarray:
-    """Kinematics ``q_dot = 0.5 q (x) (0, omega)`` on raw 4-arrays."""
-    w = np.asarray(omega_body, dtype=float)
-    return 0.5 * _hamilton(q, np.array([0.0, w[0], w[1], w[2]]))
-
-
-def integrate_rates(q: Quaternion, omega_body, dt: float) -> Quaternion:
-    """Advance attitude by body rates over dt (RK4 on the kinematics)."""
-    a = q.as_array()
-
-    k1 = quat_derivative(a, omega_body)
-    k2 = quat_derivative(a + 0.5 * dt * k1, omega_body)
-    k3 = quat_derivative(a + 0.5 * dt * k2, omega_body)
-    k4 = quat_derivative(a + dt * k3, omega_body)
-    out = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return Quaternion(out[0], out[1], out[2], out[3])

@@ -62,6 +62,7 @@ __all__ = [
 
 CONTROL_DT = 1.0 / CONTROL_RATE_HZ
 SUBSTEPS = int(round(PLANT_RATE_HZ / CONTROL_RATE_HZ))
+ABORT_LIMIT = 1e6  # rad/s: a linear-axis run stops past this pitch rate
 
 FLAG_RATE_SAT = 1
 FLAG_THRUST_SAT = 2
@@ -87,7 +88,7 @@ TELEMETRY_HEADER = [
 
 
 # event kind -> (modes it is valid in, args it accepts, args it requires);
-# "enabled" is true/false, every other arg a number
+# "enabled" is true/false, every other arg a finite number
 EVENT_KINDS = {
     "attitude": (("nonlinear",), ("roll", "pitch", "yaw"), ()),
     "pitch_ramp": (("nonlinear",), ("pitch_to", "duration"), ("pitch_to", "duration")),
@@ -131,12 +132,14 @@ class Event:
             if k not in accepted:
                 raise ValueError(f"{self.kind} event has unknown arg {k!r}")
             if (isinstance(v, bool) != (k == "enabled")
-                    or not isinstance(v, (int, float))):
-                want = "true or false" if k == "enabled" else "a number"
+                    or not isinstance(v, (int, float)) or not math.isfinite(v)):
+                want = "true or false" if k == "enabled" else "a finite number"
                 raise ValueError(f"{self.kind} event arg {k!r} must be {want}")
         for k in required:
             if k not in self.args:
                 raise ValueError(f"{self.kind} event needs arg {k!r}")
+        if self.kind == "pitch_ramp" and not self.args["duration"] > 0.0:
+            raise ValueError("pitch_ramp event arg 'duration' must be > 0")
         if self.kind == "inject_chirp":  # a sweep the control loop can play
             ChirpConfig(self.args["f0"], self.args["f1"], self.args["duration"],
                         self.args["amplitude"], CONTROL_RATE_HZ)
@@ -233,17 +236,15 @@ def _flags_bits(rate_sat, thrust_flags, motor_sat, aero_clamped):
     return bits
 
 
-def run_linear_axis(sc: Scenario, abort_limit: float = 1e6) -> SimLog:
+def run_linear_axis(sc: Scenario) -> SimLog:
     """Pitch-rate loop around the identified single-axis plant.
 
     The plant integrates at 1 kHz; the controller ticks at 250 Hz on the
-    decimated measurement.  Divergence beyond ``abort_limit`` rad/s stops
+    decimated measurement.  Divergence beyond ``ABORT_LIMIT`` rad/s stops
     the run and records the departure time instead of raising.
     """
-    plant = LinearAxisPlant(
-        fitted_plant(sc.plant_params), PLANT_RATE_HZ,
-        prewarp_hz=sc.plant_params.peak.freq_hz,
-    )
+    plant = LinearAxisPlant(fitted_plant(sc.plant_params),
+                            prewarp_hz=sc.plant_params.peak.freq_hz)
     ctrl = RateController(sc.rate_cfg)
     rng = np.random.default_rng(sc.seed)
     n = int(round(sc.duration_s / CONTROL_DT))
@@ -281,7 +282,7 @@ def run_linear_axis(sc: Scenario, abort_limit: float = 1e6) -> SimLog:
             y = plant.step(torque[1])
         bits = _flags_bits(ctrl.saturated, (), False, False)
         rows.append((t, *qid, *qid, *w_cmd, *w_meas, *torque, 0.0, bits))
-        if abs(y) > abort_limit:
+        if abs(y) > ABORT_LIMIT:
             diverged_at = t
             break
     return SimLog(np.array(rows), None, diverged_at)

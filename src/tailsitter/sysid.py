@@ -24,13 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .lti import (
-    ContinuousTF,
-    PlantFitParams,
-    ResonanceParams,
-    butterworth2,
-    tf_eval,
-)
+from .lti import PlantFitParams, ResonanceParams, butterworth2, tf_eval
+from .plant import PLANT_RATE_HZ
 
 WINDOW_OVERLAP = 0.5  # of consecutive FRF windows
 MIN_WINDOW_SAMPLES = 16  # shortest FRF window, and so the shortest series
@@ -42,6 +37,11 @@ FIT_RESTARTS = 5
 FIT_MAX_ITERATIONS = 4000
 CONVERGENCE_COST_PER_BIN = 3.0
 KNOWN_LF_CORNER_HZ = 69.0
+# Closed-loop sweep: the proportional rate loop that holds the vehicle, the
+# settling time before the chirp starts, and the response that aborts it.
+STABILIZING_GAIN = 0.05
+SETTLE_S = 2.0
+DIVERGENCE_LIMIT = 50.0  # rad/s
 
 __all__ = [
     "ChirpConfig",
@@ -53,7 +53,6 @@ __all__ = [
     "chirp",
     "averaged_bin_share",
     "estimate_frf",
-    "frf_of_tf",
     "fit_plant_model",
     "sweep_experiment",
 ]
@@ -116,15 +115,6 @@ def chirp(cfg: ChirpConfig) -> TimeSeries:
         k = (cfg.f1 / cfg.f0) ** (1.0 / cfg.duration_s)
         phi = 2.0 * math.pi * cfg.f0 * (np.power(k, t) - 1.0) / math.log(k)
     return TimeSeries(cfg.sample_hz, cfg.amplitude * np.sin(phi))
-
-
-def chirp_instantaneous_freq(cfg: ChirpConfig, t):
-    """Instantaneous frequency f0 * k**t of the sweep, Hz."""
-    t = np.asarray(t, dtype=float)
-    if cfg.f1 == cfg.f0:
-        return np.full_like(t, cfg.f0)
-    k = (cfg.f1 / cfg.f0) ** (1.0 / cfg.duration_s)
-    return cfg.f0 * np.power(k, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,12 +268,6 @@ def _hold_response(freqs, hold_rate_hz, plant_rate_hz):
             * np.sin(0.5 * s * theta) / (s * np.sin(0.5 * theta)))
 
 
-def frf_of_tf(tf: ContinuousTF, freqs, coherence=1.0) -> FRFEstimate:
-    """Synthesize an exact FRF from a transfer function (testing/fit seeds)."""
-    freqs = np.asarray(freqs, dtype=float)
-    return FRFEstimate(freqs, tf_eval(tf, freqs), np.full(freqs.shape, coherence))
-
-
 @dataclass(frozen=True)
 class FitResult:
     params: PlantFitParams
@@ -300,10 +284,16 @@ def _stage1_initial(frf: FRFEstimate) -> PlantFitParams:
 
     Resonances come from coherence-weighted extrema of the detrended
     magnitude, the delay from the high-frequency phase slope, and the
-    low-frequency gain from the |H * jw| plateau.
+    low-frequency gain from the |H * jw| plateau.  A bin whose magnitude
+    has no finite log (a zero response) is filled by interpolation over the
+    finite bins, so it cannot sink the smoothed baseline.
     """
     f = frf.freqs
-    mag_db = frf.magnitude_db
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mag_db = frf.magnitude_db
+    bad = ~np.isfinite(mag_db)
+    if np.any(bad):
+        mag_db[bad] = np.interp(f[bad], f[~bad], mag_db[~bad])
     trusted = frf.trusted
 
     # low-frequency gain: integrator-compensated plateau
@@ -394,7 +384,10 @@ class _FitObjective:
     def __init__(self, frf: FRFEstimate):
         f = frf.freqs
         self.weight = np.where(frf.trusted, frf.coherence, 0.0)
-        self.log_mag = np.log10(np.abs(frf.response))
+        # log10 of the weighted bins only (0 elsewhere): a zero-weight bin
+        # may hold a zero response, whose log would turn 0 x inf into NaN
+        self.log_mag = np.log10(np.where(self.weight > 0.0,
+                                         np.abs(frf.response), 1.0))
         self.phase_deg = frf.unwrapped_phase_deg()
         w = 2.0 * np.pi * f
         self.s = 1j * w
@@ -438,6 +431,11 @@ def fit_plant_model(frf: FRFEstimate, seed: int = 0) -> FitResult:
     """
     if np.mean(frf.trusted) < 0.5:
         raise ValueError("fewer than half the FRF bins are coherence-trusted")
+    zero = np.flatnonzero(frf.trusted & ~(np.abs(frf.response) > 0.0))
+    if zero.size:
+        i = int(zero[0])
+        raise ValueError(f"FRF bin {i} ({frf.freqs[i]:.4g} Hz) is trusted but "
+                         "its response is zero")
     stage1 = _stage1_initial(frf)
     x0 = _params_to_vector(stage1)
     rng = np.random.default_rng(seed)
@@ -496,28 +494,25 @@ class SweepData:
     measured: TimeSeries
 
 
-def sweep_experiment(plant, cfg: ChirpConfig, closed_loop: bool = True,
-                     stabilizing_gain: float = 0.05,
-                     noise_std: float = 0.0, seed: int = 0,
-                     settle_s: float = 2.0,
-                     divergence_limit: float = 50.0) -> SweepData:
+def sweep_experiment(plant, cfg: ChirpConfig, noise_std: float = 0.0,
+                     seed: int = 0) -> SweepData:
     """Inject a chirp at the rate-controller output and record the response.
 
-    ``plant`` is a LinearAxisPlant-like object (``step(u) -> rate`` at its
-    own internal rate, normally 1 kHz).  In closed-loop mode a plain
-    proportional rate controller (gain ``stabilizing_gain``, no notch)
-    holds the loop around zero command while the sweep runs, as on the real
-    vehicle; open-loop mode feeds the chirp directly.  The recorded total
-    input is controller output plus injection; the output is the measured
-    rate decimated to the chirp rate.  A response beyond
-    ``divergence_limit`` rad/s aborts with the divergence time.
+    ``plant`` is a LinearAxisPlant-like object (``step(u) -> rate`` at the
+    1 kHz plant rate).  A plain proportional rate controller (gain
+    ``STABILIZING_GAIN``, no notch) holds the loop around zero command
+    while the sweep runs, as on the real vehicle; the chirp starts after
+    ``SETTLE_S`` seconds.  The recorded total input is controller output
+    plus injection; the output is the measured rate decimated to the chirp
+    rate.  A response beyond ``DIVERGENCE_LIMIT`` rad/s aborts with the
+    divergence time.
     """
-    sub = int(round(plant.sample_hz / cfg.sample_hz))
-    if sub < 1 or abs(plant.sample_hz - sub * cfg.sample_hz) > 1e-9:
+    sub = int(round(PLANT_RATE_HZ / cfg.sample_hz))
+    if sub < 1 or abs(PLANT_RATE_HZ - sub * cfg.sample_hz) > 1e-9:
         raise ValueError("plant rate must be an integer multiple of chirp rate")
     rng = np.random.default_rng(seed)
     u_inj = chirp(cfg).values
-    n_settle = int(round(settle_s * cfg.sample_hz))
+    n_settle = int(round(SETTLE_S * cfg.sample_hz))
     n = u_inj.size + n_settle
 
     u_total = np.zeros(n)
@@ -527,14 +522,14 @@ def sweep_experiment(plant, cfg: ChirpConfig, closed_loop: bool = True,
         # the measurement the controller (and the log) sees is sampled at
         # the tick start, before this tick's input acts
         meas = y + (rng.normal(0.0, noise_std) if noise_std > 0.0 else 0.0)
-        tau = -stabilizing_gain * meas if closed_loop else 0.0
+        tau = -STABILIZING_GAIN * meas
         inj = u_inj[i - n_settle] if i >= n_settle else 0.0
         u = tau + inj
         u_total[i] = u
         y_meas[i] = meas
         for _ in range(sub):
             y = plant.step(u)
-        if abs(y) > divergence_limit:
+        if abs(y) > DIVERGENCE_LIMIT:
             raise SweepDivergence(i / cfg.sample_hz)
 
     sl = slice(n_settle, n)

@@ -174,11 +174,10 @@ class TestSysidRoundTrip:
     def test_identification_recovers_plant(self):
         t0 = time.time()
         ref = PlantFitParams.reference()
-        plant = LinearAxisPlant(fitted_plant(), 1000.0,
-                                prewarp_hz=ref.peak.freq_hz)
+        plant = LinearAxisPlant(fitted_plant(), prewarp_hz=ref.peak.freq_hz)
         cfg = ChirpConfig(f0=1.0, f1=60.0, duration_s=60.0, amplitude=0.1,
                           sample_hz=250.0)
-        sweep = sweep_experiment(plant, cfg, closed_loop=True, seed=1)
+        sweep = sweep_experiment(plant, cfg, seed=1)
         frf = estimate_frf(sweep.total_input, sweep.measured, 64, 1.0, 60.0,
                            cycles_per_window=60.0, hold_rate_hz=250.0,
                            plant_rate_hz=1000.0)
@@ -293,7 +292,7 @@ class TestPropertySuite:
     def test_torque_free_conservation(self):
         params = AircraftParams(rate_damping=(0.0, 0.0, 0.0))
         table = default_aero_table()
-        inertia = params.inertia_matrix
+        inertia = params.inertia
         st = RigidBodyState(np.zeros(3), np.zeros(3),
                             np.array([1.0, 0.0, 0.0, 0.0]),
                             np.array([0.3, 1.0, 0.2]))

@@ -36,7 +36,8 @@ from tailsitter.harness import (
     scenario_to_config,
 )
 from tailsitter.lti import PlantFitParams, ResonanceParams
-from tailsitter.plant import AircraftParams, SensorConfig, VibrationConfig
+from tailsitter.plant import (AircraftParams, SensorConfig, VibrationConfig,
+                             default_aero_table)
 from tailsitter.sim import Event, Scenario, run_linear_axis
 from tailsitter.sysid import ChirpConfig
 
@@ -74,7 +75,7 @@ class TestRunScenario:
         t = data[:, 0]
         w = data[:, header.index("w_meas_y")]
         seg = (t >= 4.0) & (t < 10.0)
-        f = metrics.dominant_frequency(w[seg], 1.0 / (t[1] - t[0]), 5.0, 40.0)
+        f = metrics.dominant_frequency(w[seg], 1.0 / (t[1] - t[0]))
         assert f == report.metrics["divergence_dominant_hz"]
 
     def test_unknown_source_is_config_error(self, tmp_path):
@@ -275,6 +276,21 @@ BAD_SCENARIOS = [
     ({"name": "x", "mode": "linear-axis",
       "events": [{"t": 1.0, "kind": "inject_chirp", "f0": 1.0, "f1": 200.0,
                   "duration": 1.0, "amplitude": 0.1}]}, "events[0]"),
+    # values that used to load and then crash or mislead mid-run
+    ({"name": "r0", "duration_s": 6, "events": [
+        {"t": 1, "kind": "pitch_ramp", "pitch_to": 1.4, "duration": 0}]},
+     "events[0]"),
+    ({"name": "nt", "aircraft": {"motor_tau_s": 0}}, "aircraft"),
+    ({"name": "x", "duration_s": float("nan")}, "duration_s"),
+    ({"name": "x", "mode": "linear-axis",
+      "events": [{"t": 1.0, "kind": "rate_cmd", "y": float("inf")}]}, "events[0]"),
+    ({"name": "x", "events": [{"t": 1.0, "kind": "altitude", "alt": float("nan")}]},
+     "events[0]"),
+    ({"name": "x", "events": [{"t": float("nan"), "kind": "altitude", "alt": 50.0}]},
+     "events[0].t"),
+    ({"name": "x", "rate_loop": {"kp": [0.1, float("inf"), 0.1]}}, "rate_loop.kp[1]"),
+    ({"name": "x", "aircraft": {"inertia": [0.03, float("nan"), 0.036]}},
+     "aircraft.inertia"),
 ]
 
 
@@ -539,6 +555,11 @@ class TestCli:
         ragged.write_text("t,a\n0.0,1.0\n0.1\n")
         narrow = tmp_path / "narrow.csv"
         narrow.write_text("t,a,b\n0.0,1.0\n0.1,2.0\n")
+        inf_table = tmp_path / "inf_table.csv"
+        save_aero_table(inf_table, default_aero_table())
+        rows = inf_table.read_text().splitlines()
+        rows[1] = ",".join(rows[1].split(",")[:2] + ["inf", "0.0"])
+        inf_table.write_text("\n".join(rows) + "\n")
         cases = [(["run"], cfg, path) for cfg, path in BAD_SCENARIOS]
         cases += [
             (["pipeline"], {"chirp": {"f0": -1.0}}, "chirp"),
@@ -550,13 +571,24 @@ class TestCli:
             (["pipeline"], {"chirp": {"f0": 5.0, "f1": 5.0}}, "chirp"),
             (["pipeline"], {"notch_k1": 0.01}, "notch_k1"),
             (["pipeline"], {"chirp": {"duration_s": 10.0}}, "chirp"),
+            (["pipeline"], {"noise_std": float("nan")}, "noise_std"),
             (["bode"], {"num": [1.0], "den": [1.0, 0.1], "dealy": 0.02}, "dealy"),
+            (["bode"], {"num": [float("nan")], "den": [1.0, 0.1]}, "num"),
+            (["bode"], {"num": [1.0], "den": [1.0, 0.1], "delay": [0.02]},
+             "bad transfer-function config"),
+            (["bode", "--f-lo", "10", "--f-hi", "1"], {"plant": "reference"},
+             "--f-lo"),
+            (["bode", "--f-lo", "0"], {"plant": "reference"}, "--f-lo"),
+            (["margins", "--slope-band", "14", "0.6"], {"plant": "reference"},
+             "--slope-band"),
             (["margins"], {"plant_params": {"delay": 0.02}}, "plant_params.delay"),
             (["compare", str(empty), str(empty)], None, str(empty)),
             (["compare", str(header_only), str(header_only)], None,
              str(header_only)),
             (["compare", str(ok), str(ragged)], None, str(ragged)),
             (["compare", str(ok), str(narrow)], None, str(narrow)),
+            (["run"], {"name": "x", "aero_table_path": str(inf_table)},
+             str(inf_table)),
         ]
         for i, (argv, cfg, path) in enumerate(cases):
             out = tmp_path / f"out{i}"

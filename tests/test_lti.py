@@ -4,15 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import integrator_tf
+from tailsitter.dataio import read_csv, write_bode_csv
 from tailsitter.lti import (
     ContinuousTF,
-    FrequencyResponse,
     PlantFitParams,
     StabilityMargins,
     butterworth2,
     fitted_plant,
-    frequency_response,
-    integrator_tf,
     magnitude_slope,
     margins,
     notch,
@@ -20,10 +19,10 @@ from tailsitter.lti import (
     pid_tf,
     tf_eval,
     tf_series,
-    unity_tf,
 )
 
 TWO_PI = 2.0 * math.pi
+UNITY = ContinuousTF([1.0], [1.0])
 
 
 def eval_oracle(num, den, delay, f):
@@ -60,13 +59,13 @@ class TestEval:
 
     def test_requires_positive_freq(self):
         with pytest.raises(ValueError):
-            tf_eval(unity_tf(), 0.0)
+            tf_eval(UNITY, 0.0)
 
 
 class TestSeries:
     def test_unity_neutral(self):
         a = butterworth2(12.0)
-        b = tf_series(a, unity_tf())
+        b = tf_series(a, UNITY)
         np.testing.assert_allclose(a.num, b.num)
         np.testing.assert_allclose(a.den, b.den)
 
@@ -313,10 +312,13 @@ class TestNyquist:
 
 
 class TestFrequencyResponse:
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            FrequencyResponse(np.array([1.0, 1.0]), np.array([1 + 0j, 1 + 0j]))
+    """The log grid of the Bode export."""
 
-    def test_density(self):
-        fr = frequency_response(unity_tf(), 1.0, 100.0, points_per_decade=100)
-        assert fr.freqs.size >= 200
+    def test_grid_validation(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_bode_csv(tmp_path / "bode.csv", UNITY, 1.0, 1.0)
+
+    def test_density(self, tmp_path):
+        _, rows = read_csv(write_bode_csv(tmp_path / "bode.csv", UNITY, 1.0, 100.0))
+        assert rows.shape[0] >= 200
+        assert np.all(np.diff(rows[:, 0]) > 0.0)

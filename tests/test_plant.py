@@ -156,7 +156,7 @@ class TestDynamics:
 
     def test_torque_free_conservation(self, table):
         p = AircraftParams(rate_damping=(0.0, 0.0, 0.0))
-        inertia = p.inertia_matrix
+        inertia = p.inertia
         st = RigidBodyState(np.zeros(3), np.zeros(3),
                             np.array([1.0, 0.0, 0.0, 0.0]),
                             np.array([0.3, 1.0, 0.2]))
@@ -213,7 +213,7 @@ class TestDynamics:
 
 class TestLinearAxisPlant:
     def test_step_input_reaches_constant_ramp(self):
-        plant = LinearAxisPlant(fitted_plant(), 1000.0)
+        plant = LinearAxisPlant(fitted_plant())
         u = 0.01
         y = [plant.step(u) for _ in range(3000)]
         # integrator: late-time slope equals u * dc-gain of the non-integrating part
@@ -222,7 +222,7 @@ class TestLinearAxisPlant:
 
     def test_sinusoid_gain_at_resonance(self):
         ref = PlantFitParams.reference()
-        plant = LinearAxisPlant(fitted_plant(), 1000.0, prewarp_hz=ref.peak.freq_hz)
+        plant = LinearAxisPlant(fitted_plant(), prewarp_hz=ref.peak.freq_hz)
         f = ref.peak.freq_hz
         t = np.arange(0, 10.0, 1e-3)
         u = 0.001 * np.sin(2 * np.pi * f * t)
@@ -234,11 +234,11 @@ class TestLinearAxisPlant:
     def test_improper_rejected(self):
         from tailsitter.lti import ContinuousTF
         with pytest.raises(ValueError):
-            LinearAxisPlant(ContinuousTF([0, 0, 1.0], [1.0, 1.0]), 1000.0)
+            LinearAxisPlant(ContinuousTF([0, 0, 1.0], [1.0, 1.0]))
 
     def test_discrete_realization_tracks_continuous_response(self):
         ref = PlantFitParams.reference()
-        plant = LinearAxisPlant(fitted_plant(), 1000.0,
+        plant = LinearAxisPlant(fitted_plant(),
                                 prewarp_hz=ref.peak.freq_hz)
         f = np.linspace(0.5, 25.0, 80)
         ratio = plant.cascade.response(f) / tf_eval(fitted_plant(), f)
@@ -279,13 +279,13 @@ class TestNonlinearMatchesIdentifiedLowFrequency:
 
 class TestSensor:
     def test_constant_rate_passthrough(self):
-        s = RateSensor(SensorConfig(gyro_noise_std=0.0), 1000.0, seed=0)
+        s = RateSensor(SensorConfig(gyro_noise_std=0.0), seed=0)
         out = s.process_block(np.tile([0.3, -0.2, 0.1], (2000, 1)))
         np.testing.assert_allclose(out[-1], [0.3, -0.2, 0.1], atol=1e-6)
         assert out.shape[0] == 500
 
     def test_14hz_tone_attenuation_below_0p3db(self):
-        s = RateSensor(SensorConfig(gyro_noise_std=0.0), 1000.0, seed=0)
+        s = RateSensor(SensorConfig(gyro_noise_std=0.0), seed=0)
         t = np.arange(0, 4.0, 1e-3)
         tone = np.sin(2 * np.pi * 14.0 * t)
         rates = np.column_stack([tone, tone, tone])
@@ -295,7 +295,7 @@ class TestSensor:
 
     def test_noise_variance_reduction_matches_filter_power(self):
         cfg = SensorConfig(gyro_noise_std=0.02, corner_hz=100.0)
-        s = RateSensor(cfg, 1000.0, seed=7)
+        s = RateSensor(cfg, seed=7)
         out = s.process_block(np.zeros((200_000, 3)))
         measured_ratio = np.var(out[:, 0]) / cfg.gyro_noise_std**2
         # oracle: quadrature of the digital filter's squared magnitude
@@ -307,8 +307,8 @@ class TestSensor:
 
     def test_deterministic_under_seed(self):
         rates = np.tile([0.1, 0.0, -0.1], (1000, 1))
-        a = RateSensor(SensorConfig(), 1000.0, seed=5).process_block(rates)
-        b = RateSensor(SensorConfig(), 1000.0, seed=5).process_block(rates)
+        a = RateSensor(SensorConfig(), seed=5).process_block(rates)
+        b = RateSensor(SensorConfig(), seed=5).process_block(rates)
         np.testing.assert_array_equal(a, b)
 
 
@@ -356,7 +356,7 @@ class TestVibration:
         att_db = 10.0 * math.log10(np.var(sig[2000:]) / np.var(out[2000:]))
         freqs = np.linspace(cfg.f_lo, cfg.f_hi, cfg.n_tones)
         expected = -10.0 * math.log10(
-            np.mean(np.abs(filt.clone().response(freqs)) ** 2))
+            np.mean(np.abs(filt.response(freqs)) ** 2))
         assert att_db == pytest.approx(expected, abs=0.5)
         assert att_db > 3.5
 
@@ -410,7 +410,7 @@ class TestKernel:
         cfg = SensorConfig(gyro_noise_std=0.02)
         n = 2 * RateSensor.NOISE_BLOCK + 7  # crosses two block refills
         rates = np.random.default_rng(1).normal(0.0, 0.1, (n, 3))
-        out = RateSensor(cfg, 1000.0, seed=9).process_block(rates)
+        out = RateSensor(cfg, seed=9).process_block(rates)
         rng = np.random.default_rng(9)
         filters = [discretize_tustin(butterworth2(cfg.corner_hz), 1000.0)
                    for _ in range(3)]

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import chirp_instantaneous_freq, frf_of_tf, integrator_tf
 from tailsitter import sysid
 from tailsitter.harness import PipelineConfig
-from tailsitter.lti import PlantFitParams, fitted_plant, integrator_tf, tf_eval
+from tailsitter.lti import PlantFitParams, fitted_plant, tf_eval
 from tailsitter.plant import LinearAxisPlant
 from tailsitter.sysid import (
     ChirpConfig,
@@ -15,10 +16,8 @@ from tailsitter.sysid import (
     _FitObjective,
     _vector_to_params,
     chirp,
-    chirp_instantaneous_freq,
     estimate_frf,
     fit_plant_model,
-    frf_of_tf,
     sweep_experiment,
 )
 
@@ -27,16 +26,16 @@ from tailsitter.sysid import (
 def reference_sweep():
     """One noiseless closed-loop sweep against the reference plant, shared."""
     ref = PlantFitParams.reference()
-    plant = LinearAxisPlant(fitted_plant(), 1000.0, prewarp_hz=ref.peak.freq_hz)
+    plant = LinearAxisPlant(fitted_plant(), prewarp_hz=ref.peak.freq_hz)
     cfg = ChirpConfig(1.0, 60.0, 60.0, 0.1, 250.0)
-    return sweep_experiment(plant, cfg, closed_loop=True, seed=1)
+    return sweep_experiment(plant, cfg, seed=1)
 
 
 def _pipeline_frf(cfg: PipelineConfig):
     """The sweep and hold-corrected FRF that design_pipeline fits."""
-    plant = LinearAxisPlant(fitted_plant(cfg.true_params), 1000.0,
+    plant = LinearAxisPlant(fitted_plant(cfg.true_params),
                             prewarp_hz=cfg.true_params.peak.freq_hz)
-    sw = sweep_experiment(plant, cfg.chirp, closed_loop=True,
+    sw = sweep_experiment(plant, cfg.chirp,
                           noise_std=cfg.noise_std, seed=cfg.seed)
     return estimate_frf(sw.total_input, sw.measured, cfg.n_freqs,
                         cfg.chirp.f0, cfg.chirp.f1,
@@ -127,9 +126,9 @@ class TestEstimateFRF:
 
         smooth = PlantFitParams(peak=ResonanceParams(14.0128, 0.2, 0.2),
                                 anti=ResonanceParams(26.979, 0.2, 0.2))
-        plant = LinearAxisPlant(fitted_plant(smooth), 1000.0)
+        plant = LinearAxisPlant(fitted_plant(smooth))
         sw = sweep_experiment(plant, ChirpConfig(1.0, 60.0, 60.0, 0.1, 250.0),
-                              closed_loop=True, seed=1)
+                              seed=1)
         frf = estimate_frf(sw.total_input, sw.measured, n_freqs=64,
                            f_lo=1.0, f_hi=60.0, hold_rate_hz=250.0,
                            plant_rate_hz=1000.0)
@@ -156,9 +155,9 @@ class TestEstimateFRF:
         cfg2 = ChirpConfig(1.0, 60.0, 30.0, 0.10, 250.0)
         out = []
         for cfg in (cfg1, cfg2):
-            plant = LinearAxisPlant(fitted_plant(), 1000.0,
+            plant = LinearAxisPlant(fitted_plant(),
                                     prewarp_hz=ref.peak.freq_hz)
-            sw = sweep_experiment(plant, cfg, closed_loop=True, seed=2)
+            sw = sweep_experiment(plant, cfg, seed=2)
             u = sw.total_input.values
             spec = np.abs(np.fft.rfft(u * np.hanning(u.size))) ** 2
             freqs = np.fft.rfftfreq(u.size, 1.0 / 250.0)
@@ -182,10 +181,10 @@ class TestEstimateFRF:
         for noise in (0.0, 0.01, 0.05, 0.2):
             vals = []
             for seed in range(10):
-                plant = LinearAxisPlant(fitted_plant(), 1000.0,
+                plant = LinearAxisPlant(fitted_plant(),
                                         prewarp_hz=ref.peak.freq_hz)
-                sw = sweep_experiment(plant, cfg, closed_loop=True,
-                                      noise_std=noise, seed=seed)
+                sw = sweep_experiment(plant, cfg, noise_std=noise,
+                                      seed=seed)
                 frf = estimate_frf(sw.total_input, sw.measured, n_freqs=24,
                                    f_lo=1.5, f_hi=50.0)
                 vals.append(np.mean(frf.coherence))
@@ -218,9 +217,9 @@ class TestFit:
 
     def test_noisy_roundtrip_relaxed_tolerances(self):
         ref = PlantFitParams.reference()
-        plant = LinearAxisPlant(fitted_plant(), 1000.0, prewarp_hz=ref.peak.freq_hz)
+        plant = LinearAxisPlant(fitted_plant(), prewarp_hz=ref.peak.freq_hz)
         sw = sweep_experiment(plant, ChirpConfig(1.0, 60.0, 60.0, 0.1, 250.0),
-                              closed_loop=True, noise_std=0.005, seed=9)
+                              noise_std=0.005, seed=9)
         frf = estimate_frf(sw.total_input, sw.measured, 64, 1.0, 60.0,
                            cycles_per_window=60.0, hold_rate_hz=250.0,
                            plant_rate_hz=1000.0)
@@ -244,6 +243,25 @@ class TestFit:
                           np.full(32, 0.1))
         with pytest.raises(ValueError):
             fit_plant_model(frf)
+
+    def test_zero_response_bin(self):
+        # one bin with no response and no coherence, as estimate_frf emits
+        # when a bin's windows carry no energy: the fit must not see log(0)
+        ref = PlantFitParams.reference()
+        freqs = np.logspace(0.0, math.log10(60.0), 64)
+        exact = frf_of_tf(fitted_plant(ref), freqs)
+        h = exact.response.copy()
+        h[40] = 0.0
+        coherence = exact.coherence.copy()
+        coherence[40] = 0.0
+        frf = FRFEstimate(freqs, h, coherence)
+        assert np.isfinite(_FitObjective(frf)(np.zeros(11)))
+        fit = fit_plant_model(frf)
+        assert fit.converged
+        assert abs(fit.params.peak.freq_hz / ref.peak.freq_hz - 1.0) < 0.02
+        # the same zero marked trusted is an error naming the bin
+        with pytest.raises(ValueError, match="bin 40 "):
+            fit_plant_model(FRFEstimate(freqs, h, exact.coherence))
 
 
 class TestFitObjective:
@@ -354,13 +372,13 @@ class TestSweepExperiment:
 
     def test_divergence_reported_with_time(self):
         ref = PlantFitParams.reference()
-        plant = LinearAxisPlant(fitted_plant(), 1000.0,
+        # a sign-flipped plant turns the stabilizing loop into positive
+        # feedback, which diverges
+        plant = LinearAxisPlant(-1.0 * fitted_plant(),
                                 prewarp_hz=ref.peak.freq_hz)
         cfg = ChirpConfig(1.0, 60.0, 30.0, 0.1, 250.0)
         with pytest.raises(SweepDivergence) as exc:
-            # positive feedback destabilizes the stabilizing loop
-            sweep_experiment(plant, cfg, closed_loop=True,
-                             stabilizing_gain=-0.5, divergence_limit=5.0)
+            sweep_experiment(plant, cfg)
         assert exc.value.time_s >= 0.0
 
     def test_prediction_consistency_across_gain_grid(self, reference_sweep):
