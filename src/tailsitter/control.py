@@ -18,7 +18,7 @@ import numpy as np
 from . import quat
 from .biquad import discretize_tustin
 from .lti import ContinuousTF, butterworth2, notch, pid_tf, tf_series
-from .plant import CONTROL_RATE_HZ, AeroTable, AircraftParams, aero_forces
+from .plant import CONTROL_RATE_HZ, AeroTable, AircraftParams, aero_force_ned
 
 __all__ = [
     "NotchConfig",
@@ -42,7 +42,7 @@ class NotchConfig:
     k2: float
 
     def __post_init__(self):
-        if self.center_hz <= 0.0 or not self.k1 > self.k2 > 0.0:
+        if not (self.center_hz > 0.0 and self.k1 > self.k2 > 0.0):
             raise ValueError("need center_hz > 0 and k1 > k2 > 0")
 
     def tf(self) -> ContinuousTF:
@@ -85,9 +85,9 @@ class RateLoopConfig:
             g = np.asarray(getattr(self, name), dtype=float)
             if g.shape != (3,) or np.any(g < 0.0):
                 raise ValueError(f"{name} must be three nonnegative gains")
-        if self.deriv_corner_hz <= 0.0:
+        if not self.deriv_corner_hz > 0.0:
             raise ValueError("deriv_corner_hz must be > 0")
-        if self.integrator_limit <= 0.0 or self.output_limit <= 0.0:
+        if not (self.integrator_limit > 0.0 and self.output_limit > 0.0):
             raise ValueError("limits must be > 0")
         if len(self.notches) != 3:
             raise ValueError("need one notch slot per axis")
@@ -218,7 +218,7 @@ class AltitudeLoopConfig:
     def __post_init__(self):
         if min(self.alt_gain, self.ff_gain, self.kp_vz, self.ki_vz) < 0.0:
             raise ValueError("gains must be >= 0")
-        if self.v_z_limit <= 0.0:
+        if not self.v_z_limit > 0.0:
             raise ValueError("v_z_limit must be > 0")
 
 
@@ -229,27 +229,23 @@ def altitude_ff_thrust(v_zd: float, q: quat.Quaternion, speed: float, alpha: flo
 
     Solves  m a_zd = m g + e3.f_aero + r31 T  for the thrust T, where
     a_zd = ff_gain * v_zd and r31 is the vertical component of the body
-    thrust axis (negative when thrust points up).  Returns (u_ff, flag)
-    with u_ff = thrust_ratio * T clamped to [0, 1]; near-level attitude
-    (|r31| below the authority floor) returns the hover command and flags
-    it so the feedback path knows the model is silent.
+    thrust axis (negative when thrust points up).  e3.f_aero comes from the
+    plant's own velocity-frame model (``plant.aero_force_ned``), fed the
+    coordinated-flight airflow direction R (cos alpha, 0, sin alpha).
+    Returns (u_ff, flag) with u_ff = thrust_ratio * T clamped to [0, 1];
+    near-level attitude (|r31| below the authority floor) returns the hover
+    command and flags it so the feedback path knows the model is silent.
     """
-    rot = q.to_rotmat()
-    r31 = float(rot[2, 0])
+    rot = quat.rotation_rows(*q.as_array().tolist())
+    (r11, _, r13), (r21, _, r23), (r31, _, r33) = rot
     if abs(r31) < cfg.min_vertical_authority:
         return params.hover_command, "no_vertical_authority"
     a_zd = cfg.ff_gain * v_zd
     f_az = 0.0
     if speed > 1e-9:
-        forces = aero_forces(alpha, speed, table, params)
-        # velocity direction in body axes from alpha (coordinated flight)
-        v_dir_i = rot @ np.array([math.cos(alpha), 0.0, math.sin(alpha)])
-        y_b = rot[:, 1]
-        y_v = y_b - (y_b @ v_dir_i) * v_dir_i
-        n = np.linalg.norm(y_v)
-        if n > 1e-9:
-            z_v = np.cross(v_dir_i, y_v / n)
-            f_az = float(-forces.drag_n * v_dir_i[2] - forces.lift_n * z_v[2])
+        ca, sa = math.cos(alpha), math.sin(alpha)
+        _, _, f_az, _ = aero_force_ned(rot, r11 * ca + r13 * sa, r21 * ca + r23 * sa,
+                                       r31 * ca + r33 * sa, alpha, speed, table, params)
     t_n = (params.mass * a_zd - params.mass * params.gravity - f_az) / r31
     u = params.thrust_ratio * t_n
     flag = ""

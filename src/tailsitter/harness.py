@@ -38,7 +38,7 @@ from .lti import (
     tf_eval,
     tf_series,
 )
-from .plant import CONTROL_RATE_HZ, PLANT_RATE_HZ, LinearAxisPlant
+from .plant import CONTROL_RATE_HZ, LinearAxisPlant
 from .sim import (
     SIMLOG_HEADER,
     TELEMETRY_HEADER,
@@ -364,7 +364,7 @@ class PipelineConfig:
             raise ValueError("chirp: the FRF band needs f0 < f1")
         if self.n_freqs < 2:
             raise ValueError("n_freqs: need at least 2 frequencies to span the band")
-        if self.cycles_per_window <= 0.0:
+        if not self.cycles_per_window > 0.0:
             raise ValueError("cycles_per_window: must be > 0")
         # the fit needs half the bins trusted, and a bin needs two windows
         share = averaged_bin_share(len(chirp(self.chirp)), self.chirp.sample_hz,
@@ -434,7 +434,6 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
         cfg.chirp.f0, cfg.chirp.f1,
         cycles_per_window=cfg.cycles_per_window,
         hold_rate_hz=cfg.chirp.sample_hz if cfg.correct_hold else None,
-        plant_rate_hz=PLANT_RATE_HZ if cfg.correct_hold else None,
     )
     report.artifacts.append(str(write_frf_csv(out_dir / "frf.csv", frf)))
     report.metrics["frf_trusted_fraction"] = float(np.mean(frf.trusted))

@@ -138,7 +138,7 @@ def tf_series(a: ContinuousTF, b: ContinuousTF) -> ContinuousTF:
 
 def butterworth2(corner_hz: float) -> ContinuousTF:
     """Unity-DC second-order Butterworth low-pass, -3.01 dB at the corner."""
-    if corner_hz <= 0.0:
+    if not corner_hz > 0.0:
         raise ValueError("corner_hz must be > 0")
     wn = TWO_PI * corner_hz
     return ContinuousTF([1.0], [1.0, math.sqrt(2.0) / wn, 1.0 / wn**2])
@@ -151,7 +151,7 @@ def notch(center_hz: float, k1: float, k2: float) -> ContinuousTF:
     width and k2/k1 the center-depth magnitude; unity gain at DC and at
     infinity.  Requires k1 > k2 > 0 so the filter attenuates.
     """
-    if center_hz <= 0.0:
+    if not center_hz > 0.0:
         raise ValueError("center_hz must be > 0")
     if not (k1 > k2 > 0.0):
         raise ValueError("need k1 > k2 > 0 for an attenuating notch")
@@ -169,7 +169,7 @@ def pid_tf(kp: float, ki: float, kd: float, deriv_corner_hz: float) -> Continuou
         raise ValueError("gains must be >= 0")
     if kp == ki == kd == 0.0:
         raise ValueError("at least one gain must be nonzero")
-    if deriv_corner_hz <= 0.0:
+    if not deriv_corner_hz > 0.0:
         raise ValueError("deriv_corner_hz must be > 0")
     b = butterworth2(deriv_corner_hz)
     s_bd = np.convolve([0.0, 1.0], b.den)  # s * Bden
@@ -197,7 +197,7 @@ class ResonanceParams:
     den_damp: float
 
     def __post_init__(self):
-        if self.freq_hz <= 0.0 or self.num_damp <= 0.0 or self.den_damp <= 0.0:
+        if not (self.freq_hz > 0.0 and self.num_damp > 0.0 and self.den_damp > 0.0):
             raise ValueError("resonance parameters must be positive")
 
     def tf(self) -> ContinuousTF:
@@ -242,7 +242,7 @@ class PlantFitParams:
     delay_s: float = 0.021
 
     def __post_init__(self):
-        if self.lf_corner_hz <= 0.0 or self.main_pole_tc <= 0.0:
+        if not (self.lf_corner_hz > 0.0 and self.main_pole_tc > 0.0):
             raise ValueError("corner frequency and pole time constant must be > 0")
         if not 0.0 <= self.delay_s <= 0.1:
             raise ValueError("delay_s must lie in [0, 0.1] s")

@@ -18,10 +18,11 @@ is one flat list of 13 floats (NED position and velocity, the attitude
 quaternion, body rates) and every stage of the substep (delay line, flex
 biquad, torque scaling, mixer headroom scaling, motor lag, the rigid-body
 derivatives, the RK4 combine and renormalization, and the gyro chain) runs
-on plain floats, with no array or state object built per substep.  The
-public ``mixer``, ``step_dynamics`` and ``aero_forces`` are thin wrappers
-over the same scalar code (``_mix``, ``_rk4``, ``_lift_drag``), so the
-property tests exercise the kernel the simulator runs.
+on plain floats, with no array or state object built per substep.  It shares
+its body-frame math with ``angle_of_attack`` and the altitude feedforward:
+``quat.rotation_rows``, ``air_data`` and ``aero_force_ned``.  The public
+``mixer``, ``step_dynamics`` and ``aero_forces`` wrap ``_mix``, ``_rk4`` and
+``_lift_drag``, so the property tests exercise the code the simulator runs.
 """
 
 from __future__ import annotations
@@ -111,9 +112,9 @@ class AircraftParams:
     rate_damping: tuple[float, float, float] = (0.02, 0.02, 0.03)
 
     def __post_init__(self):
-        if self.mass <= 0.0 or self.wing_area <= 0.0:
+        if not (self.mass > 0.0 and self.wing_area > 0.0):
             raise ValueError("mass and wing area must be positive")
-        if self.motor_tau_s <= 0.0:
+        if not self.motor_tau_s > 0.0:
             raise ValueError("motor_tau_s must be positive")
         inertia = np.asarray(self.inertia, dtype=float)
         if inertia.shape == (3,):
@@ -281,6 +282,44 @@ def aero_forces(alpha, v, table: AeroTable, params: AircraftParams) -> AeroForce
     return AeroForces(*_lift_drag(alpha, v, table, params))
 
 
+def air_data(rot, vx, vy, vz):
+    """(alpha rad, speed m/s) of the NED velocity, both zero below 1e-9 m/s.
+
+    alpha is atan2 of the body z and x components of R^T v; ``rot`` holds
+    the rows of R, as ``quat.rotation_rows`` returns them.
+    """
+    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if speed < 1e-9:
+        return 0.0, 0.0
+    (r00, _, r02), (r10, _, r12), (r20, _, r22) = rot
+    return (math.atan2(r02 * vx + r12 * vy + r22 * vz, r00 * vx + r10 * vy + r20 * vz),
+            speed)
+
+
+def aero_force_ned(rot, ax, ay, az, alpha, speed, table: AeroTable,
+                   params: AircraftParams):
+    """(fx, fy, fz N in NED, clamped) of the table lift and drag at (alpha, speed).
+
+    The force is (-D, 0, -L) in the velocity frame: x_v = (ax, ay, az) is the
+    unit airflow direction in NED, and z_v lies in the aircraft symmetry plane
+    of ``rot`` (coordinated flight keeps body y perpendicular to the airstream).
+    """
+    lift, drag, clamped = _lift_drag(alpha, speed, table, params)
+    (_, r01, r02), (_, r11, r12), (_, r21, r22) = rot
+    d = r01 * ax + r11 * ay + r21 * az
+    bx, by, bz = r01 - d * ax, r11 - d * ay, r21 - d * az
+    nb = math.sqrt(bx * bx + by * by + bz * bz)
+    if nb < 1e-9:
+        # velocity along body y (pure side-slip); the symmetry plane is
+        # undefined, so body z x x_v (of unit length here) stands in for it
+        bx, by, bz = r12 * az - r22 * ay, r22 * ax - r02 * az, r02 * ay - r12 * ax
+        nb = math.sqrt(bx * bx + by * by + bz * bz)
+    bx, by, bz = bx / nb, by / nb, bz / nb
+    return (-drag * ax - lift * (ay * bz - az * by),
+            -drag * ay - lift * (az * bx - ax * bz),
+            -drag * az - lift * (ax * by - ay * bx), clamped)
+
+
 @dataclass(frozen=True, eq=False)
 class MotorCommand:
     """Normalized per-motor commands in [0, 1]; clipping is never silent."""
@@ -388,13 +427,8 @@ def hover_state(params: AircraftParams, altitude_m=50.0) -> RigidBodyState:
 
 
 def angle_of_attack(state: RigidBodyState):
-    """(alpha rad, speed m/s) from the inertial velocity and attitude."""
-    r = quat.rotmat_from_array(state.q)
-    vb = r.T @ state.v
-    speed = float(np.linalg.norm(state.v))
-    if speed < 1e-9:
-        return 0.0, 0.0
-    return float(math.atan2(vb[2], vb[0])), speed
+    """(alpha rad, speed m/s) of a RigidBodyState: the kernel's ``air_data``."""
+    return air_data(quat.rotation_rows(*state.q.tolist()), *state.v.tolist())
 
 
 def _propeller_wrench(u, params: AircraftParams):
@@ -422,40 +456,17 @@ def _derivatives(x, wrench, params: AircraftParams, table: AeroTable):
     _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = x
     n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
     qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
-    # body-to-inertial rotation matrix, as quat.rotmat_from_array
-    xx, yy, zz = qx * qx, qy * qy, qz * qz
-    xy, xz, yz = qx * qy, qx * qz, qy * qz
-    wxq, wyq, wzq = qw * qx, qw * qy, qw * qz
-    r00, r01, r02 = 1.0 - 2.0 * (yy + zz), 2.0 * (xy - wzq), 2.0 * (xz + wyq)
-    r10, r11, r12 = 2.0 * (xy + wzq), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wxq)
-    r20, r21, r22 = 2.0 * (xz - wyq), 2.0 * (yz + wxq), 1.0 - 2.0 * (xx + yy)
-
+    rot = quat.rotation_rows(qw, qx, qy, qz)
     thrust, tau_x, tau_y, tau_z = wrench
+    (r00, _, _), (r10, _, _), (r20, _, _) = rot
     fx, fy, fz = r00 * thrust, r10 * thrust, r20 * thrust
 
-    # aero force in the velocity frame, (-D, 0, -L): x_v along the velocity,
-    # z_v in the aircraft symmetry plane (coordinated flight keeps body y
-    # perpendicular to the airstream)
     clamped = False
-    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if speed >= 1e-9:
-        alpha = math.atan2(r02 * vx + r12 * vy + r22 * vz,
-                           r00 * vx + r10 * vy + r20 * vz)
-        lift, drag, clamped = _lift_drag(alpha, speed, table, params)
-        ax, ay, az = vx / speed, vy / speed, vz / speed
-        d = r01 * ax + r11 * ay + r21 * az
-        bx, by, bz = r01 - d * ax, r11 - d * ay, r21 - d * az
-        nb = math.sqrt(bx * bx + by * by + bz * bz)
-        if nb < 1e-9:
-            # velocity along body y (pure side-slip); the symmetry plane is
-            # undefined, so body z x x_v stands in for a continuous-ish frame
-            bx, by, bz = r12 * az - r22 * ay, r22 * ax - r02 * az, r02 * ay - r12 * ax
-            nb = math.sqrt(bx * bx + by * by + bz * bz)
-        if nb >= 1e-9:
-            bx, by, bz = bx / nb, by / nb, bz / nb
-            fx = -drag * ax - lift * (ay * bz - az * by) + fx
-            fy = -drag * ay - lift * (az * bx - ax * bz) + fy
-            fz = -drag * az - lift * (ax * by - ay * bx) + fz
+    alpha, speed = air_data(rot, vx, vy, vz)
+    if speed > 0.0:
+        fax, fay, faz, clamped = aero_force_ned(rot, vx / speed, vy / speed,
+                                                vz / speed, alpha, speed, table, params)
+        fx, fy, fz = fx + fax, fy + fay, fz + faz
 
     (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = params._inertia_rows
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = params._inertia_inv_rows

@@ -159,22 +159,17 @@ def _hamilton(p, q):
 
 def quat_to_rotmat(q: Quaternion) -> np.ndarray:
     """Body-to-inertial rotation matrix.  Identical for q and -q."""
-    return rotmat_from_array(q.as_array())
+    return np.array(rotation_rows(*q._q.tolist()))
 
 
-def rotmat_from_array(q) -> np.ndarray:
-    """Rotation matrix from a raw (eta, ex, ey, ez) array, assumed unit."""
-    w, x, y, z = q
+def rotation_rows(w, x, y, z):
+    """Rows of the body-to-inertial matrix of a unit (eta, ex, ey, ez), as floats."""
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     wx, wy, wz = w * x, w * y, w * z
-    return np.array(
-        [
-            [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
-            [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
-            [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
-        ]
-    )
+    return ((1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)),
+            (2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)),
+            (2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)))
 
 
 def _axis_quat(half, axis_index):
@@ -199,15 +194,14 @@ def quat_to_euler_zxy(q: Quaternion) -> EulerZXY:
     Raises GimbalProximityError within 1e-6 rad of |roll| = pi/2, where
     pitch and yaw become coupled.
     """
-    r = quat_to_rotmat(q)
-    s_roll = min(1.0, max(-1.0, r[2, 1]))
-    roll = math.asin(s_roll)
+    (_, r01, _), (_, r11, _), (r20, r21, r22) = rotation_rows(*q._q.tolist())
+    roll = math.asin(min(1.0, max(-1.0, r21)))
     if abs(abs(roll) - 0.5 * math.pi) < 1e-6:
         raise GimbalProximityError(
             f"roll = {roll:.9f} rad is within 1e-6 of the Z-X-Y singular axis"
         )
-    pitch = math.atan2(-r[2, 0], r[2, 2])
-    yaw = math.atan2(-r[0, 1], r[1, 1])
+    pitch = math.atan2(-r20, r22)
+    yaw = math.atan2(-r01, r11)
     return EulerZXY(roll, pitch, yaw)
 
 

@@ -183,7 +183,7 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in ("nonlinear", "linear-axis"):
             raise ValueError("mode: must be nonlinear or linear-axis")
-        if self.duration_s <= 0.0:
+        if not self.duration_s > 0.0:
             raise ValueError("duration_s: must be positive")
         ts = [e.t for e in self.events]
         if ts != sorted(ts):

@@ -76,7 +76,7 @@ class ChirpConfig:
     def __post_init__(self):
         if not 0.0 < self.f0 <= self.f1 < 0.5 * self.sample_hz:
             raise ValueError("need 0 < f0 <= f1 < sample_hz/2")
-        if self.duration_s <= 0.0 or self.amplitude <= 0.0:
+        if not (self.duration_s > 0.0 and self.amplitude > 0.0):
             raise ValueError("duration and amplitude must be positive")
 
 
@@ -211,8 +211,7 @@ def _single_bin_spectra(u, y, f, sample_hz, cycles_per_window):
 def estimate_frf(u: TimeSeries, y: TimeSeries, n_freqs: int = 64,
                  f_lo: float = 1.0, f_hi: float = 60.0,
                  cycles_per_window: float = 20.0,
-                 hold_rate_hz: float | None = None,
-                 plant_rate_hz: float | None = None) -> FRFEstimate:
+                 hold_rate_hz: float | None = None) -> FRFEstimate:
     """H(f) = S_uy/S_uu with frequency-dependent window lengths.
 
     The output grid is log-spaced over [f_lo, f_hi]; the window at each
@@ -220,9 +219,9 @@ def estimate_frf(u: TimeSeries, y: TimeSeries, n_freqs: int = 64,
     resolution uniformly across the band.  Coherence is
     |S_uy|^2 / (S_uu S_yy) over the averaged segments.
 
-    ``hold_rate_hz`` and ``plant_rate_hz``, given together, deconvolve the
-    exact discrete staircase of the command hold so the estimate refers to
-    the plant alone: each command latched at t_k drives the plant substeps
+    ``hold_rate_hz``, when given, deconvolves the exact discrete staircase
+    of the command hold at the 1 kHz ``PLANT_RATE_HZ`` so the estimate refers
+    to the plant alone: each command latched at t_k drives the plant substeps
     over (t_k, t_k + 1/hold_rate], whose centroid sits half a plant sample
     later than a continuous zero-order hold.  Resolving a resonance whose
     relative width is 2*zeta requires roughly ``cycles_per_window > 2/zeta``; the default favors variance.
@@ -234,8 +233,6 @@ def estimate_frf(u: TimeSeries, y: TimeSeries, n_freqs: int = 64,
                          f"{MIN_WINDOW_SAMPLES}-sample FRF window")
     if not 0.0 < f_lo < f_hi < 0.5 * u.sample_hz:
         raise ValueError("need 0 < f_lo < f_hi < Nyquist")
-    if (hold_rate_hz is None) != (plant_rate_hz is None):
-        raise ValueError("hold_rate_hz and plant_rate_hz go together")
     freqs = _frf_freqs(f_lo, f_hi, n_freqs)
     h = np.empty(n_freqs, dtype=complex)
     coh = np.empty(n_freqs)
@@ -255,15 +252,15 @@ def estimate_frf(u: TimeSeries, y: TimeSeries, n_freqs: int = 64,
         else:
             coh[i] = min(1.0, (abs(suy) ** 2) / (suu * syy))
     if hold_rate_hz is not None:
-        h = h / _hold_response(freqs, hold_rate_hz, plant_rate_hz)
+        h = h / _hold_response(freqs, hold_rate_hz)
     return FRFEstimate(freqs, h, coh)
 
 
-def _hold_response(freqs, hold_rate_hz, plant_rate_hz):
+def _hold_response(freqs, hold_rate_hz):
     """Frequency response of the command hold's staircase at the plant rate."""
     f = np.asarray(freqs, dtype=float)
-    s = int(round(plant_rate_hz / hold_rate_hz))
-    theta = 2.0 * np.pi * f / plant_rate_hz
+    s = int(round(PLANT_RATE_HZ / hold_rate_hz))
+    theta = 2.0 * np.pi * f / PLANT_RATE_HZ
     return (np.exp(-0.5j * theta * (s + 1))
             * np.sin(0.5 * s * theta) / (s * np.sin(0.5 * theta)))
 

@@ -1,8 +1,8 @@
 """Independent reference computations the tests check the package against.
 
 None of these is used by the package itself: they are the kinematics, the
-chirp frequency law, an exact FRF and small helpers stated directly from
-their definitions.
+rotation matrix and velocity-frame aero force, the chirp frequency law, an
+exact FRF and small helpers stated directly from their definitions.
 """
 
 import math
@@ -45,6 +45,35 @@ def integrate_rates(q: Quaternion, omega_body, dt: float) -> Quaternion:
     k4 = quat_derivative(a + dt * k3, omega_body)
     out = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return Quaternion(out[0], out[1], out[2], out[3])
+
+
+def rotation_matrix(q) -> np.ndarray:
+    """Body-to-inertial matrix whose column j is q (x) (0, e_j) (x) q*."""
+    q = np.asarray(q, dtype=float)
+    qc = q * np.array([1.0, -1.0, -1.0, -1.0])
+    return np.column_stack([_hamilton(_hamilton(q, np.r_[0.0, e]), qc)[1:]
+                            for e in np.eye(3)])
+
+
+def velocity_frame_force(q, v, table, params) -> np.ndarray:
+    """NED lift and drag of the velocity-frame model, on numpy vectors.
+
+    x_v = v/|v|; y_v is body y less its x_v part, or body z x x_v when the
+    velocity lies along body y (pure side-slip); the force is
+    -D x_v - L (x_v x y_v) with alpha = atan2 of the body z and x velocity.
+    """
+    r = rotation_matrix(q)
+    v = np.asarray(v, dtype=float)
+    speed = np.linalg.norm(v)
+    vb = r.T @ v
+    cl, cd, _ = table.interpolate(math.atan2(vb[2], vb[0]), speed)
+    qbar = 0.5 * params.air_density * speed**2 * params.wing_area
+    x_v = v / speed
+    y_v = r[:, 1] - (r[:, 1] @ x_v) * x_v
+    if np.linalg.norm(y_v) < 1e-9:
+        y_v = np.cross(r[:, 2], x_v)
+    y_v = y_v / np.linalg.norm(y_v)
+    return -qbar * cd * x_v - qbar * cl * np.cross(x_v, y_v)
 
 
 def chirp_instantaneous_freq(cfg, t):

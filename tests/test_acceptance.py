@@ -179,8 +179,7 @@ class TestSysidRoundTrip:
                           sample_hz=250.0)
         sweep = sweep_experiment(plant, cfg, seed=1)
         frf = estimate_frf(sweep.total_input, sweep.measured, 64, 1.0, 60.0,
-                           cycles_per_window=60.0, hold_rate_hz=250.0,
-                           plant_rate_hz=1000.0)
+                           cycles_per_window=60.0, hold_rate_hz=250.0)
         fit = fit_plant_model(frf, seed=3)
         elapsed = time.time() - t0
 

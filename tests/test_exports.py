@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from pathlib import Path
 
 import tailsitter
 
@@ -13,3 +14,15 @@ def test_all_names_are_bound():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_benchmark_patch_targets_resolve(monkeypatch):
+    # benchmarks/workloads.py wraps these by name for its --trace spans, so
+    # a deleted or renamed target breaks tracing, not any other run
+    bench_dir = Path(__file__).resolve().parent.parent / "benchmarks"
+    monkeypatch.syspath_prepend(str(bench_dir))
+    workloads = importlib.import_module("workloads")
+    targets = [(owner, attr) for _, owner, attr in workloads.LAYER_SPANS]
+    assert len(targets) >= 30
+    for owner, attr in targets + [(tailsitter.sysid, "minimize")]:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"

@@ -249,6 +249,53 @@ def assert_same_fields(a, b, path=""):
 
 
 # (scenario config, dotted path the error must name)
+NAN = float("nan")
+
+
+NAN_GUARDS = [
+    ("Scenario.duration_s", lambda: Scenario(name="x", mode="linear-axis",
+                                             duration_s=NAN),
+     "duration_s: must be positive"),
+    ("ChirpConfig.duration_s", lambda: ChirpConfig(duration_s=NAN),
+     "duration and amplitude"),
+    ("ChirpConfig.amplitude", lambda: ChirpConfig(amplitude=NAN),
+     "duration and amplitude"),
+    ("AircraftParams.mass", lambda: AircraftParams(mass=NAN), "mass and wing area"),
+    ("AircraftParams.wing_area", lambda: AircraftParams(wing_area=NAN),
+     "mass and wing area"),
+    ("AircraftParams.motor_tau_s", lambda: AircraftParams(motor_tau_s=NAN),
+     "motor_tau_s"),
+    ("NotchConfig.center_hz", lambda: NotchConfig(NAN, 0.15, 0.018), "center_hz > 0"),
+    ("RateLoopConfig.deriv_corner_hz", lambda: RateLoopConfig(deriv_corner_hz=NAN),
+     "deriv_corner_hz"),
+    ("RateLoopConfig.integrator_limit", lambda: RateLoopConfig(integrator_limit=NAN),
+     "limits must be > 0"),
+    ("RateLoopConfig.output_limit", lambda: RateLoopConfig(output_limit=NAN),
+     "limits must be > 0"),
+    ("AltitudeLoopConfig.v_z_limit", lambda: AltitudeLoopConfig(v_z_limit=NAN),
+     "v_z_limit"),
+    ("PipelineConfig.cycles_per_window",
+     lambda: PipelineConfig(cycles_per_window=NAN), "cycles_per_window"),
+    ("PipelineConfig.deriv_corner_hz", lambda: PipelineConfig(deriv_corner_hz=NAN),
+     "deriv_corner_hz"),
+    ("ResonanceParams.freq_hz", lambda: ResonanceParams(NAN, 0.1, 0.01),
+     "resonance parameters"),
+    ("PlantFitParams.lf_corner_hz",
+     lambda: dataclasses.replace(PlantFitParams.reference(), lf_corner_hz=NAN),
+     "corner frequency"),
+    ("PlantFitParams.main_pole_tc",
+     lambda: dataclasses.replace(PlantFitParams.reference(), main_pole_tc=NAN),
+     "corner frequency"),
+]
+
+
+@pytest.mark.parametrize("make, message",
+                         [pytest.param(m, msg, id=i) for i, m, msg in NAN_GUARDS])
+def test_nan_fails_positive_value_guard(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 BAD_SCENARIOS = [
     ({"name": "x", "events": [{"t": 0.0, "kind": "warp_drive"}]}, "events[0]"),
     ({"name": "x", "rate_loop": {"kpp": 0.1}}, "rate_loop.kpp"),

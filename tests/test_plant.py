@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import rotation_matrix, velocity_frame_force
 from tailsitter import quat
 from tailsitter.harness import builtin_scenarios
 from tailsitter.lti import PlantFitParams, butterworth2, fitted_plant, tf_eval
@@ -18,7 +19,9 @@ from tailsitter.plant import (
     TailsitterSim,
     VibrationConfig,
     LinearAxisPlant,
+    _derivatives,
     aero_forces,
+    angle_of_attack,
     default_aero_table,
     hover_state,
     mixer,
@@ -209,6 +212,54 @@ class TestDynamics:
         y_v = np.cross(np.cross(v_dir, q.to_rotmat()[:, 1]), v_dir)
         # aero acceleration is orthogonal to the velocity-frame y axis
         assert abs(accel @ q.to_rotmat()[:, 1]) < 1e-9
+
+
+def random_unit_quat(rng):
+    q = rng.normal(size=4)
+    return q / np.linalg.norm(q)
+
+
+def kernel_aero_force(q, v, params, table):
+    """Aero force the kernel's derivatives apply at zero thrust and rates."""
+    x = [0.0, 0.0, 0.0, *v, *q, 0.0, 0.0, 0.0]
+    d, _ = _derivatives(x, (0.0, 0.0, 0.0, 0.0), params, table)
+    return params.mass * (np.array(d[3:6]) - [0.0, 0.0, params.gravity])
+
+
+class TestAeroForceFrame:
+    def test_body_y_velocity_component(self, params, table):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            q = random_unit_quat(rng)
+            v = rotation_matrix(q) @ np.array([6.0, 2.5, 1.5])
+            np.testing.assert_allclose(kernel_aero_force(q, v, params, table),
+                                       velocity_frame_force(q, v, table, params),
+                                       rtol=0.0, atol=1e-9)
+
+    def test_pure_side_slip_fallback(self, params):
+        # velocity along body y: the symmetry plane is undefined; the flat
+        # table makes CL and CD independent of the ill-conditioned alpha
+        table = flat_cl_table()
+        rng = np.random.default_rng(18)
+        for q in [np.array([1.0, 0.0, 0.0, 0.0])] + [random_unit_quat(rng)
+                                                    for _ in range(10)]:
+            v = 7.0 * rotation_matrix(q)[:, 1]
+            f = kernel_aero_force(q, v, params, table)
+            np.testing.assert_allclose(f, velocity_frame_force(q, v, table, params),
+                                       rtol=0.0, atol=1e-9)
+            qbar = 0.5 * params.air_density * 49.0 * params.wing_area
+            assert np.linalg.norm(f) == pytest.approx(qbar * math.hypot(1.0, 0.5))
+
+    def test_angle_of_attack_matches_body_velocity(self):
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            q = random_unit_quat(rng)
+            v = rng.normal(scale=5.0, size=3)
+            alpha, speed = angle_of_attack(RigidBodyState(np.zeros(3), v, q,
+                                                          np.zeros(3)))
+            vb = rotation_matrix(q).T @ v
+            assert alpha == pytest.approx(math.atan2(vb[2], vb[0]), abs=1e-12)
+            assert speed == pytest.approx(np.linalg.norm(v), rel=1e-15)
 
 
 class TestLinearAxisPlant:

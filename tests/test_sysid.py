@@ -40,7 +40,7 @@ def _pipeline_frf(cfg: PipelineConfig):
     return estimate_frf(sw.total_input, sw.measured, cfg.n_freqs,
                         cfg.chirp.f0, cfg.chirp.f1,
                         cycles_per_window=cfg.cycles_per_window,
-                        hold_rate_hz=cfg.chirp.sample_hz, plant_rate_hz=1000.0)
+                        hold_rate_hz=cfg.chirp.sample_hz)
 
 
 @pytest.fixture(scope="module")
@@ -130,8 +130,7 @@ class TestEstimateFRF:
         sw = sweep_experiment(plant, ChirpConfig(1.0, 60.0, 60.0, 0.1, 250.0),
                               seed=1)
         frf = estimate_frf(sw.total_input, sw.measured, n_freqs=64,
-                           f_lo=1.0, f_hi=60.0, hold_rate_hz=250.0,
-                           plant_rate_hz=1000.0)
+                           f_lo=1.0, f_hi=60.0, hold_rate_hz=250.0)
         h_true = tf_eval(fitted_plant(smooth), frf.freqs)
         band = (frf.freqs >= 1.5) & (frf.freqs <= 50.0) & frf.trusted
         err_db = 20.0 * np.log10(np.abs(frf.response / h_true))
@@ -221,8 +220,7 @@ class TestFit:
         sw = sweep_experiment(plant, ChirpConfig(1.0, 60.0, 60.0, 0.1, 250.0),
                               noise_std=0.005, seed=9)
         frf = estimate_frf(sw.total_input, sw.measured, 64, 1.0, 60.0,
-                           cycles_per_window=60.0, hold_rate_hz=250.0,
-                           plant_rate_hz=1000.0)
+                           cycles_per_window=60.0, hold_rate_hz=250.0)
         fit = fit_plant_model(frf, seed=9)
         assert fit.converged
         assert abs(fit.params.peak.freq_hz / ref.peak.freq_hz - 1.0) < 0.04
@@ -390,7 +388,7 @@ class TestSweepExperiment:
 
         frf = estimate_frf(reference_sweep.total_input, reference_sweep.measured,
                            64, 1.0, 60.0, cycles_per_window=60.0,
-                           hold_rate_hz=250.0, plant_rate_hz=1000.0)
+                           hold_rate_hz=250.0)
         fit = fit_plant_model(frf, seed=3)
         assert fit.converged
         plant_fit = fitted_plant(fit.params)
