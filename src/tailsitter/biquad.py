@@ -217,8 +217,9 @@ def discretize_tustin(tf: ContinuousTF, sample_hz: float,
     pole_groups = _conjugate_pair_groups(poles)
     nums = _assign_zero_groups(pole_groups, _conjugate_pair_groups(zeros))
 
-    # overall gain = ratio of leading (highest-order) coefficients
-    gain = tf.num[-1] / tf.den[-1]
+    # overall gain = ratio of leading (highest-order) coefficients, as a
+    # float: a numpy scalar here would make every process() call numpy math
+    gain = float(tf.num[-1] / tf.den[-1])
 
     sections = []
     for pg, num in zip(pole_groups, nums):

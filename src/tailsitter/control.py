@@ -131,8 +131,12 @@ class RateController:
             else None
             for n in cfg.notches
         ]
-        self.integrator = np.zeros(3)
-        self.saturated = np.zeros(3, dtype=bool)
+        self._kp = tuple(float(k) for k in cfg.kp)
+        self._ki = tuple(float(k) for k in cfg.ki)
+        self._output_limit = float(cfg.output_limit)
+        self._integrator_limit = float(cfg.integrator_limit)
+        self.integrator = [0.0, 0.0, 0.0]
+        self.saturated = [False, False, False]
 
     def set_notch_enabled(self, enabled: bool, axis: int = 1):
         """Toggle one axis notch mid-run (state resets on enable)."""
@@ -147,28 +151,32 @@ class RateController:
             self._notch[axis] = None
 
     def step(self, omega_meas, omega_cmd):
-        """One 250 Hz tick: measured and commanded body rates -> torque."""
-        omega_meas = np.asarray(omega_meas, dtype=float)
-        omega_cmd = np.asarray(omega_cmd, dtype=float)
-        if not (np.all(np.isfinite(omega_meas)) and np.all(np.isfinite(omega_cmd))):
+        """One 250 Hz tick: measured and commanded body rates -> torque 3-tuple.
+
+        Runs on plain floats: no array is built per tick.
+        """
+        mx, my, mz = omega_meas
+        cx, cy, cz = omega_cmd
+        if not all(map(math.isfinite, (mx, my, mz, cx, cy, cz))):
             raise FloatingPointError("rate controller received non-finite input")
-        cfg = self.cfg
-        err = omega_cmd - omega_meas
-        out = np.empty(3)
-        for i in range(3):
-            d = self._deriv[i].process(omega_meas[i])
-            raw = cfg.kp[i] * err[i] + cfg.ki[i] * self.integrator[i] - d
-            if self._notch[i] is not None:
-                raw = self._notch[i].process(raw)
-            clamped = min(max(raw, -cfg.output_limit), cfg.output_limit)
-            self.saturated[i] = clamped != raw
+        kp, ki = self._kp, self._ki
+        integ, sat = self.integrator, self.saturated
+        lim, ilim = self._output_limit, self._integrator_limit
+        dt = self.dt
+        out = []
+        for i, m, e in ((0, mx, cx - mx), (1, my, cy - my), (2, mz, cz - mz)):
+            d = self._deriv[i].process(m)
+            raw = kp[i] * e + ki[i] * integ[i] - d
+            notch = self._notch[i]
+            if notch is not None:
+                raw = notch.process(raw)
+            clamped = min(max(raw, -lim), lim)
+            sat[i] = saturated = clamped != raw
             # halt integration only while pushing further into the clamp
-            if not (self.saturated[i] and raw * err[i] > 0.0):
-                lim = cfg.integrator_limit
-                self.integrator[i] = min(max(self.integrator[i] + err[i] * self.dt,
-                                             -lim), lim)
-            out[i] = clamped
-        return out
+            if not (saturated and raw * e > 0.0):
+                integ[i] = min(max(integ[i] + e * dt, -ilim), ilim)
+            out.append(clamped)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -193,10 +201,13 @@ class AttitudeController:
 
     def __init__(self, cfg: AttitudeLoopConfig):
         self.cfg = cfg
-        self.gains = np.asarray(cfg.gains, dtype=float)
+        self.gains = tuple(float(g) for g in cfg.gains)
 
     def step(self, q_meas: quat.Quaternion, q_cmd: quat.Quaternion):
-        return self.gains * quat.attitude_error(q_meas, q_cmd)
+        """Rate command (rad/s) as a 3-tuple of floats."""
+        gx, gy, gz = self.gains
+        ex, ey, ez = quat.attitude_error(q_meas, q_cmd)
+        return (gx * ex, gy * ey, gz * ez)
 
 
 @dataclass(frozen=True)

@@ -187,32 +187,53 @@ def _telemetry_col(name):
     return TELEMETRY_HEADER.index(name)
 
 
+STEP_WINDOW_S = 1.8  # response window of each rate step's overshoot and rise
+
+
+def _cut_by_divergence(report: RunReport, t_end: float, *names: str) -> bool:
+    """Fail the named checks if the run diverged before their window ends.
+
+    A diverged run's log stops at ``diverged_at_s``; a check whose window
+    (ending at t_end) the log does not reach is reported as failed, not
+    measured.
+    """
+    at = report.metrics.get("diverged_at_s")
+    if at is None or t_end <= at:
+        return False
+    for name in names:
+        report.add_check(name, False, f"not measured: the run diverged at "
+                         f"diverged_at_s = {at:g} s, before the check window "
+                         f"ends at {t_end:g} s")
+    return True
+
+
 def _checks_notch_ab(sc: Scenario, data: np.ndarray, report: RunReport):
     t = data[:, 0]
     w = data[:, _telemetry_col("w_meas_y")]
     enable_t = next(e.t for e in sc.events if e.kind == "notch" and e.args["enabled"])
-    sample_hz = 1.0 / (t[1] - t[0])
 
-    growth = metrics.max_growth_rate(t, w, t_lo=1.0, t_hi=enable_t)
-    diverging = growth > 0.1
-    report.metrics["divergence_growth_rate_per_s"] = growth
-    report.add_check("notch_off_divergence", diverging,
-                     f"envelope growth rate {growth:.3f}/s (> 0.1/s required)")
+    if not _cut_by_divergence(report, enable_t, "notch_off_divergence",
+                              "divergence_frequency"):
+        growth = metrics.max_growth_rate(t, w, t_lo=1.0, t_hi=enable_t)
+        report.metrics["divergence_growth_rate_per_s"] = growth
+        report.add_check("notch_off_divergence", growth > 0.1,
+                         f"envelope growth rate {growth:.3f}/s (> 0.1/s required)")
 
-    seg = (t >= enable_t - 6.0) & (t < enable_t)
-    f_dom = metrics.dominant_frequency(w[seg], sample_hz)
-    report.metrics["divergence_dominant_hz"] = f_dom
-    report.add_check("divergence_frequency", abs(f_dom - 14.0) <= 1.0,
-                     f"dominant oscillation {f_dom:.2f} Hz (14 +/- 1 Hz required)")
+        seg = (t >= enable_t - 6.0) & (t < enable_t)
+        f_dom = metrics.dominant_frequency(w[seg], 1.0 / (t[1] - t[0]))
+        report.metrics["divergence_dominant_hz"] = f_dom
+        report.add_check("divergence_frequency", abs(f_dom - 14.0) <= 1.0,
+                         f"dominant oscillation {f_dom:.2f} Hz (14 +/- 1 Hz required)")
 
-    tc, env = metrics.amplitude_envelope(t, w)
-    e_at = env[np.argmin(np.abs(tc - enable_t))]
-    e_after = env[np.argmin(np.abs(tc - (enable_t + 3.0)))]
-    ratio = e_after / e_at if e_at > 0 else float("inf")
-    report.metrics["envelope_ratio_3s_after_enable"] = ratio
-    report.add_check("notch_on_convergence", ratio < 0.5,
-                     f"envelope shrank to {ratio:.3f} of enable value within 3 s "
-                     "(< 0.5 required)")
+    if not _cut_by_divergence(report, enable_t + 3.0, "notch_on_convergence"):
+        tc, env = metrics.amplitude_envelope(t, w)
+        e_at = env[np.argmin(np.abs(tc - enable_t))]
+        e_after = env[np.argmin(np.abs(tc - (enable_t + 3.0)))]
+        ratio = e_after / e_at if e_at > 0 else float("inf")
+        report.metrics["envelope_ratio_3s_after_enable"] = ratio
+        report.add_check("notch_on_convergence", ratio < 0.5,
+                         f"envelope shrank to {ratio:.3f} of enable value within 3 s "
+                         "(< 0.5 required)")
 
 
 def _checks_rate_step(sc: Scenario, data: np.ndarray, report: RunReport):
@@ -220,30 +241,35 @@ def _checks_rate_step(sc: Scenario, data: np.ndarray, report: RunReport):
     w = data[:, _telemetry_col("w_meas_y")]
     cmd = data[:, _telemetry_col("w_cmd_y")]
     steps = [e for e in sc.events if e.kind == "rate_cmd"]
-    worst = 0.0
-    prev = 0.0
-    for e in steps:
-        target = e.args.get("y", 0.0)
-        ov = metrics.overshoot_pct(t, w, e.t, prev, target, settle_window_s=1.8)
-        worst = max(worst, ov)
-        prev = target
-    report.metrics["worst_overshoot_pct"] = worst
-    # a type-2 loop (plant integrator + PID integrator) cannot avoid step
-    # overshoot: the error integral must converge to zero, so the error
-    # changes sign.  With the reference gains the slow integrator hump is
-    # ~11 %; the 5 % bound stays as the design target (see README notes).
-    report.add_check("rate_step_overshoot", worst <= 5.0,
-                     f"worst overshoot {worst:.2f} % (<= 5 % required)")
-    rt = metrics.rise_time(t, w, steps[0].t, 0.0, steps[0].args.get("y", 0.3))
-    report.metrics["rise_time_s"] = rt
-    report.add_check("rate_step_rise", rt <= 0.5,
-                     f"10-90 % rise time {rt:.3f} s (<= 0.5 s required)")
+    if not _cut_by_divergence(report, steps[-1].t + STEP_WINDOW_S,
+                              "rate_step_overshoot"):
+        worst = 0.0
+        prev = 0.0
+        for e in steps:
+            target = e.args.get("y", 0.0)
+            ov = metrics.overshoot_pct(t, w, e.t, prev, target,
+                                       settle_window_s=STEP_WINDOW_S)
+            worst = max(worst, ov)
+            prev = target
+        report.metrics["worst_overshoot_pct"] = worst
+        # a type-2 loop (plant integrator + PID integrator) cannot avoid step
+        # overshoot: the error integral must converge to zero, so the error
+        # changes sign.  With the reference gains the slow integrator hump is
+        # ~11 %; the 5 % bound stays as the design target (see README notes).
+        report.add_check("rate_step_overshoot", worst <= 5.0,
+                         f"worst overshoot {worst:.2f} % (<= 5 % required)")
+    if not _cut_by_divergence(report, steps[0].t + STEP_WINDOW_S, "rate_step_rise"):
+        rt = metrics.rise_time(t, w, steps[0].t, 0.0, steps[0].args.get("y", 0.3))
+        report.metrics["rise_time_s"] = rt
+        report.add_check("rate_step_rise", rt <= 0.5,
+                         f"10-90 % rise time {rt:.3f} s (<= 0.5 s required)")
     # tracking error over the last 0.5 s before each subsequent edge
-    errs = []
-    for e in steps[1:]:
-        m = (t >= e.t - 0.5) & (t < e.t)
-        errs.append(w[m] - cmd[m])
-    if errs:
+    at = report.metrics.get("diverged_at_s")
+    if len(steps) > 1 and (at is None or steps[-1].t <= at):
+        errs = []
+        for e in steps[1:]:
+            m = (t >= e.t - 0.5) & (t < e.t)
+            errs.append(w[m] - cmd[m])
         rms = float(np.sqrt(np.mean(np.concatenate(errs) ** 2)))
         report.metrics["settled_rms_error"] = rms
 
@@ -251,22 +277,28 @@ def _checks_rate_step(sc: Scenario, data: np.ndarray, report: RunReport):
 def _checks_transition(sc: Scenario, data: np.ndarray, report: RunReport,
                        simlog: np.ndarray):
     t = simlog[:, 0]
-    alt = -simlog[:, SIMLOG_HEADER.index("pz")]
-    alt_err = np.max(np.abs(alt - sc.initial_altitude_m))
-    report.metrics["max_altitude_error_m"] = float(alt_err)
-    report.add_check("altitude_hold", alt_err < 2.0,
-                     f"max |altitude error| {alt_err:.3f} m (< 2 m required)")
+    if not _cut_by_divergence(report, sc.duration_s, "altitude_hold"):
+        alt = -simlog[:, SIMLOG_HEADER.index("pz")]
+        alt_err = np.max(np.abs(alt - sc.initial_altitude_m))
+        report.metrics["max_altitude_error_m"] = float(alt_err)
+        report.add_check("altitude_hold", alt_err < 2.0,
+                         f"max |altitude error| {alt_err:.3f} m (< 2 m required)")
 
+    # the first-order fit and the overshoot both look FIT_WINDOW_S past the step
+    step_ev = [e for e in sc.events if e.kind == "attitude" and "pitch" in e.args][-1]
+    if _cut_by_divergence(report, step_ev.t + metrics.FIT_WINDOW_S,
+                          "stepback_first_order", "stepback_overshoot"):
+        return
     # pitch angle series from the logged quaternion
     pitch = np.array([
         quat.quat_to_euler_zxy(
             quat.Quaternion.from_array(row[7:11], normalize=True)).pitch
         for row in simlog
     ])
-    step_ev = [e for e in sc.events if e.kind == "attitude" and "pitch" in e.args][-1]
     tau, r2 = metrics.first_order_fit(t, pitch, step_ev.t)
     p0 = pitch[np.argmin(np.abs(t - step_ev.t))]
-    ov = metrics.overshoot_pct(t, pitch, step_ev.t, p0, step_ev.args["pitch"])
+    ov = metrics.overshoot_pct(t, pitch, step_ev.t, p0, step_ev.args["pitch"],
+                               settle_window_s=metrics.FIT_WINDOW_S)
     report.metrics["stepback_tau_s"] = tau
     report.metrics["stepback_r_squared"] = r2
     report.metrics["stepback_overshoot_pct"] = ov

@@ -753,8 +753,8 @@ class TailsitterSim:
 
         Sets ``saturated_last`` (motor mixer saturated), ``aero_clamped_last``
         (an aero query of the substep clamped to the table edge) and
-        ``last_measurement`` (the 250 Hz gyro sample on decimation ticks,
-        None otherwise).
+        ``last_measurement`` (the 250 Hz gyro sample as a 3-tuple of floats
+        on decimation ticks, None otherwise).
         """
         cmd = self._cmd
         buf = self._delay_buf
@@ -780,8 +780,7 @@ class TailsitterSim:
         if self.vibration_cfg.amplitude > 0.0:
             vib = rotor_vibration(self.t, self.vibration_cfg).tolist()
             wx, wy, wz = wx + vib[0], wy + vib[1], wz + vib[2]
-        out = self.sensor._sample(wx, wy, wz)
-        self.last_measurement = None if out is None else np.array(out)
+        self.last_measurement = self.sensor._sample(wx, wy, wz)
 
     def altitude(self):
         return -self._x[2]

@@ -25,7 +25,6 @@ __all__ = [
     "Quaternion",
     "EulerZXY",
     "GimbalProximityError",
-    "quat_multiply",
     "quat_to_rotmat",
     "euler_zxy_to_quat",
     "quat_to_euler_zxy",
@@ -109,18 +108,6 @@ class Quaternion:
         v = (math.sin(half) / n) * axis
         return cls(math.cos(half), v[0], v[1], v[2])
 
-    def conjugate(self):
-        q = self._q
-        return Quaternion(q[0], -q[1], -q[2], -q[3], normalize=False)
-
-    def multiply(self, other):
-        return quat_multiply(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return self.multiply(other)
-        return NotImplemented
-
     def __neg__(self):
         q = self._q
         return Quaternion(-q[0], -q[1], -q[2], -q[3], normalize=False)
@@ -133,18 +120,12 @@ class Quaternion:
         return f"Quaternion({e[0]:+.9f}, {e[1]:+.9f}, {e[2]:+.9f}, {e[3]:+.9f})"
 
 
-def quat_multiply(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product ``a (x) b``, renormalized.
+def _hamilton(p, q):
+    """Hamilton product ``p (x) q`` on raw length-4 arrays (no normalization).
 
-    Composition order: ``a (x) b`` applies rotation b first, then a, when
+    Composition order: ``p (x) q`` applies rotation q first, then p, when
     quaternions map body to inertial coordinates.
     """
-    w = _hamilton(a.as_array(), b.as_array())
-    return Quaternion(w[0], w[1], w[2], w[3])
-
-
-def _hamilton(p, q):
-    """Hamilton product on raw length-4 arrays (no normalization)."""
     pw, px, py, pz = p
     qw, qx, qy, qz = q
     return np.array(
@@ -205,22 +186,47 @@ def quat_to_euler_zxy(q: Quaternion) -> EulerZXY:
     return EulerZXY(roll, pitch, yaw)
 
 
-def attitude_error(q_current: Quaternion, q_desired: Quaternion) -> np.ndarray:
+def _fused_square(x, acc):
+    """``x * x + acc`` rounded once, as a fused multiply-add computes it.
+
+    The Veltkamp split makes hi*hi, 2*hi*lo and lo*lo exact, so ``fsum``
+    (correctly rounded) returns the single rounding of the exact sum.
+    """
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    lo = x - hi
+    return math.fsum((hi * hi, 2.0 * hi * lo, lo * lo, acc))
+
+
+def attitude_error(q_current: Quaternion, q_desired: Quaternion):
     """Half-angle axis error vector from current to desired attitude.
 
     Forms the error quaternion ``q_e = q_current^-1 (x) q_desired = (eta, eps)``
     and returns ``sgn(eta) * ((theta/2) / sin(theta/2)) * eps`` where
-    ``theta = 2 acos|eta|``.  The result has magnitude theta/2 <= pi/2, is
-    identical for q and -q on either argument, and is continuous at theta = 0
-    (series limit) and finite at theta = pi (sgn(0) := +1).
+    ``theta = 2 acos|eta|``, as a 3-tuple of floats.  The result has
+    magnitude theta/2 <= pi/2, is identical for q and -q on either argument,
+    and is continuous at theta = 0 (series limit) and finite at theta = pi
+    (sgn(0) := +1).
+
+    q_e is renormalized by the square root of its running sum of squares
+    with one rounding per term, which is how numpy's dot product (and so
+    the ``Quaternion`` constructor) accumulates it with a fused
+    multiply-add BLAS kernel.
     """
-    qe = q_current.conjugate().multiply(q_desired)
-    eta = qe.eta
-    eps = qe.eps
+    w1, x1, y1, z1 = q_current._q.tolist()
+    w2, x2, y2, z2 = q_desired._q.tolist()
+    w = w1 * w2 + x1 * x2 + y1 * y2 + z1 * z2
+    x = w1 * x2 - x1 * w2 - y1 * z2 + z1 * y2
+    y = w1 * y2 + x1 * z2 - y1 * w2 - z1 * x2
+    z = w1 * z2 - x1 * y2 + y1 * x2 - z1 * w2
+    n = math.sqrt(_fused_square(z, _fused_square(y, _fused_square(x, w * w))))
+    if n < 1e-12:
+        raise ValueError("cannot normalize near-zero quaternion")
+    eta = w / n
     half = math.acos(min(1.0, abs(eta)))
     if half < _SMALL_HALF_ANGLE:
         scale = 1.0 + half * half / 6.0
     else:
         scale = half / math.sin(half)
-    sgn = -1.0 if eta < 0.0 else 1.0
-    return sgn * scale * eps
+    s = (-1.0 if eta < 0.0 else 1.0) * scale
+    return (s * (x / n), s * (y / n), s * (z / n))

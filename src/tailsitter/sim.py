@@ -221,7 +221,7 @@ class SimLog:
 
 def _flags_bits(rate_sat, thrust_flags, motor_sat, aero_clamped):
     bits = 0
-    if np.any(rate_sat):
+    if any(rate_sat):
         bits |= FLAG_RATE_SAT
     if "thrust_saturated" in thrust_flags:
         bits |= FLAG_THRUST_SAT
@@ -249,7 +249,7 @@ def run_linear_axis(sc: Scenario) -> SimLog:
     rng = np.random.default_rng(sc.seed)
     n = int(round(sc.duration_s / CONTROL_DT))
     events = list(sc.events)
-    w_cmd = np.zeros(3)
+    w_cmd = (0.0, 0.0, 0.0)
     inject = None
     inject_start = 0
     rows = []
@@ -261,27 +261,26 @@ def run_linear_axis(sc: Scenario) -> SimLog:
         while events and events[0].t <= t:
             ev = events.pop(0)
             if ev.kind == "rate_cmd":
-                w_cmd = np.array([ev.args.get("x", 0.0), ev.args.get("y", 0.0),
-                                  ev.args.get("z", 0.0)])
+                w_cmd = (float(ev.args.get("x", 0.0)), float(ev.args.get("y", 0.0)),
+                         float(ev.args.get("z", 0.0)))
             elif ev.kind == "notch":
                 ctrl.set_notch_enabled(ev.args["enabled"])
             elif ev.kind == "inject_chirp":
                 cfg = ChirpConfig(ev.args["f0"], ev.args["f1"],
                                   ev.args["duration"], ev.args["amplitude"],
                                   CONTROL_RATE_HZ)
-                inject = chirp(cfg).values
+                inject = chirp(cfg).values.tolist()
                 inject_start = i
         meas = y + (rng.normal(0.0, sc.meas_noise_std)
                     if sc.meas_noise_std > 0.0 else 0.0)
-        w_meas = np.array([0.0, meas, 0.0])
-        torque = ctrl.step(w_meas, w_cmd)
-        if inject is not None and i - inject_start < inject.size:
-            torque = torque.copy()
-            torque[1] += inject[i - inject_start]
+        w_meas = (0.0, meas, 0.0)
+        tx, ty, tz = ctrl.step(w_meas, w_cmd)
+        if inject is not None and i - inject_start < len(inject):
+            ty += inject[i - inject_start]
         for _ in range(SUBSTEPS):
-            y = plant.step(torque[1])
+            y = plant.step(ty)
         bits = _flags_bits(ctrl.saturated, (), False, False)
-        rows.append((t, *qid, *qid, *w_cmd, *w_meas, *torque, 0.0, bits))
+        rows.append((t, *qid, *qid, *w_cmd, *w_meas, tx, ty, tz, 0.0, bits))
         if abs(y) > ABORT_LIMIT:
             diverged_at = t
             break
@@ -325,7 +324,7 @@ def run_nonlinear(sc: Scenario) -> SimLog:
 
     events = list(sc.events)
     n = int(round(sc.duration_s / CONTROL_DT))
-    w_meas = np.zeros(3)
+    w_meas = (0.0, 0.0, 0.0)
     telemetry = []
     simrows = []
     diverged_at = None

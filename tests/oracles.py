@@ -1,21 +1,80 @@
 """Independent reference computations the tests check the package against.
 
 None of these is used by the package itself: they are the kinematics, the
-rotation matrix and velocity-frame aero force, the chirp frequency law, an
-exact FRF and small helpers stated directly from their definitions.
+quaternion product, the rotation matrix and velocity-frame aero force, the
+chirp frequency law, an exact FRF, small helpers stated directly from their
+definitions, and the numpy-array versions of the 250 Hz rate-loop tick and
+the attitude error that the float versions must match bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from tailsitter.control import RateController
 from tailsitter.lti import ContinuousTF, tf_eval
-from tailsitter.quat import Quaternion, _hamilton
+from tailsitter.quat import _SMALL_HALF_ANGLE, Quaternion, _hamilton
 from tailsitter.sysid import FRFEstimate
 
 
 def integrator_tf(gain=1.0) -> ContinuousTF:
     return ContinuousTF([float(gain)], [0.0, 1.0])
+
+
+def conjugate(q: Quaternion) -> Quaternion:
+    w, x, y, z = q.as_array()
+    return Quaternion(w, -x, -y, -z, normalize=False)
+
+
+def quat_multiply(a: Quaternion, b: Quaternion) -> Quaternion:
+    """Hamilton product ``a (x) b``, renormalized."""
+    w = _hamilton(a.as_array(), b.as_array())
+    return Quaternion(w[0], w[1], w[2], w[3])
+
+
+def attitude_error(q_current: Quaternion, q_desired: Quaternion) -> np.ndarray:
+    """``quat.attitude_error`` on ``Quaternion`` products and numpy arrays."""
+    qe = quat_multiply(conjugate(q_current), q_desired)
+    eta = qe.eta
+    eps = qe.eps
+    half = math.acos(min(1.0, abs(eta)))
+    if half < _SMALL_HALF_ANGLE:
+        scale = 1.0 + half * half / 6.0
+    else:
+        scale = half / math.sin(half)
+    sgn = -1.0 if eta < 0.0 else 1.0
+    return sgn * scale * eps
+
+
+class NumpyRateController(RateController):
+    """``RateController`` with its tick on numpy arrays, state included."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.integrator = np.zeros(3)
+        self.saturated = np.zeros(3, dtype=bool)
+
+    def step(self, omega_meas, omega_cmd):
+        omega_meas = np.asarray(omega_meas, dtype=float)
+        omega_cmd = np.asarray(omega_cmd, dtype=float)
+        if not (np.all(np.isfinite(omega_meas)) and np.all(np.isfinite(omega_cmd))):
+            raise FloatingPointError("rate controller received non-finite input")
+        cfg = self.cfg
+        err = omega_cmd - omega_meas
+        out = np.empty(3)
+        for i in range(3):
+            d = self._deriv[i].process(omega_meas[i])
+            raw = cfg.kp[i] * err[i] + cfg.ki[i] * self.integrator[i] - d
+            if self._notch[i] is not None:
+                raw = self._notch[i].process(raw)
+            clamped = min(max(raw, -cfg.output_limit), cfg.output_limit)
+            self.saturated[i] = clamped != raw
+            if not (self.saturated[i] and raw * err[i] > 0.0):
+                lim = cfg.integrator_limit
+                self.integrator[i] = min(max(self.integrator[i] + err[i] * self.dt,
+                                             -lim), lim)
+            out[i] = clamped
+        return out
 
 
 def same_rotation(a: Quaternion, b: Quaternion, tol=1e-9):

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from tailsitter import quat
 from tailsitter.control import (
     AltitudeController,
     AltitudeLoopConfig,
     AttitudeController,
     AttitudeLoopConfig,
+    NotchConfig,
     RateController,
     RateLoopConfig,
     altitude_ff_thrust,
+    default_notch_config,
 )
 from tailsitter.lti import fitted_plant, tf_eval, tf_series
 from tailsitter.plant import AircraftParams, default_aero_table
@@ -120,6 +123,74 @@ class TestRateController:
         c = RateController(RateLoopConfig(notches=(None, None, None)))
         with pytest.raises(ValueError):
             c.set_notch_enabled(True, axis=1)
+
+
+class TestFloatTick:
+    """The float tick against the numpy-array one it replaced, bit for bit."""
+
+    TICKS = 2000
+
+    @pytest.mark.parametrize("seed, cfg", [
+        (21, RateLoopConfig.reference_pitch_design()),
+        (22, RateLoopConfig(output_limit=0.05, integrator_limit=0.02,
+                            notches=(NotchConfig(9.0, 0.3, 0.05),
+                                     default_notch_config(), None))),
+        (23, RateLoopConfig(kp=(0.3, 0.09, 0.0), ki=(2.0, 0.1, 0.5),
+                            kd=(0.0, 0.02, 0.01), output_limit=0.1,
+                            notches=(None, default_notch_config(),
+                                     NotchConfig(20.0, 0.2, 0.02)))),
+    ])
+    def test_rate_controller_matches_numpy_tick(self, seed, cfg):
+        rng = np.random.default_rng(seed)
+        old = oracles.NumpyRateController(cfg)
+        new = RateController(cfg)
+        notch_axes = [i for i, n in enumerate(cfg.notches) if n is not None]
+        # rate scale per stretch of ticks: small, loop-sized and saturating
+        scales = rng.choice([1e-3, 0.05, 0.5, 5.0], size=self.TICKS // 50)
+        held = windup = toggles = 0
+        for k in range(self.TICKS):
+            if k % 50 == 0 and rng.random() < 0.5:
+                axis = int(rng.choice(notch_axes))
+                enabled = bool(rng.random() < 0.5)
+                old.set_notch_enabled(enabled, axis)
+                new.set_notch_enabled(enabled, axis)
+                toggles += 1
+            scale = scales[k // 50]
+            meas = rng.normal(0.0, scale, 3)
+            cmd = rng.normal(0.0, scale, 3) + (2.0 * scale if k % 400 < 200 else 0.0)
+            before = list(new.integrator)
+            out_old = old.step(meas, cmd)
+            out_new = new.step(tuple(meas.tolist()), tuple(cmd.tolist()))
+            # plain floats in, plain floats out: no numpy scalar leaks in
+            # from the biquad coefficients
+            assert all(type(v) is float for v in out_new + tuple(new.integrator))
+            assert out_new == tuple(out_old.tolist())
+            assert new.integrator == old.integrator.tolist()
+            assert new.saturated == old.saturated.tolist()
+            err = cmd - meas
+            held += sum(s and b == a and e != 0.0 for s, b, a, e in
+                        zip(new.saturated, before, new.integrator, err))
+            windup += sum(abs(x) == cfg.integrator_limit for x in new.integrator)
+        # the sequences reached the clamp with integration halted, the
+        # integrator limit and both notch states
+        assert held > 0 and windup > 0 and toggles > 0
+
+    def test_attitude_error_matches_numpy(self):
+        rng = np.random.default_rng(24)
+        att = AttitudeController(AttitudeLoopConfig(gains=(4.0, 3.0, 2.0)))
+        for k in range(self.TICKS):
+            qc = quat.Quaternion.from_array(rng.normal(size=4))
+            # near, moderate and unrelated pairs
+            spread = (1e-6, 1e-2, 1.0, None)[k % 4]
+            qd = (quat.Quaternion.from_array(rng.normal(size=4)) if spread is None
+                  else quat.Quaternion.from_array(qc.as_array()
+                                                  + spread * rng.normal(size=4)))
+            for a, b in ((qc, qd), (-qc, qd), (qc, -qd), (-qc, -qd)):
+                xi = quat.attitude_error(a, b)
+                assert all(type(v) is float for v in xi)
+                assert xi == tuple(oracles.attitude_error(a, b).tolist())
+                assert att.step(a, b) == tuple((np.array(att.gains)
+                                                * oracles.attitude_error(a, b)).tolist())
 
 
 class TestNotchPlacement:

@@ -92,6 +92,84 @@ class TestRunScenario:
         assert report.metrics["rise_time_s"] < 0.5
 
 
+def diverging_config(tmp_path, name):
+    """A builtin scenario's dumped JSON, edited so the run diverges early."""
+    assert cli.main(["scenarios", "--dump-dir", str(tmp_path)]) == EXIT_OK
+    path = tmp_path / f"{name}.json"
+    cfg = json.loads(path.read_text())
+    if cfg["mode"] == "linear-axis":
+        # a million times the identified gain: the pitch rate passes the
+        # abort limit within the first tenth of a second
+        cfg["plant_params"]["main_num"] = [
+            1e6 * c for c in cfg["plant_params"]["main_num"]]
+    else:
+        # a vanishing inertia makes the rigid body non-finite in two ticks
+        cfg["aircraft"]["inertia"] = [[1e-6, 0.0, 0.0], [0.0, 1e-6, 0.0],
+                                      [0.0, 0.0, 1e-6]]
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+class TestDivergedRun:
+    """A run that diverges before its check windows reports, not raises."""
+
+    @pytest.mark.parametrize("name, checks", [
+        ("rate_step", {"rate_step_overshoot", "rate_step_rise"}),
+        ("hover_notch_ab", {"notch_off_divergence", "divergence_frequency",
+                            "notch_on_convergence"}),
+        ("transition", {"altitude_hold", "stepback_first_order",
+                        "stepback_overshoot"}),
+    ])
+    def test_unreached_checks_fail_with_divergence_time(self, tmp_path, capsys,
+                                                        name, checks):
+        path = diverging_config(tmp_path, name)
+        out = tmp_path / "out"
+        rc = cli.main(["run", str(path), "--out-dir", str(out)])
+        assert rc == EXIT_CHECK_FAILED
+        assert "overall: FAIL" in capsys.readouterr().out
+        text = (out / f"{name}_report.txt").read_text()
+        assert "diverged = True" in text
+        for check in checks:
+            assert f"[FAIL] {check}: not measured: the run diverged at diverged_at_s" in text
+
+
+# Telemetry rows of the builtin linear-axis runs as the numpy-array rate
+# loop computed them (t, q_cmd, q_meas, w_cmd, w_meas, torque, thrust,
+# flags): notch off and growing, just before the notch is enabled, and
+# after; inside the first, second and third rate step.
+LINEAR_AXIS_GOLDEN = {
+    "hover_notch_ab": {
+        500: [2.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+              4.888080451932152e-05, 0.0, 0.0, -0.00013983221471797715, 0.0,
+              0.0, 0.0],
+        2499: [9.996, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+               0.0, -0.008383874992052964, 0.0, 0.0, 0.003240013788636035,
+               0.0, 0.0, 0.0],
+        3000: [12.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+               0.0, -0.0001630393737886362, 0.0, 0.0, -2.526306126089865e-05,
+               0.0, 0.0, 0.0],
+    },
+    "rate_step": {
+        300: [1.2, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.3, 0.0, 0.0,
+              0.24835306960479828, 0.0, 0.0, 0.0019907714822528884, 0.0, 0.0,
+              0.0],
+        875: [3.5, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, -0.3, 0.0, 0.0,
+              -0.3553209744030265, 0.0, 0.0, 0.0009062435913704222, 0.0, 0.0,
+              0.0],
+        1750: [7.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.3, 0.0, 0.0,
+               0.3123007382852578, 0.0, 0.0, -6.259834476003152e-05, 0.0, 0.0,
+               0.0],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_AXIS_GOLDEN))
+def test_linear_axis_golden_rows(name):
+    log = run_linear_axis(builtin_scenarios()[name])
+    for row, values in LINEAR_AXIS_GOLDEN[name].items():
+        assert log.telemetry[row].tolist() == values, (name, row)
+
+
 class TestCompareRuns:
     def test_identical_seeds_bit_identical(self, tmp_path):
         a = run_scenario(short_ab_scenario(seed=4, noise=1e-4), tmp_path / "a")
