@@ -5,7 +5,6 @@ and scenario-driven closed-loop verification."""
 
 from .quat import (
     EulerZXY,
-    Quaternion,
     attitude_error,
     euler_zxy_to_quat,
     quat_to_euler_zxy,

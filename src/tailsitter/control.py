@@ -203,8 +203,8 @@ class AttitudeController:
         self.cfg = cfg
         self.gains = tuple(float(g) for g in cfg.gains)
 
-    def step(self, q_meas: quat.Quaternion, q_cmd: quat.Quaternion):
-        """Rate command (rad/s) as a 3-tuple of floats."""
+    def step(self, q_meas, q_cmd):
+        """Rate command (rad/s) as a 3-tuple of floats, from two quaternion tuples."""
         gx, gy, gz = self.gains
         ex, ey, ez = quat.attitude_error(q_meas, q_cmd)
         return (gx * ex, gy * ey, gz * ez)
@@ -233,21 +233,22 @@ class AltitudeLoopConfig:
             raise ValueError("v_z_limit must be > 0")
 
 
-def altitude_ff_thrust(v_zd: float, q: quat.Quaternion, speed: float, alpha: float,
+def altitude_ff_thrust(v_zd: float, q, speed: float, alpha: float,
                        cfg: AltitudeLoopConfig, params: AircraftParams,
                        table: AeroTable):
     """Feedforward collective from the vertical force balance.
 
     Solves  m a_zd = m g + e3.f_aero + r31 T  for the thrust T, where
     a_zd = ff_gain * v_zd and r31 is the vertical component of the body
-    thrust axis (negative when thrust points up).  e3.f_aero comes from the
-    plant's own velocity-frame model (``plant.aero_force_ned``), fed the
-    coordinated-flight airflow direction R (cos alpha, 0, sin alpha).
+    thrust axis of the unit quaternion tuple q (negative when thrust points
+    up).  e3.f_aero comes from the plant's own velocity-frame model
+    (``plant.aero_force_ned``), fed the coordinated-flight airflow direction
+    R (cos alpha, 0, sin alpha).
     Returns (u_ff, flag) with u_ff = thrust_ratio * T clamped to [0, 1];
     near-level attitude (|r31| below the authority floor) returns the hover
     command and flags it so the feedback path knows the model is silent.
     """
-    rot = quat.rotation_rows(*q.as_array().tolist())
+    rot = quat.rotation_rows(*q)
     (r11, _, r13), (r21, _, r23), (r31, _, r33) = rot
     if abs(r31) < cfg.min_vertical_authority:
         return params.hover_command, "no_vertical_authority"
@@ -283,7 +284,7 @@ class AltitudeController:
         self.integrator = 0.0
 
     def step(self, alt_meas: float, alt_cmd: float, v_z_meas: float,
-             q: quat.Quaternion, speed: float, alpha: float):
+             q, speed: float, alpha: float):
         """One 250 Hz tick -> (thrust_cmd in [0, 1], flags)."""
         cfg = self.cfg
         v_zd = cfg.alt_gain * (alt_meas - alt_cmd)  # down-positive command

@@ -188,22 +188,28 @@ def _telemetry_col(name):
 
 
 STEP_WINDOW_S = 1.8  # response window of each rate step's overshoot and rise
+SPECTRUM_WINDOW_S = 6.0  # notch-off oscillation window before the enable
 
 
-def _cut_by_divergence(report: RunReport, t_end: float, *names: str) -> bool:
-    """Fail the named checks if the run diverged before their window ends.
+def _cut_unmeasured(report: RunReport, sc: Scenario, t_start: float, t_end: float,
+                    *names: str) -> bool:
+    """Fail the named checks if the log does not cover their window.
 
-    A diverged run's log stops at ``diverged_at_s``; a check whose window
-    (ending at t_end) the log does not reach is reported as failed, not
-    measured.
+    The log spans [0, duration_s), and a diverged run's log stops at
+    ``diverged_at_s``; a check whose window [t_start, t_end] the log does not
+    cover is reported as failed, not measured.
     """
     at = report.metrics.get("diverged_at_s")
-    if at is None or t_end <= at:
+    if at is not None and t_end > at:
+        why = (f"the run diverged at diverged_at_s = {at:g} s, before the check "
+               f"window ends at {t_end:g} s")
+    elif t_start < 0.0 or t_end > sc.duration_s:
+        why = (f"the check window [{t_start:g}, {t_end:g}] s is not inside the "
+               f"{sc.duration_s:g} s run")
+    else:
         return False
     for name in names:
-        report.add_check(name, False, f"not measured: the run diverged at "
-                         f"diverged_at_s = {at:g} s, before the check window "
-                         f"ends at {t_end:g} s")
+        report.add_check(name, False, f"not measured: {why}")
     return True
 
 
@@ -212,20 +218,21 @@ def _checks_notch_ab(sc: Scenario, data: np.ndarray, report: RunReport):
     w = data[:, _telemetry_col("w_meas_y")]
     enable_t = next(e.t for e in sc.events if e.kind == "notch" and e.args["enabled"])
 
-    if not _cut_by_divergence(report, enable_t, "notch_off_divergence",
-                              "divergence_frequency"):
+    if not _cut_unmeasured(report, sc, enable_t - SPECTRUM_WINDOW_S, enable_t,
+                           "notch_off_divergence", "divergence_frequency"):
         growth = metrics.max_growth_rate(t, w, t_lo=1.0, t_hi=enable_t)
         report.metrics["divergence_growth_rate_per_s"] = growth
         report.add_check("notch_off_divergence", growth > 0.1,
                          f"envelope growth rate {growth:.3f}/s (> 0.1/s required)")
 
-        seg = (t >= enable_t - 6.0) & (t < enable_t)
+        seg = (t >= enable_t - SPECTRUM_WINDOW_S) & (t < enable_t)
         f_dom = metrics.dominant_frequency(w[seg], 1.0 / (t[1] - t[0]))
         report.metrics["divergence_dominant_hz"] = f_dom
         report.add_check("divergence_frequency", abs(f_dom - 14.0) <= 1.0,
                          f"dominant oscillation {f_dom:.2f} Hz (14 +/- 1 Hz required)")
 
-    if not _cut_by_divergence(report, enable_t + 3.0, "notch_on_convergence"):
+    if not _cut_unmeasured(report, sc, enable_t, enable_t + 3.0,
+                           "notch_on_convergence"):
         tc, env = metrics.amplitude_envelope(t, w)
         e_at = env[np.argmin(np.abs(tc - enable_t))]
         e_after = env[np.argmin(np.abs(tc - (enable_t + 3.0)))]
@@ -241,8 +248,8 @@ def _checks_rate_step(sc: Scenario, data: np.ndarray, report: RunReport):
     w = data[:, _telemetry_col("w_meas_y")]
     cmd = data[:, _telemetry_col("w_cmd_y")]
     steps = [e for e in sc.events if e.kind == "rate_cmd"]
-    if not _cut_by_divergence(report, steps[-1].t + STEP_WINDOW_S,
-                              "rate_step_overshoot"):
+    if not _cut_unmeasured(report, sc, steps[0].t, steps[-1].t + STEP_WINDOW_S,
+                           "rate_step_overshoot"):
         worst = 0.0
         prev = 0.0
         for e in steps:
@@ -258,11 +265,14 @@ def _checks_rate_step(sc: Scenario, data: np.ndarray, report: RunReport):
         # ~11 %; the 5 % bound stays as the design target (see README notes).
         report.add_check("rate_step_overshoot", worst <= 5.0,
                          f"worst overshoot {worst:.2f} % (<= 5 % required)")
-    if not _cut_by_divergence(report, steps[0].t + STEP_WINDOW_S, "rate_step_rise"):
+    if not _cut_unmeasured(report, sc, steps[0].t, steps[0].t + STEP_WINDOW_S,
+                           "rate_step_rise"):
         rt = metrics.rise_time(t, w, steps[0].t, 0.0, steps[0].args.get("y", 0.3))
         report.metrics["rise_time_s"] = rt
         report.add_check("rate_step_rise", rt <= 0.5,
-                         f"10-90 % rise time {rt:.3f} s (<= 0.5 s required)")
+                         "the response never reached 90 % of the step "
+                         "(a 10-90 % rise time <= 0.5 s required)" if math.isnan(rt)
+                         else f"10-90 % rise time {rt:.3f} s (<= 0.5 s required)")
     # tracking error over the last 0.5 s before each subsequent edge
     at = report.metrics.get("diverged_at_s")
     if len(steps) > 1 and (at is None or steps[-1].t <= at):
@@ -277,7 +287,7 @@ def _checks_rate_step(sc: Scenario, data: np.ndarray, report: RunReport):
 def _checks_transition(sc: Scenario, data: np.ndarray, report: RunReport,
                        simlog: np.ndarray):
     t = simlog[:, 0]
-    if not _cut_by_divergence(report, sc.duration_s, "altitude_hold"):
+    if not _cut_unmeasured(report, sc, 0.0, sc.duration_s, "altitude_hold"):
         alt = -simlog[:, SIMLOG_HEADER.index("pz")]
         alt_err = np.max(np.abs(alt - sc.initial_altitude_m))
         report.metrics["max_altitude_error_m"] = float(alt_err)
@@ -286,15 +296,12 @@ def _checks_transition(sc: Scenario, data: np.ndarray, report: RunReport,
 
     # the first-order fit and the overshoot both look FIT_WINDOW_S past the step
     step_ev = [e for e in sc.events if e.kind == "attitude" and "pitch" in e.args][-1]
-    if _cut_by_divergence(report, step_ev.t + metrics.FIT_WINDOW_S,
-                          "stepback_first_order", "stepback_overshoot"):
+    if _cut_unmeasured(report, sc, step_ev.t, step_ev.t + metrics.FIT_WINDOW_S,
+                       "stepback_first_order", "stepback_overshoot"):
         return
     # pitch angle series from the logged quaternion
-    pitch = np.array([
-        quat.quat_to_euler_zxy(
-            quat.Quaternion.from_array(row[7:11], normalize=True)).pitch
-        for row in simlog
-    ])
+    pitch = np.array([quat.quat_to_euler_zxy(quat.normalize(q)).pitch
+                      for q in simlog[:, 7:11].tolist()])
     tau, r2 = metrics.first_order_fit(t, pitch, step_ev.t)
     p0 = pitch[np.argmin(np.abs(t - step_ev.t))]
     ov = metrics.overshoot_pct(t, pitch, step_ev.t, p0, step_ev.args["pitch"],
@@ -313,6 +320,12 @@ CHECK_SUITES = {
     "rate_step": _checks_rate_step,
     "transition": _checks_transition,
 }
+
+
+def _read_back(path, header, logged):
+    """The rows of a log just written.  A run that diverged on its first tick
+    logged none, and ``read_csv`` rejects its header-only file."""
+    return read_csv(path)[1] if len(logged) else np.empty((0, len(header)))
 
 
 def run_scenario(source, out_dir="out", seed=None) -> RunReport:
@@ -351,10 +364,9 @@ def run_scenario(source, out_dir="out", seed=None) -> RunReport:
     # recompute every metric from the files just written
     if sc.check_suite is not None:
         suite = CHECK_SUITES[sc.check_suite]
-        _, tele = read_csv(tele_path)
+        tele = _read_back(tele_path, TELEMETRY_HEADER, log.telemetry)
         if sc.check_suite == "transition":
-            _, simdata = read_csv(sim_path)
-            suite(sc, tele, report, simdata)
+            suite(sc, tele, report, _read_back(sim_path, SIMLOG_HEADER, log.simlog))
         else:
             suite(sc, tele, report)
     report.write(out_dir)

@@ -95,14 +95,18 @@ def overshoot_pct(t, y, t_step, y_initial, y_final, settle_window_s=4.0):
 
 
 def rise_time(t, y, t_step, y_initial, y_final):
-    """10 % to 90 % rise time of a step response, seconds."""
+    """10 % to 90 % rise time of a step response, seconds.
+
+    nan if the response from t_step on never reaches 90 % of the step.
+    """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     m = t >= t_step
     tt, yy = t[m], (y[m] - y_initial) / (y_final - y_initial)
-    t10 = tt[np.argmax(yy >= 0.1)]
-    t90 = tt[np.argmax(yy >= 0.9)]
-    return float(t90 - t10)
+    reached = yy >= 0.9
+    if not reached.any():
+        return float("nan")
+    return float(tt[np.argmax(reached)] - tt[np.argmax(yy >= 0.1)])
 
 
 def first_order_fit(t, y, t_step):

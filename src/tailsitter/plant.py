@@ -19,10 +19,14 @@ quaternion, body rates) and every stage of the substep (delay line, flex
 biquad, torque scaling, mixer headroom scaling, motor lag, the rigid-body
 derivatives, the RK4 combine and renormalization, and the gyro chain) runs
 on plain floats, with no array or state object built per substep.  It shares
-its body-frame math with ``angle_of_attack`` and the altitude feedforward:
-``quat.rotation_rows``, ``air_data`` and ``aero_force_ned``.  The public
-``mixer``, ``step_dynamics`` and ``aero_forces`` wrap ``_mix``, ``_rk4`` and
-``_lift_drag``, so the property tests exercise the code the simulator runs.
+its body-frame math with the 250 Hz tick of ``sim.run_nonlinear`` and the
+altitude feedforward: ``quat.rotation_rows``, ``air_data`` and
+``aero_force_ned``.  The public ``mixer``, ``step_dynamics`` and
+``aero_forces`` wrap ``_mix``, ``_rk4`` and ``_lift_drag``, so the property
+tests exercise the code the simulator runs.  ``RigidBodyState`` is the
+boundary type only: it carries a state into ``TailsitterSim`` and
+``step_dynamics`` and out of them, and checks the shapes and the quaternion
+norm of what it is given.
 """
 
 from __future__ import annotations
@@ -406,10 +410,6 @@ class RigidBodyState:
         object.__setattr__(self, "q", q)
         q.flags.writeable = False
 
-    @property
-    def quaternion(self):
-        return quat.Quaternion.from_array(self.q, normalize=False)
-
     def as_vector(self):
         return np.concatenate([self.p, self.v, self.q, self.omega])
 
@@ -421,14 +421,8 @@ class RigidBodyState:
 def hover_state(params: AircraftParams, altitude_m=50.0) -> RigidBodyState:
     """Nose-up trim: 90 deg pitch, zero velocity, at the given altitude."""
     q = quat.euler_zxy_to_quat(quat.EulerZXY(0.0, 0.5 * math.pi, 0.0))
-    return RigidBodyState(
-        np.array([0.0, 0.0, -altitude_m]), np.zeros(3), q.as_array(), np.zeros(3)
-    )
-
-
-def angle_of_attack(state: RigidBodyState):
-    """(alpha rad, speed m/s) of a RigidBodyState: the kernel's ``air_data``."""
-    return air_data(quat.rotation_rows(*state.q.tolist()), *state.v.tolist())
+    return RigidBodyState(np.array([0.0, 0.0, -altitude_m]), np.zeros(3), q,
+                          np.zeros(3))
 
 
 def _propeller_wrench(u, params: AircraftParams):
@@ -687,11 +681,11 @@ class TailsitterSim:
     rigid-body RK4 -> vibration injection -> gyro chain.  Single-threaded,
     stateful; run several instances for parallel scenarios.
 
-    The substep runs on plain floats: the vehicle state is one flat list of
-    13 floats (p, v, q, omega) and the delay line holds command tuples, so
-    no array or state object is built per substep.  ``state`` is the
-    RigidBodyState view of the flat state, built on the first read after a
-    step; reading it once per control tick builds it once per tick.
+    The substep runs on plain floats: the vehicle state ``x`` is one flat
+    list of 13 floats (p, v, q, omega), replaced by each substep, and the
+    delay line holds command tuples, so no array or state object is built
+    per substep.  ``state`` builds a RigidBodyState from ``x`` on each read,
+    for callers outside the control loop.
     """
 
     def __init__(self, params: AircraftParams, table: AeroTable,
@@ -731,14 +725,11 @@ class TailsitterSim:
     @property
     def state(self) -> RigidBodyState:
         """The current rigid-body state."""
-        if self._state is None:
-            self._state = RigidBodyState.from_vector(self._x)
-        return self._state
+        return RigidBodyState.from_vector(self.x)
 
     @state.setter
     def state(self, st: RigidBodyState):
-        self._x = st.as_vector().tolist()
-        self._state = st
+        self.x = st.as_vector().tolist()
 
     def set_command(self, torque_norm, thrust_norm):
         """Latch the 250 Hz controller output (normalized units)."""
@@ -770,26 +761,25 @@ class TailsitterSim:
         decay = self._motor_decay
         self._motor_u = [c + (m - c) * decay for c, m in zip(u, self._motor_u)]
 
-        self._x, self.aero_clamped_last = _rk4(
-            self._x, _propeller_wrench(self._motor_u, self.params), self.dt,
+        self.x, self.aero_clamped_last = _rk4(
+            self.x, _propeller_wrench(self._motor_u, self.params), self.dt,
             self.params, self.table)
-        self._state = None
         self.t += self.dt
 
-        wx, wy, wz = self._x[10:13]
+        wx, wy, wz = self.x[10:13]
         if self.vibration_cfg.amplitude > 0.0:
             vib = rotor_vibration(self.t, self.vibration_cfg).tolist()
             wx, wy, wz = wx + vib[0], wy + vib[1], wz + vib[2]
         self.last_measurement = self.sensor._sample(wx, wy, wz)
 
     def altitude(self):
-        return -self._x[2]
+        return -self.x[2]
 
     def v_z(self):
         """Vertical velocity, NED down-positive."""
-        return self._x[5]
+        return self.x[5]
 
     @property
     def motor_states(self):
-        """Actual (lagged) normalized motor outputs."""
-        return np.array(self._motor_u)
+        """Actual (lagged) normalized motor outputs, as a 4-tuple of floats."""
+        return tuple(self._motor_u)

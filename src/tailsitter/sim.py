@@ -36,7 +36,7 @@ from .plant import (
     SimNumericsError,
     TailsitterSim,
     VibrationConfig,
-    angle_of_attack,
+    air_data,
     default_aero_table,
     hover_state,
 )
@@ -310,7 +310,11 @@ def _build_sim(sc: Scenario) -> TailsitterSim:
 
 
 def run_nonlinear(sc: Scenario) -> SimLog:
-    """Full cascade (attitude + rate + altitude) on the rigid-body plant."""
+    """Full cascade (attitude + rate + altitude) on the rigid-body plant.
+
+    Each tick reads the plant's flat state ``sim.x``; the measured attitude
+    is its quaternion normalized once per tick, and both logs record it.
+    """
     sim = _build_sim(sc)
     rate_ctrl = RateController(sc.rate_cfg)
     att_ctrl = AttitudeController(sc.attitude_cfg)
@@ -325,6 +329,8 @@ def run_nonlinear(sc: Scenario) -> SimLog:
     events = list(sc.events)
     n = int(round(sc.duration_s / CONTROL_DT))
     w_meas = (0.0, 0.0, 0.0)
+    x = sim.x
+    q_meas = quat.normalize(x[6:10])
     telemetry = []
     simrows = []
     diverged_at = None
@@ -357,8 +363,7 @@ def run_nonlinear(sc: Scenario) -> SimLog:
             if frac >= 1.0:
                 ramp = None
 
-        q_meas = sim.state.quaternion
-        alpha, speed = angle_of_attack(sim.state)
+        alpha, speed = air_data(quat.rotation_rows(*q_meas), *x[3:6])
         w_cmd = att_ctrl.step(q_meas, q_cmd)
         torque = rate_ctrl.step(w_meas, w_cmd)
         thrust, alt_flags = alt_ctrl.step(sim.altitude(), alt_cmd, sim.v_z(),
@@ -377,9 +382,9 @@ def run_nonlinear(sc: Scenario) -> SimLog:
 
         bits = _flags_bits(rate_ctrl.saturated, alt_flags, sim.saturated_last,
                            aero_clamped)
-        st = sim.state
-        telemetry.append((t, *q_cmd.as_array(), *st.q, *w_cmd, *w_meas,
-                          *torque, thrust, bits))
-        simrows.append((t, *st.p, *st.v, *st.q, *st.omega, *sim.motor_states,
+        x = sim.x
+        q_meas = quat.normalize(x[6:10])
+        telemetry.append((t, *q_cmd, *q_meas, *w_cmd, *w_meas, *torque, thrust, bits))
+        simrows.append((t, *x[0:6], *q_meas, *x[10:13], *sim.motor_states,
                         int(sim.saturated_last)))
     return SimLog(np.array(telemetry), np.array(simrows), diverged_at)

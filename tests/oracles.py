@@ -3,8 +3,10 @@
 None of these is used by the package itself: they are the kinematics, the
 quaternion product, the rotation matrix and velocity-frame aero force, the
 chirp frequency law, an exact FRF, small helpers stated directly from their
-definitions, and the numpy-array versions of the 250 Hz rate-loop tick and
-the attitude error that the float versions must match bit for bit.
+definitions, and the numpy-array versions of the 250 Hz rate-loop tick, the
+quaternion normalization and the attitude error that the float versions
+must match bit for bit.  Quaternions go in and come out as 4-tuples of
+floats, the package's one quaternion form.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 
 from tailsitter.control import RateController
 from tailsitter.lti import ContinuousTF, tf_eval
-from tailsitter.quat import _SMALL_HALF_ANGLE, Quaternion, _hamilton
+from tailsitter.quat import _SMALL_HALF_ANGLE
 from tailsitter.sysid import FRFEstimate
 
 
@@ -21,22 +23,77 @@ def integrator_tf(gain=1.0) -> ContinuousTF:
     return ContinuousTF([float(gain)], [0.0, 1.0])
 
 
-def conjugate(q: Quaternion) -> Quaternion:
-    w, x, y, z = q.as_array()
-    return Quaternion(w, -x, -y, -z, normalize=False)
+IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
-def quat_multiply(a: Quaternion, b: Quaternion) -> Quaternion:
+def hamilton(p, q) -> np.ndarray:
+    """Hamilton product ``p (x) q`` as a length-4 array (no normalization).
+
+    Composition order: ``p (x) q`` applies rotation q first, then p, when
+    quaternions map body to inertial coordinates.
+    """
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return np.array(
+        [
+            pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw,
+        ]
+    )
+
+
+def normalize(q):
+    """``q / sqrt(q @ q)`` on a numpy array, as a 4-tuple of floats."""
+    q = np.array(q, dtype=float)
+    n = math.sqrt(float(q @ q))
+    if n < 1e-12:
+        raise ValueError("cannot normalize near-zero quaternion")
+    return tuple((q / n).tolist())
+
+
+def negate(q):
+    """-q: the same rotation from the other hemisphere of the double cover."""
+    return tuple(-c for c in q)
+
+
+def axis_angle(axis, angle_rad):
+    """Unit quaternion of a rotation by angle_rad about axis."""
+    axis = np.asarray(axis, dtype=float)
+    n = np.linalg.norm(axis)
+    if n < 1e-12:
+        raise ValueError("rotation axis has near-zero magnitude")
+    half = 0.5 * float(angle_rad)
+    return normalize(np.r_[math.cos(half), (math.sin(half) / n) * axis])
+
+
+def euler_zxy_product(e):
+    """Normalized numpy product qz (x) qx (x) qy of the Z-X-Y axis quaternions."""
+    def axis_quat(angle, i):
+        q = np.zeros(4)
+        q[0], q[i] = math.cos(0.5 * angle), math.sin(0.5 * angle)
+        return q
+
+    return normalize(hamilton(hamilton(axis_quat(e.yaw, 3), axis_quat(e.roll, 1)),
+                              axis_quat(e.pitch, 2)))
+
+
+def conjugate(q):
+    w, x, y, z = q
+    return (w, -x, -y, -z)
+
+
+def quat_multiply(a, b):
     """Hamilton product ``a (x) b``, renormalized."""
-    w = _hamilton(a.as_array(), b.as_array())
-    return Quaternion(w[0], w[1], w[2], w[3])
+    return normalize(hamilton(a, b))
 
 
-def attitude_error(q_current: Quaternion, q_desired: Quaternion) -> np.ndarray:
-    """``quat.attitude_error`` on ``Quaternion`` products and numpy arrays."""
+def attitude_error(q_current, q_desired) -> np.ndarray:
+    """``quat.attitude_error`` on numpy products and arrays."""
     qe = quat_multiply(conjugate(q_current), q_desired)
-    eta = qe.eta
-    eps = qe.eps
+    eta = qe[0]
+    eps = np.array(qe[1:])
     half = math.acos(min(1.0, abs(eta)))
     if half < _SMALL_HALF_ANGLE:
         scale = 1.0 + half * half / 6.0
@@ -77,40 +134,39 @@ class NumpyRateController(RateController):
         return out
 
 
-def same_rotation(a: Quaternion, b: Quaternion, tol=1e-9):
+def same_rotation(a, b, tol=1e-9):
     """True if a and b encode the same rotation (sign-agnostic)."""
-    qa, qb = a.as_array(), b.as_array()
+    qa, qb = np.asarray(a), np.asarray(b)
     return min(np.linalg.norm(qa - qb), np.linalg.norm(qa + qb)) < tol
 
 
-def rotation_angle(q: Quaternion):
+def rotation_angle(q):
     """Total rotation angle in [0, pi]."""
-    return 2.0 * math.acos(min(1.0, abs(q.eta)))
+    return 2.0 * math.acos(min(1.0, abs(q[0])))
 
 
 def quat_derivative(q, omega_body) -> np.ndarray:
     """Kinematics ``q_dot = 0.5 q (x) (0, omega)`` on raw 4-arrays."""
     w = np.asarray(omega_body, dtype=float)
-    return 0.5 * _hamilton(q, np.array([0.0, w[0], w[1], w[2]]))
+    return 0.5 * hamilton(q, np.array([0.0, w[0], w[1], w[2]]))
 
 
-def integrate_rates(q: Quaternion, omega_body, dt: float) -> Quaternion:
+def integrate_rates(q, omega_body, dt: float):
     """Advance attitude by body rates over dt (RK4 on the kinematics)."""
-    a = q.as_array()
+    a = np.asarray(q, dtype=float)
 
     k1 = quat_derivative(a, omega_body)
     k2 = quat_derivative(a + 0.5 * dt * k1, omega_body)
     k3 = quat_derivative(a + 0.5 * dt * k2, omega_body)
     k4 = quat_derivative(a + dt * k3, omega_body)
-    out = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return Quaternion(out[0], out[1], out[2], out[3])
+    return normalize(a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 def rotation_matrix(q) -> np.ndarray:
     """Body-to-inertial matrix whose column j is q (x) (0, e_j) (x) q*."""
     q = np.asarray(q, dtype=float)
     qc = q * np.array([1.0, -1.0, -1.0, -1.0])
-    return np.column_stack([_hamilton(_hamilton(q, np.r_[0.0, e]), qc)[1:]
+    return np.column_stack([hamilton(hamilton(q, np.r_[0.0, e]), qc)[1:]
                             for e in np.eye(3)])
 
 

@@ -179,18 +179,45 @@ class TestFloatTick:
         rng = np.random.default_rng(24)
         att = AttitudeController(AttitudeLoopConfig(gains=(4.0, 3.0, 2.0)))
         for k in range(self.TICKS):
-            qc = quat.Quaternion.from_array(rng.normal(size=4))
+            qc = oracles.normalize(rng.normal(size=4))
             # near, moderate and unrelated pairs
             spread = (1e-6, 1e-2, 1.0, None)[k % 4]
-            qd = (quat.Quaternion.from_array(rng.normal(size=4)) if spread is None
-                  else quat.Quaternion.from_array(qc.as_array()
-                                                  + spread * rng.normal(size=4)))
-            for a, b in ((qc, qd), (-qc, qd), (qc, -qd), (-qc, -qd)):
+            qd = oracles.normalize(rng.normal(size=4) if spread is None
+                                   else qc + spread * rng.normal(size=4))
+            neg_c, neg_d = oracles.negate(qc), oracles.negate(qd)
+            for a, b in ((qc, qd), (neg_c, qd), (qc, neg_d), (neg_c, neg_d)):
                 xi = quat.attitude_error(a, b)
                 assert all(type(v) is float for v in xi)
                 assert xi == tuple(oracles.attitude_error(a, b).tolist())
                 assert att.step(a, b) == tuple((np.array(att.gains)
                                                 * oracles.attitude_error(a, b)).tolist())
+
+    def test_normalize_matches_numpy(self):
+        rng = np.random.default_rng(25)
+        for k in range(self.TICKS):
+            # unit-sized, RK4-renormalized, tiny and large vectors
+            v = rng.normal(size=4) * (1.0, 1e-10, 1e8)[k % 3]
+            if k % 5 == 0:
+                v = v / np.linalg.norm(v) + rng.normal(scale=1e-15, size=4)
+            q = quat.normalize(tuple(v.tolist()))
+            assert all(type(c) is float for c in q)
+            assert q == oracles.normalize(v)
+            assert q == tuple((v / np.linalg.norm(v)).tolist())
+        with pytest.raises(ValueError):
+            quat.normalize((0.0, 1e-13, 0.0, 0.0))
+
+    def test_euler_to_quat_matches_numpy_product(self):
+        rng = np.random.default_rng(26)
+        zeros = (0.0, -0.0, 1e-310, -1e-310)
+        # signed and subnormal zeros, and half-angles whose cosine is negative
+        angles = [(r, p, y) for r in zeros + (-4.0, 1.0)
+                  for p in zeros + (0.5 * math.pi, -7.0)
+                  for y in zeros + (2.0 * math.pi, -3.0)]
+        angles += rng.uniform(-7.0, 7.0, (self.TICKS, 3)).tolist()
+        for e in map(quat.EulerZXY._make, angles):
+            q = quat.euler_zxy_to_quat(e)
+            # repr tells the signed zeros apart
+            assert repr(q) == repr(oracles.euler_zxy_product(e)), e
 
 
 class TestNotchPlacement:
@@ -225,16 +252,16 @@ class TestAttitudeController:
         q_meas = quat.euler_zxy_to_quat(quat.EulerZXY(0.05, 1.5, 0.2))
         q_cmd = quat.euler_zxy_to_quat(quat.EulerZXY(0.0, 1.4, 0.1))
         np.testing.assert_array_equal(c.step(q_meas, q_cmd),
-                                      c.step(q_meas, -q_cmd))
+                                      c.step(q_meas, oracles.negate(q_cmd)))
         np.testing.assert_array_equal(c.step(q_meas, q_cmd),
-                                      c.step(-q_meas, q_cmd))
+                                      c.step(oracles.negate(q_meas), q_cmd))
 
 
 def solve_thrust_brute(v_zd, q, speed, alpha, cfg, params, table):
     """Bisection oracle on the vertical force balance residual."""
     from tailsitter.plant import aero_forces
 
-    rot = q.to_rotmat()
+    rot = np.array(quat.rotation_rows(*q))
     r31 = rot[2, 0]
     f_az = 0.0
     if speed > 0.0:
@@ -321,7 +348,7 @@ class TestFeedforwardConsistency:
     def test_vertical_acceleration_tracks_command(self, params, table):
         # feedforward-only thrust at trim: vertical acceleration must match
         # the commanded value within 0.2 m/s^2 (model-matched case)
-        from tailsitter.plant import TailsitterSim, SensorConfig
+        from tailsitter.plant import TailsitterSim, SensorConfig, air_data
         from tailsitter.sim import SUBSTEPS
 
         cfg = AltitudeLoopConfig()
@@ -336,11 +363,10 @@ class TestFeedforwardConsistency:
         accels = []
         v_prev = sim.v_z()
         for k in range(int(2.0 / (1.0 / 250.0))):
-            from tailsitter.plant import angle_of_attack
-            alpha, speed = angle_of_attack(sim.state)
-            u_ff, _ = altitude_ff_thrust(v_zd, sim.state.quaternion, speed,
-                                         alpha, cfg, params, table)
-            torque = rate.step(w_meas, att.step(sim.state.quaternion, q_cmd))
+            q = quat.normalize(sim.x[6:10])
+            alpha, speed = air_data(quat.rotation_rows(*q), *sim.x[3:6])
+            u_ff, _ = altitude_ff_thrust(v_zd, q, speed, alpha, cfg, params, table)
+            torque = rate.step(w_meas, att.step(q, q_cmd))
             sim.set_command(torque, u_ff)
             for _ in range(SUBSTEPS):
                 sim.step()
@@ -364,5 +390,6 @@ class TestCascadeDoubleCover:
         w = rng.normal(0.0, 0.1, size=(50, 3))
         for k in range(50):
             ta = rate_a.step(w[k], att.step(q_meas, q_cmd))
-            tb = rate_b.step(w[k], att.step(-q_meas, -q_cmd))
+            tb = rate_b.step(w[k], att.step(oracles.negate(q_meas),
+                                            oracles.negate(q_cmd)))
             np.testing.assert_array_equal(ta, tb)

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from tailsitter.harness import (
 from tailsitter.lti import PlantFitParams, ResonanceParams
 from tailsitter.plant import (AircraftParams, SensorConfig, VibrationConfig,
                              default_aero_table)
-from tailsitter.sim import Event, Scenario, run_linear_axis
+from tailsitter.sim import Event, Scenario, run_linear_axis, run_nonlinear
 from tailsitter.sysid import ChirpConfig
 
 
@@ -91,8 +93,44 @@ class TestRunScenario:
         assert failed == {"rate_step_overshoot"}
         assert report.metrics["rise_time_s"] < 0.5
 
+    def test_rate_loop_that_never_responds_fails_rise(self, tmp_path):
+        sc = builtin_scenarios()["rate_step"]
+        off = dataclasses.replace(sc.rate_cfg, kp=(0.0,) * 3, ki=(0.0,) * 3,
+                                  kd=(0.0,) * 3)
+        report = run_scenario(dataclasses.replace(sc, rate_cfg=off), tmp_path)
+        checks = {name: (ok, detail) for name, ok, detail in report.checks}
+        assert math.isnan(report.metrics["rise_time_s"])
+        assert checks["rate_step_rise"] == (
+            False, "the response never reached 90 % of the step "
+                   "(a 10-90 % rise time <= 0.5 s required)")
 
-def diverging_config(tmp_path, name):
+    @pytest.mark.parametrize("name, events, cut", [
+        # the last step's response window runs past the 8 s log
+        ("rate_step", [{"t": 7.9, "kind": "rate_cmd", "y": 0.3}],
+         {"rate_step_overshoot": "[7.9, 9.7]", "rate_step_rise": "[7.9, 9.7]"}),
+        # the notch-off spectrum window starts before the log
+        ("hover_notch_ab", [{"t": 0.0, "kind": "notch", "enabled": True}],
+         {"notch_off_divergence": "[-6, 0]", "divergence_frequency": "[-6, 0]"}),
+    ])
+    def test_window_outside_the_log_is_not_measured(self, tmp_path, capsys,
+                                                    name, events, cut):
+        cfg = scenario_to_config(builtin_scenarios()[name])
+        cfg["events"] = events
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["run", str(path), "--out-dir", str(out)])
+        assert caught == []
+        assert rc == EXIT_CHECK_FAILED
+        text = (out / f"{name}_report.txt").read_text()
+        for check, window in cut.items():
+            assert (f"[FAIL] {check}: not measured: the check window {window} s "
+                    f"is not inside the {cfg['duration_s']:g} s run") in text
+
+
+def diverging_config(tmp_path, name, inertia=1e-6):
     """A builtin scenario's dumped JSON, edited so the run diverges early."""
     assert cli.main(["scenarios", "--dump-dir", str(tmp_path)]) == EXIT_OK
     path = tmp_path / f"{name}.json"
@@ -104,8 +142,9 @@ def diverging_config(tmp_path, name):
             1e6 * c for c in cfg["plant_params"]["main_num"]]
     else:
         # a vanishing inertia makes the rigid body non-finite in two ticks
-        cfg["aircraft"]["inertia"] = [[1e-6, 0.0, 0.0], [0.0, 1e-6, 0.0],
-                                      [0.0, 0.0, 1e-6]]
+        # (in the first at 1e-12)
+        cfg["aircraft"]["inertia"] = [[inertia, 0.0, 0.0], [0.0, inertia, 0.0],
+                                      [0.0, 0.0, inertia]]
     path.write_text(json.dumps(cfg))
     return path
 
@@ -131,6 +170,20 @@ class TestDivergedRun:
         assert "diverged = True" in text
         for check in checks:
             assert f"[FAIL] {check}: not measured: the run diverged at diverged_at_s" in text
+
+    def test_divergence_on_the_first_tick(self, tmp_path, capsys):
+        # no row is logged: the checks still report, from header-only logs
+        path = diverging_config(tmp_path, "transition", inertia=1e-12)
+        out = tmp_path / "out"
+        rc = cli.main(["run", str(path), "--out-dir", str(out)])
+        assert rc == EXIT_CHECK_FAILED
+        assert "overall: FAIL" in capsys.readouterr().out
+        text = (out / "transition_report.txt").read_text()
+        assert "diverged_at_s = 0.0" in text
+        for check in ("altitude_hold", "stepback_first_order", "stepback_overshoot"):
+            assert (f"[FAIL] {check}: not measured: the run diverged at "
+                    "diverged_at_s = 0 s") in text
+        assert (out / "transition_simlog.csv").read_text().count("\n") == 1
 
 
 # Telemetry rows of the builtin linear-axis runs as the numpy-array rate
@@ -168,6 +221,84 @@ def test_linear_axis_golden_rows(name):
     log = run_linear_axis(builtin_scenarios()[name])
     for row, values in LINEAR_AXIS_GOLDEN[name].items():
         assert log.telemetry[row].tolist() == values, (name, row)
+
+
+# Rows 0, 75, 150, 200 and 249 of a 1 s transition with a pitch ramp from
+# 0.2 s to 0.6 s and a step back at 0.7 s, as the numpy `Quaternion` and
+# `RigidBodyState` view that the float tuples replaced logged them: the
+# ramp's start, middle and end, and after the step back.  Telemetry first,
+# then the state log.
+TRANSITION_1S_GOLDEN = [
+    {0: [0.0, 0.7071067811865476, 0.0, 0.7071067811865475, 0.0, 0.7071067811865476,
+         -1.8681062248831208e-20, 0.7071067811865475, -1.6171145847433112e-20, 0.0,
+         0.0, 0.0, 0.004266775052505329, -0.0016229830391616001,
+         0.0010096928932726808, 0.0, 0.0, 0.0, 0.5, 0.0],
+     75: [0.3, 0.7223639620597556, 0.0, 0.6915130557822694, 0.0,
+          0.7072386534741487, -2.901117361454605e-05, 0.706974883502667,
+          -1.6935618817557848e-05, 3.643728286777711e-05, -0.08666256219610532,
+          6.203670190373178e-05, 0.001543610151949922, -0.017757833786673522,
+          -0.002847118510876518, 0.0002307217816601187, -0.0013083842249696771,
+          -0.0005499271823589659, 0.5000000245483199, 0.0],
+     150: [0.6, 0.7660444431189781, 0.0, 0.6427876096865394, 0.0,
+           0.7185105369783849, -5.3805410628290306e-05, 0.6955160699340146,
+           -4.265622890322344e-05, 5.546681829030742e-05, -0.28566980427208916,
+           0.00013366079455873813, 4.969449340048353e-05, -0.20820881345975262,
+           0.001189283812454935, -0.0014461542951042944, -0.0008656135145142214,
+           -0.0027391474312010076, 0.5002847954416587, 0.0],
+     200: [0.8, 0.7071067811865476, 0.0, 0.7071067811865475, 0.0,
+           0.7319507581995871, -6.847131274325565e-05, 0.6813575276380893,
+           -4.9128803812945344e-05, 5.327930303270567e-05, 0.14299886355771055,
+           0.0001667327572057174, 0.0006398672271303345, -0.014338945812310195,
+           -0.0015669575098956222, 0.00021569717513913767, -0.024595011256359857,
+           0.0005210308451691469, 0.5015214233135873, 0.0],
+     249: [0.996, 0.7071067811865476, 0.0, 0.7071067811865475, 0.0,
+           0.7295779833276588, -6.545992576141991e-05, 0.6838976251014918,
+           -1.841423509529412e-05, 0.0001317587628535415, 0.1297063262957307,
+           0.00011991558670547148, 0.0003923355841068646, 0.061279451182333314,
+           -0.003885880922922557, 0.001714854409397127, 0.0207137083423399,
+           0.0011942959456257506, 0.5012506765041287, 0.0]},
+    {0: [0.0, 1.7426060594516456e-20, -6.449812937993245e-25, -50.0,
+         8.713030297258228e-18, -6.448721672372582e-22, 7.105427357601002e-18,
+         0.7071067811865476, -1.8681062248831208e-20, 0.7071067811865475,
+         -1.6171145847433112e-20, -1.7739904675233973e-18, -5.5234518352591055e-17,
+         -2.4630549048307602e-17, 0.4999999999999999, 0.49999999999999994,
+         0.49999999999999994, 0.5000000000000001, 0.0],
+     75: [0.3, -8.371898335820227e-06, -8.810642730798658e-06, -49.99999999970028,
+          9.581423236141917e-06, -8.915728863050935e-05, 6.946563502493082e-09,
+          0.7072386534741487, -2.901117361454605e-05, 0.706974883502667,
+          -1.6935618817557848e-05, -5.3804775045293794e-05, -0.019062582907899202,
+          -0.0006521570856042344, 0.4974465378257653, 0.4973065146197884,
+          0.5026071902173851, 0.5026397627711316, 0.0],
+     150: [0.6, 0.00285885178916719, -7.632402244611327e-05, -49.999987197079946,
+           0.03476039867695031, -0.00039279544863513895, 0.00021639950561371007,
+           0.7185105369783849, -5.3805410628290306e-05, 0.6955160699340146,
+           -4.265622890322344e-05, 6.298469486935703e-05, -0.20746330198572,
+           -0.00016680807823995798, 0.4946075046077726, 0.494835831915732,
+           0.5059671389410315, 0.5050425078815349, 0.0],
+     200: [0.8, 0.019143487380239008, -0.00018288616943062488, -49.99983697477462,
+           0.14203699202000353, -0.0006883552929121142, 0.0014202947950525643,
+           0.7319507581995871, -6.847131274325565e-05, 0.6813575276380893,
+           -4.9128803812945344e-05, -0.00017766504928582065, -0.012417463331341708,
+           0.00011751784346797317, 0.5078021458051827, 0.508134164248548,
+           0.4940398397765905, 0.49419647755978685, 0.0],
+     249: [0.996, 0.06040583592603939, -0.00034632351637346807, -49.99957865817532,
+           0.27663305135542715, -0.0009690642310567302, 0.0007823034976509681,
+           0.7295779833276588, -6.545992576141991e-05, 0.6838976251014918,
+           -1.841423509529412e-05, -0.00015973343081081387, 0.05834658429701752,
+           0.0003501417648630799, 0.49894799626092523, 0.49916313227473885,
+           0.5039563630105464, 0.5037879448742164, 0.0]},
+]
+
+
+def test_nonlinear_golden_rows():
+    sc = dataclasses.replace(builtin_scenarios()["transition"], duration_s=1.0, events=(
+        Event(0.2, "pitch_ramp", {"pitch_to": math.radians(80.0), "duration": 0.4}),
+        Event(0.7, "attitude", {"pitch": math.radians(90.0)})))
+    log = run_nonlinear(sc)
+    for logged, golden in zip((log.telemetry, log.simlog), TRANSITION_1S_GOLDEN):
+        for row, values in golden.items():
+            # repr tells a -0.0 from the logged +0.0
+            assert repr(logged[row].tolist()) == repr(values), row
 
 
 class TestCompareRuns:
