@@ -35,12 +35,6 @@ class BiquadSection:
         self._z1 = 0.0
         self._z2 = 0.0
 
-    def process(self, x: float) -> float:
-        y = self.b0 * x + self._z1
-        self._z1 = self.b1 * x - self.a1 * y + self._z2
-        self._z2 = self.b2 * x - self.a2 * y
-        return y
-
     def response(self, freq_hz, sample_hz):
         """Complex response at freq_hz (vectorized)."""
         z = np.exp(-2j * np.pi * np.asarray(freq_hz, dtype=float) / sample_hz)
@@ -74,8 +68,12 @@ class BiquadCascade:
             i = self._delay_idx
             x, buf[i] = buf[i], x
             self._delay_idx = (i + 1) % self.delay_samples
+        # each section in Direct Form II transposed, run inline
         for s in self.sections:
-            x = s.process(x)
+            y = s.b0 * x + s._z1
+            s._z1 = s.b1 * x - s.a1 * y + s._z2
+            s._z2 = s.b2 * x - s.a2 * y
+            x = y
         return x
 
     def process_block(self, xs):

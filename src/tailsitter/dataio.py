@@ -79,25 +79,41 @@ def write_csv(path, header, rows):
 
 
 def read_csv(path):
-    """(header list, float ndarray of shape (rows, cols)); a row narrower or
-    wider than the header, or a non-number, is a ConfigError at its line."""
+    """(header list, float ndarray of shape (rows, cols)); blank lines are
+    skipped, and a row narrower or wider than the header, or a non-number,
+    is a ConfigError at its 1-based file line."""
     with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise ConfigError(f"{path}: empty file, no header row")
-        width = len(header)
-        data = []
-        try:
-            for row in filter(None, r):  # blank lines skipped
-                if len(row) != width:
-                    raise ValueError(f"{len(row)} fields, header has {width}")
-                data.append([float(x) for x in row])
-        except ValueError as e:
-            raise ConfigError(f"{path}:{r.line_num}: {e}")
-    if not data:
-        raise ConfigError(f"{path}: no data rows")
-    return header, np.array(data)
+        if not any(line.strip("\r\n") for line in fh):
+            raise ConfigError(f"{path}: no data rows")
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    except ValueError as e:
+        raise ConfigError(_bad_row(path, len(header), e))
+    if data.shape[1] != len(header):
+        raise ConfigError(_bad_row(path, len(header), None))
+    return header, data
+
+
+def _bad_row(path, width, error):
+    """``path:line: reason`` of the first data row that is not ``width``
+    numbers; ``np.loadtxt`` names rows by count, not by file line."""
+    with open(path, newline="") as fh:
+        next(fh)
+        for n, line in enumerate(fh, 2):
+            row = line.strip("\r\n")
+            if not row:
+                continue
+            fields = row.split(",")
+            if len(fields) != width:
+                return f"{path}:{n}: {len(fields)} fields, header has {width}"
+            try:
+                np.loadtxt([row], delimiter=",", comments=None)
+            except ValueError:
+                return f"{path}:{n}: not a number in {row!r}"
+    return f"{path}: {error}"
 
 
 def write_bode_csv(path, tf: ContinuousTF, f_lo=0.1, f_hi=100.0):
@@ -153,7 +169,10 @@ def load_aero_table(path) -> AeroTable:
     cd[ia, iv] = data[:, 3]
     if np.any(np.isnan(cl)) or np.any(np.isnan(cd)):
         raise ConfigError(f"{path}: grid has missing nodes")
-    return AeroTable(alphas, vs, cl, cd)
+    try:
+        return AeroTable(alphas, vs, cl, cd)
+    except ValueError as e:  # a single-node axis or a negative drag
+        raise ConfigError(f"{path}: {e}")
 
 
 def load_json(path):

@@ -18,15 +18,18 @@ is one flat list of 13 floats (NED position and velocity, the attitude
 quaternion, body rates) and every stage of the substep (delay line, flex
 biquad, torque scaling, mixer headroom scaling, motor lag, the rigid-body
 derivatives, the RK4 combine and renormalization, and the gyro chain) runs
-on plain floats, with no array or state object built per substep.  It shares
-its body-frame math with the 250 Hz tick of ``sim.run_nonlinear`` and the
-altitude feedforward: ``quat.rotation_rows``, ``air_data`` and
-``aero_force_ned``.  The public ``mixer``, ``step_dynamics`` and
-``aero_forces`` wrap ``_mix``, ``_rk4`` and ``_lift_drag``, so the property
-tests exercise the code the simulator runs.  ``RigidBodyState`` is the
-boundary type only: it carries a state into ``TailsitterSim`` and
-``step_dynamics`` and out of them, and checks the shapes and the quaternion
-norm of what it is given.
+on plain floats, with no array or state object built per substep.  The
+mixer is 4-motor scalar arithmetic, the motor lag a 4-tuple, and the aero
+lookup clamps by comparison against edges held on the table; each writes
+out the ``min``/``max`` calls it replaced with the same result bit for bit,
+NaN and signed zeros included.  It shares its body-frame math with the
+250 Hz tick of ``sim.run_nonlinear`` and the altitude feedforward:
+``quat.rotation_rows``, ``air_data`` and ``aero_force_ned``.  The public
+``mixer``, ``step_dynamics`` and ``aero_forces`` wrap ``_mix``, ``_rk4`` and
+``_lift_drag``, so the property tests exercise the code the simulator runs.
+``RigidBodyState`` is the boundary type only: it carries a state into
+``TailsitterSim`` and ``step_dynamics`` and out of them, and checks the
+shapes and the quaternion norm of what it is given.
 """
 
 from __future__ import annotations
@@ -206,7 +209,11 @@ class AeroTable:
     """Rectangular (alpha, V) grid of lift/drag coefficients, bilinear lookup.
 
     alpha spans [-pi, pi] rad; queries outside the grid clamp to the edge and
-    report it.  Interpolation reproduces grid nodes exactly.
+    report it.  Interpolation reproduces grid nodes exactly.  The lookup runs
+    on float lists: the edge values, the last cell index of each axis and
+    the node spacings are held at construction, so a query costs two range
+    comparisons, two ``bisect_right`` calls and the bilinear weights.  A NaN
+    query lands in the last cell, gives NaN coefficients and reports a clamp.
     """
 
     def __init__(self, alpha_grid, v_grid, cl, cd):
@@ -214,6 +221,8 @@ class AeroTable:
         self.v_grid = np.array(v_grid, dtype=float)
         self.cl = np.array(cl, dtype=float)
         self.cd = np.array(cd, dtype=float)
+        if self.alpha_grid.size < 2 or self.v_grid.size < 2:
+            raise ValueError("grids need at least two nodes each")
         if np.any(np.diff(self.alpha_grid) <= 0) or np.any(np.diff(self.v_grid) <= 0):
             raise ValueError("grids must be strictly increasing")
         shape = (self.alpha_grid.size, self.v_grid.size)
@@ -224,21 +233,31 @@ class AeroTable:
         # the lookup runs on these float lists; freeze the arrays they mirror
         for arr in (self.alpha_grid, self.v_grid, self.cl, self.cd):
             arr.flags.writeable = False
-        self._alphas = self.alpha_grid.tolist()
-        self._vs = self.v_grid.tolist()
+        self._alphas = alphas = self.alpha_grid.tolist()
+        self._vs = vs = self.v_grid.tolist()
         self._cl = self.cl.tolist()
         self._cd = self.cd.tolist()
+        self._da = [b - a for a, b in zip(alphas, alphas[1:])]
+        self._dv = [b - a for a, b in zip(vs, vs[1:])]
+        self._edges = (alphas[0], alphas[-1], vs[0], vs[-1],
+                       len(alphas) - 2, len(vs) - 2)
 
     def interpolate(self, alpha, v):
         """(CL, CD, clamped) at one query point."""
+        a_lo, a_hi, v_lo, v_hi, i_last, j_last = self._edges
+        clamped = not (a_lo <= alpha <= a_hi and v_lo <= v <= v_hi)
+        if clamped:  # min(max(x, lo), hi), NaN and signed zeros included
+            alpha = a_lo if a_lo > alpha else a_hi if a_hi < alpha else alpha
+            v = v_lo if v_lo > v else v_hi if v_hi < v else v
         alphas, vs = self._alphas, self._vs
-        clamped = not (alphas[0] <= alpha <= alphas[-1] and vs[0] <= v <= vs[-1])
-        a = min(max(alpha, alphas[0]), alphas[-1])
-        vv = min(max(v, vs[0]), vs[-1])
-        i = max(min(bisect_right(alphas, a) - 1, len(alphas) - 2), 0)
-        j = max(min(bisect_right(vs, vv) - 1, len(vs) - 2), 0)
-        ta = (a - alphas[i]) / (alphas[i + 1] - alphas[i])
-        tv = (vv - vs[j]) / (vs[j + 1] - vs[j])
+        i = bisect_right(alphas, alpha) - 1
+        if i > i_last:
+            i = i_last
+        j = bisect_right(vs, v) - 1
+        if j > j_last:
+            j = j_last
+        ta = (alpha - alphas[i]) / self._da[i]
+        tv = (v - vs[j]) / self._dv[j]
         ua, uv = 1 - ta, 1 - tv
         cl0, cl1, cd0, cd1 = self._cl[i], self._cl[i + 1], self._cd[i], self._cd[i + 1]
         return (cl0[j] * ua * uv + cl1[j] * ta * uv
@@ -339,34 +358,67 @@ class MotorCommand:
         u.flags.writeable = False
 
 
-def _headroom_scale(u0, du):
-    """Largest factor in [0, 1] keeping u0 + f*du inside [0, 1]."""
+def _headroom_scale(b1, b2, b3, b4, d1, d2, d3, d4):
+    """Largest factor in [0, 1] keeping b + f*d inside [0, 1] for all 4 motors.
+
+    A motor whose |d| is at most 1e-12 sets no limit.  The comparisons are
+    ``min(f, g)`` and ``max(f, 0.0)`` written out, with the same result for
+    NaN and signed zeros.
+    """
     f = 1.0
-    for b, d in zip(u0, du):
-        if d > 1e-12:
-            f = min(f, (1.0 - b) / d)
-        elif d < -1e-12:
-            f = min(f, (0.0 - b) / d)
-    return max(f, 0.0)
+    if d1 > 1e-12 or d1 < -1e-12:
+        g = ((1.0 if d1 > 0.0 else 0.0) - b1) / d1
+        if g < f:
+            f = g
+    if d2 > 1e-12 or d2 < -1e-12:
+        g = ((1.0 if d2 > 0.0 else 0.0) - b2) / d2
+        if g < f:
+            f = g
+    if d3 > 1e-12 or d3 < -1e-12:
+        g = ((1.0 if d3 > 0.0 else 0.0) - b3) / d3
+        if g < f:
+            f = g
+    if d4 > 1e-12 or d4 < -1e-12:
+        g = ((1.0 if d4 > 0.0 else 0.0) - b4) / d4
+        if g < f:
+            f = g
+    return 0.0 if 0.0 > f else f
+
+
+def _clip_unit(x):
+    """(min(max(x, 0.0), 1.0), clipped past ``np.allclose``'s tolerance)."""
+    if 0.0 > x:
+        o = 0.0
+    elif 1.0 < x:
+        o = 1.0
+    else:
+        return x, False
+    # np.allclose(o, x, atol=1e-12) with its default rtol of 1e-5
+    return o, abs(o - x) > 1e-12 + 1e-5 * abs(x)
 
 
 def _mix(tx, ty, tz, thrust_cmd, params: AircraftParams):
     """Scalar mixer body: (u1, u2, u3, u4, saturated); see ``mixer``."""
-    a = params._alloc_inv_rows
-    thrust_n = min(max(thrust_cmd, 0.0), 1.0) * params.thrust_coeff
-    base = [r[0] * thrust_n for r in a]
-    rp = [r[1] * tx + r[2] * ty for r in a]
-    yaw = [r[3] * tz for r in a]
-    saturated = thrust_cmd < 0.0 or thrust_cmd > 1.0
-
-    f_rp = _headroom_scale(base, rp)
-    u = [b + f_rp * d for b, d in zip(base, rp)]
-    f_yaw = _headroom_scale(u, yaw)
-    u = [b + f_yaw * d for b, d in zip(u, yaw)]
-    out = [min(max(x, 0.0), 1.0) for x in u]
-    # np.allclose(out, u, atol=1e-12) with its default rtol of 1e-5
-    clipped = any(abs(o - x) > 1e-12 + 1e-5 * abs(x) for o, x in zip(out, u))
-    return (*out, saturated or f_rp < 1.0 or f_yaw < 1.0 or clipped)
+    ((a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33),
+     (a40, a41, a42, a43)) = params._alloc_inv_rows
+    t = 0.0 if 0.0 > thrust_cmd else thrust_cmd
+    thrust_n = (1.0 if 1.0 < t else t) * params.thrust_coeff
+    b1, b2, b3, b4 = a10 * thrust_n, a20 * thrust_n, a30 * thrust_n, a40 * thrust_n
+    d1, d2, d3, d4 = (a11 * tx + a12 * ty, a21 * tx + a22 * ty,
+                      a31 * tx + a32 * ty, a41 * tx + a42 * ty)
+    f_rp = _headroom_scale(b1, b2, b3, b4, d1, d2, d3, d4)
+    b1, b2, b3, b4 = b1 + f_rp * d1, b2 + f_rp * d2, b3 + f_rp * d3, b4 + f_rp * d4
+    d1, d2, d3, d4 = a13 * tz, a23 * tz, a33 * tz, a43 * tz
+    f_yaw = _headroom_scale(b1, b2, b3, b4, d1, d2, d3, d4)
+    u1, u2, u3, u4 = b1 + f_yaw * d1, b2 + f_yaw * d2, b3 + f_yaw * d3, b4 + f_yaw * d4
+    saturated = thrust_cmd < 0.0 or thrust_cmd > 1.0 or f_rp < 1.0 or f_yaw < 1.0
+    if 0.0 <= u1 <= 1.0 and 0.0 <= u2 <= 1.0 and 0.0 <= u3 <= 1.0 and 0.0 <= u4 <= 1.0:
+        return u1, u2, u3, u4, saturated
+    u1, c1 = _clip_unit(u1)
+    u2, c2 = _clip_unit(u2)
+    u3, c3 = _clip_unit(u3)
+    u4, c4 = _clip_unit(u4)
+    return u1, u2, u3, u4, saturated or c1 or c2 or c3 or c4
 
 
 def mixer(torque_nm, thrust_cmd, params: AircraftParams) -> MotorCommand:
@@ -432,7 +484,8 @@ def _propeller_wrench(u, params: AircraftParams):
     reduce to dot products with the rotor coordinates.
     """
     c = params.motor_thrust_coeff
-    t1, t2, t3, t4 = (c * x for x in u)
+    u1, u2, u3, u4 = u
+    t1, t2, t3, t4 = c * u1, c * u2, c * u3, c * u4
     s1, s2, s3, s4 = params.spin_directions
     (y1, y2, y3, y4), (z1, z2, z3, z4) = params._rotor_yz
     return (t1 + t2 + t3 + t4,
@@ -682,10 +735,11 @@ class TailsitterSim:
     stateful; run several instances for parallel scenarios.
 
     The substep runs on plain floats: the vehicle state ``x`` is one flat
-    list of 13 floats (p, v, q, omega), replaced by each substep, and the
-    delay line holds command tuples, so no array or state object is built
-    per substep.  ``state`` builds a RigidBodyState from ``x`` on each read,
-    for callers outside the control loop.
+    list of 13 floats (p, v, q, omega), replaced by each substep, the
+    delay line holds command tuples and the motor lag is a 4-tuple, so no
+    array or state object is built per substep.  ``state`` builds a
+    RigidBodyState from ``x`` on each read, for callers outside the control
+    loop.
     """
 
     def __init__(self, params: AircraftParams, table: AeroTable,
@@ -702,6 +756,7 @@ class TailsitterSim:
         self.dt = 1.0 / PLANT_RATE_HZ
         self.sensor = RateSensor(sensor_cfg, seed)
         self.vibration_cfg = vibration_cfg
+        self._vibrating = vibration_cfg.amplitude > 0.0
         self._cmd = (0.0, 0.0, 0.0, float(params.hover_command))
         n_delay = int(round(delay_s * PLANT_RATE_HZ))
         self._delay_buf = [self._cmd] * n_delay
@@ -747,6 +802,7 @@ class TailsitterSim:
         ``last_measurement`` (the 250 Hz gyro sample as a 3-tuple of floats
         on decimation ticks, None otherwise).
         """
+        params = self.params
         cmd = self._cmd
         buf = self._delay_buf
         if buf:
@@ -757,17 +813,20 @@ class TailsitterSim:
         if self._flex is not None:
             ty = self._flex.process(ty)
         sx, sy, sz = self._torque_scale
-        *u, self.saturated_last = _mix(sx * tx, sy * ty, sz * tz, thrust, self.params)
+        u1, u2, u3, u4, self.saturated_last = _mix(sx * tx, sy * ty, sz * tz, thrust,
+                                                   params)
         decay = self._motor_decay
-        self._motor_u = [c + (m - c) * decay for c, m in zip(u, self._motor_u)]
+        m1, m2, m3, m4 = self._motor_u
+        self._motor_u = u = (u1 + (m1 - u1) * decay, u2 + (m2 - u2) * decay,
+                             u3 + (m3 - u3) * decay, u4 + (m4 - u4) * decay)
 
-        self.x, self.aero_clamped_last = _rk4(
-            self.x, _propeller_wrench(self._motor_u, self.params), self.dt,
-            self.params, self.table)
+        x, self.aero_clamped_last = _rk4(self.x, _propeller_wrench(u, params), self.dt,
+                                         params, self.table)
+        self.x = x
         self.t += self.dt
 
-        wx, wy, wz = self.x[10:13]
-        if self.vibration_cfg.amplitude > 0.0:
+        wx, wy, wz = x[10], x[11], x[12]
+        if self._vibrating:
             vib = rotor_vibration(self.t, self.vibration_cfg).tolist()
             wx, wy, wz = wx + vib[0], wy + vib[1], wz + vib[2]
         self.last_measurement = self.sensor._sample(wx, wy, wz)
@@ -782,4 +841,4 @@ class TailsitterSim:
     @property
     def motor_states(self):
         """Actual (lagged) normalized motor outputs, as a 4-tuple of floats."""
-        return tuple(self._motor_u)
+        return self._motor_u

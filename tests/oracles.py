@@ -5,11 +5,14 @@ quaternion product, the rotation matrix and velocity-frame aero force, the
 chirp frequency law, an exact FRF, small helpers stated directly from their
 definitions, and the numpy-array versions of the 250 Hz rate-loop tick, the
 quaternion normalization and the attitude error that the float versions
-must match bit for bit.  Quaternions go in and come out as 4-tuples of
-floats, the package's one quaternion form.
+must match bit for bit, and the list-and-``min``/``max`` forms of the aero
+table lookup and the motor mixer that the plant kernel must match bit for
+bit.  Quaternions go in and come out as 4-tuples of floats, the package's
+one quaternion form.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -189,6 +192,63 @@ def velocity_frame_force(q, v, table, params) -> np.ndarray:
         y_v = np.cross(r[:, 2], x_v)
     y_v = y_v / np.linalg.norm(y_v)
     return -qbar * cd * x_v - qbar * cl * np.cross(x_v, y_v)
+
+
+def aero_lookup(table):
+    """``interpolate(alpha, v) -> (CL, CD, clamped)`` on the lists of
+    ``table``, with ``min``/``max`` clamps and the ``bisect_right`` cell
+    search; a NaN query lands in the last cell and gives NaN coefficients."""
+    alphas, vs = table.alpha_grid.tolist(), table.v_grid.tolist()
+    cl, cd = table.cl.tolist(), table.cd.tolist()
+
+    def interpolate(alpha, v):
+        clamped = not (alphas[0] <= alpha <= alphas[-1] and vs[0] <= v <= vs[-1])
+        a = min(max(alpha, alphas[0]), alphas[-1])
+        vv = min(max(v, vs[0]), vs[-1])
+        i = max(min(bisect_right(alphas, a) - 1, len(alphas) - 2), 0)
+        j = max(min(bisect_right(vs, vv) - 1, len(vs) - 2), 0)
+        ta = (a - alphas[i]) / (alphas[i + 1] - alphas[i])
+        tv = (vv - vs[j]) / (vs[j + 1] - vs[j])
+        ua, uv = 1 - ta, 1 - tv
+        cl0, cl1, cd0, cd1 = cl[i], cl[i + 1], cd[i], cd[i + 1]
+        return (cl0[j] * ua * uv + cl1[j] * ta * uv
+                + cl0[j + 1] * ua * tv + cl1[j + 1] * ta * tv,
+                cd0[j] * ua * uv + cd1[j] * ta * uv
+                + cd0[j + 1] * ua * tv + cd1[j + 1] * ta * tv,
+                clamped)
+
+    return interpolate
+
+
+def headroom_scale(u0, du):
+    """Largest factor in [0, 1] keeping u0 + f*du inside [0, 1]."""
+    f = 1.0
+    for b, d in zip(u0, du):
+        if d > 1e-12:
+            f = min(f, (1.0 - b) / d)
+        elif d < -1e-12:
+            f = min(f, (0.0 - b) / d)
+    return max(f, 0.0)
+
+
+def mix(tx, ty, tz, thrust_cmd, params):
+    """(u1, u2, u3, u4, saturated) of the priority mixer on lists: thrust,
+    then roll/pitch scaled into the headroom, then yaw, then a clip to
+    [0, 1] flagged past ``np.allclose``'s tolerance."""
+    a = np.linalg.inv(params.allocation_matrix()).tolist()
+    thrust_n = min(max(thrust_cmd, 0.0), 1.0) * params.thrust_coeff
+    base = [r[0] * thrust_n for r in a]
+    rp = [r[1] * tx + r[2] * ty for r in a]
+    yaw = [r[3] * tz for r in a]
+    saturated = thrust_cmd < 0.0 or thrust_cmd > 1.0
+
+    f_rp = headroom_scale(base, rp)
+    u = [b + f_rp * d for b, d in zip(base, rp)]
+    f_yaw = headroom_scale(u, yaw)
+    u = [b + f_yaw * d for b, d in zip(u, yaw)]
+    out = [min(max(x, 0.0), 1.0) for x in u]
+    clipped = any(abs(o - x) > 1e-12 + 1e-5 * abs(x) for o, x in zip(out, u))
+    return (*out, saturated or f_rp < 1.0 or f_yaw < 1.0 or clipped)
 
 
 def chirp_instantaneous_freq(cfg, t):

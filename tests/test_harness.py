@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -93,16 +94,30 @@ class TestRunScenario:
         assert failed == {"rate_step_overshoot"}
         assert report.metrics["rise_time_s"] < 0.5
 
-    def test_rate_loop_that_never_responds_fails_rise(self, tmp_path):
+    @staticmethod
+    def dead_rate_loop(tmp_path):
+        """The builtin rate_step with kp, ki and kd all 0: w_meas stays at 0."""
         sc = builtin_scenarios()["rate_step"]
         off = dataclasses.replace(sc.rate_cfg, kp=(0.0,) * 3, ki=(0.0,) * 3,
                                   kd=(0.0,) * 3)
         report = run_scenario(dataclasses.replace(sc, rate_cfg=off), tmp_path)
-        checks = {name: (ok, detail) for name, ok, detail in report.checks}
+        return report, {name: (ok, detail) for name, ok, detail in report.checks}
+
+    def test_rate_loop_that_never_responds_fails_rise(self, tmp_path):
+        report, checks = self.dead_rate_loop(tmp_path)
         assert math.isnan(report.metrics["rise_time_s"])
         assert checks["rate_step_rise"] == (
             False, "the response never reached 90 % of the step "
                    "(a 10-90 % rise time <= 0.5 s required)")
+
+    def test_rate_loop_that_never_responds_fails_overshoot(self, tmp_path):
+        # no excursion past the target is not 0 % overshoot when the
+        # response never got near the target
+        report, checks = self.dead_rate_loop(tmp_path)
+        assert "worst_overshoot_pct" not in report.metrics
+        assert checks["rate_step_overshoot"] == (
+            False, "not measured: the response never reached 90 % of the step "
+                   "at 1 s")
 
     @pytest.mark.parametrize("name, events, cut", [
         # the last step's response window runs past the 8 s log
@@ -300,6 +315,93 @@ def test_nonlinear_golden_rows():
             # repr tells a -0.0 from the logged +0.0
             assert repr(logged[row].tolist()) == repr(values), row
 
+
+
+# Rows of the full builtin transition: during the 5-10 s pitch ramp (6.5 and
+# 9.5 s), in forward flight (15 and 19.5 s), and after the step back at 20 s
+# (21 and 31.996 s), where the aero lookup runs with the vehicle moving.
+# Telemetry first, then the state log, flags included.
+TRANSITION_FULL_GOLDEN = [
+    {1625: [6.5, 0.7163019434246543, 0.0, 0.6977904598416802, 0.0, 0.7134241990185045,
+            5.964203798149026e-05, 0.7007324069806983, 5.004667472391169e-05,
+            -2.8189808668521808e-05, -0.016604622727617334, -0.0001515912521265725,
+            -0.0013937432624162773, -0.01804424249659176, -0.0014701561467497185,
+            -0.0007108029547340691, -0.00030287946637911625, -0.0003530423499069167,
+            0.5000906386426243, 0.0],
+     2375: [9.5, 0.7343225094356856, 0.0, 0.6788007455329417, 0.0, 0.7313283344830676,
+            -1.1463539804878394e-05, 0.6820255605043706, 4.323781987315851e-05,
+            0.00015266763837862906, -0.017739213666822646, -5.276089395112706e-05,
+            -0.0026065267627780582, -0.014382020007374577, -0.0026354392937839163,
+            0.0013922813493877193, 0.001223316150388075, -9.240842641568161e-06,
+            0.5005080056221612, 0.0],
+     3750: [15.0, 0.7372773368101241, 0.0, 0.6755902076156604, 0.0,
+            0.7373429072384742, 1.0373013588960788e-05, 0.6755186426508976,
+            -2.164727493086679e-05, -9.133028688527343e-05, 0.00037994325560549303,
+            2.1878754717175043e-05, 0.0035152575501084067, 0.0008591139229575176,
+            -0.0015646705552697466, 0.0009073162982162203, 0.00013503293859477435,
+            0.00033336619285500235, 0.4982799620711654, 0.0],
+     4875: [19.5, 0.7372773368101241, 0.0, 0.6755902076156604, 0.0,
+            0.7373442088586581, 4.874141369329698e-06, 0.6755172217354386,
+            2.7886854819616757e-05, 6.099398750984767e-05, 0.0004456563863377999,
+            -4.5760385105378734e-05, 0.004140070656961643, 0.005229396131740968,
+            0.004857110278074764, 0.0008431307820970993, -0.0035312604016396174,
+            0.0020597625572326534, 0.49815706379117364, 0.0],
+     5250: [21.0, 0.7071067811865476, 0.0, 0.7071067811865475, 0.0,
+            0.7089382206741293, -7.118008578923323e-05, 0.7052705822418194,
+            -5.008018470262625e-06, 0.00018717357470211435, 0.010535599736936806,
+            0.00010609880689375847, 0.0012800983123021892, 0.02094789531306187,
+            -0.002528821589478057, 0.002494757885164806, 0.00028626544919481314,
+            0.0014496426014488542, 0.5000729877930737, 0.0],
+     7999: [31.996000000000002, 0.7071067811865476, 0.0, 0.7071067811865475, 0.0,
+            0.7072075443960136, 4.50837074973553e-05, 0.707006001027785,
+            -4.0342528970025714e-05, -0.0002413911841986026, 0.0005347247574381869,
+            -6.345273428520273e-06, 0.002991841898212758, -0.0039602297525938995,
+            -0.0008075858035936291, 0.00040008481667726156, 0.00023902568249090512,
+            -0.000918997212080992, 0.49999956490285447, 0.0]},
+    {1625: [6.5, 0.03730499126607985, -0.010410162442733193, -49.99997958368414,
+            0.09720127310308868, 0.0002602090733875379, 4.3400582655966536e-05,
+            0.7134241990185045, 5.964203798149026e-05, 0.7007324069806983,
+            5.004667472391169e-05, 0.0003744251521319418, -0.01776342795251026,
+            0.0008301933174391162, 0.5003258634247546, 0.4999277513600712,
+            0.5001633440950736, 0.4998921138317218, 0.0],
+     2375: [9.5, 1.750227695487765, -0.006859190446502095, -50.000006171917775,
+            1.205888606218591, 0.002382069624297178, -0.00010331187906313743,
+            0.7313283344830676, -1.1463539804878394e-05, 0.6820255605043706,
+            4.323781987315851e-05, 0.00020396165837361404, -0.017326115874289127,
+            -0.0011359849182051532, 0.4997275393675301, 0.5002894033878064,
+            0.5012771629921609, 0.5007873394041897, 0.0],
+     3750: [15.0, 13.184701753079155, -0.0007746368875646242, -49.99995415575913,
+            2.4495506156557347, -0.00042701198566465453, 2.165171832262778e-05,
+            0.7373429072384742, 1.0373013588960788e-05, 0.6755186426508976,
+            -2.164727493086679e-05, -0.0002800615300170273, -0.0009653336024466963,
+            0.000987362877383622, 0.4984355559621056, 0.4984377632943475,
+            0.49811404644766566, 0.49816318258364817, 0.0],
+     4875: [19.5, 24.345245078564528, -0.0007978387097083081, -49.99996056031978,
+            2.492479847401593, -0.000835999470195547, -7.98387510228454e-06,
+            0.7373442088586581, 4.874141369329698e-06, 0.6755172217354386,
+            2.7886854819616757e-05, 5.030586697602148e-07, 0.006414346086598327,
+            0.0004492449107084674, 0.49867965792956687, 0.49847088208474827,
+            0.4975921667994049, 0.4978878595575975, 0.0],
+     5250: [21.0, 27.954049938780873, -0.0007705064418368226, -49.99939783968462,
+            2.1201306369150785, 0.00041321312447144845, 0.0005037837380921518,
+            0.7089382206741293, -7.118008578923323e-05, 0.7052705822418194,
+            -5.008018470262625e-06, -4.056672772381133e-06, 0.019869806324736367,
+            -0.00043984496762180576, 0.49950577729675893, 0.4995245755554611,
+            0.5002531539482442, 0.5007367377164889, 0.0],
+     7999: [31.996000000000002, 38.45188585695353, -0.019729454783501542,
+            -50.0000118017255, 0.5047863244535774, -0.0008931431377475388,
+            2.844079881898586e-06, 0.7072075443960136, 4.50837074973553e-05,
+            0.707006001027785, -4.0342528970025714e-05, 2.7769511792387365e-05,
+            -0.003901474478161515, 0.00011029668227308025, 0.5008159177402465,
+            0.5011168490864092, 0.499066703626665, 0.49899976564550236, 0.0]},
+]
+
+
+def test_nonlinear_golden_rows_full_flight():
+    log = run_nonlinear(builtin_scenarios()["transition"])
+    for logged, golden in zip((log.telemetry, log.simlog), TRANSITION_FULL_GOLDEN):
+        for row, values in golden.items():
+            assert repr(logged[row].tolist()) == repr(values), row
 
 class TestCompareRuns:
     def test_identical_seeds_bit_identical(self, tmp_path):
@@ -687,6 +789,45 @@ class TestDataIO:
         np.testing.assert_array_equal(loaded.alpha_grid, table.alpha_grid)
         np.testing.assert_array_equal(loaded.cl, table.cl)
         np.testing.assert_array_equal(loaded.cd, table.cd)
+
+    @pytest.mark.parametrize("body, line", [
+        (b"a,b\r\n1,2\r\n3\r\n", 3),           # narrower than the header
+        (b"a,b\r\n1,2\r\n3,4,5\r\n", 3),       # wider than the header
+        (b"a,b\r\n1,2,3\r\n4,5,6\r\n", 2),     # every row wider
+        (b"a,b\r\n1,2\r\n\r\n3,x\r\n", 4),      # a non-number after a blank line
+        (b"a,b\r\n\r\n\r\n1,2\r\n\r\n3\r\n", 6),
+    ])
+    def test_read_csv_bad_row_names_its_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(body)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:{line}: "):
+            read_csv(path)
+
+    @pytest.mark.parametrize("body", [b"a,b\r\n", b"a,b\r\n\r\n\r\n"])
+    def test_read_csv_header_only_has_no_data_rows(self, tmp_path, body):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(body)
+        with pytest.raises(ConfigError, match="no data rows"):
+            read_csv(path)
+
+    def test_read_csv_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_bytes(b"a,b\r\n\r\n1,2\r\n\r\n3.5,-4e-3\r\n\r\n")
+        header, data = read_csv(path)
+        assert header == ["a", "b"]
+        assert data.tolist() == [[1.0, 2.0], [3.5, -0.004]]
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(0.0, 0.0, 0.1, 0.05), (0.0, 5.0, 0.1, 0.05)], "two nodes"),
+        ([(a, v, 0.1, -0.05) for a in (-1.0, 1.0) for v in (0.0, 5.0)],
+         "nonnegative"),
+    ])
+    def test_aero_table_the_lookup_rejects_is_config_error(self, tmp_path, rows,
+                                                           message):
+        path = write_csv(tmp_path / "aero.csv", ["alpha_rad", "V_ms", "CL", "CD"],
+                         rows)
+        with pytest.raises(ConfigError, match=message):
+            load_aero_table(path)
 
     def test_json_error_carries_location(self, tmp_path):
         bad = tmp_path / "bad.json"

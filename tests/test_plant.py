@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from oracles import rotation_matrix, velocity_frame_force
 from tailsitter import quat
 from tailsitter.harness import builtin_scenarios
@@ -20,6 +21,7 @@ from tailsitter.plant import (
     VibrationConfig,
     LinearAxisPlant,
     _derivatives,
+    _mix,
     aero_forces,
     air_data,
     default_aero_table,
@@ -76,6 +78,71 @@ class TestAeroTable:
         band = np.abs(table.alpha_grid) < 0.2
         cl = table.cl[band, 0]
         assert np.all(np.diff(cl) > 0.0)
+
+
+
+def edge_queries(grid):
+    """Every node, node -/+ 1 ulp, every midpoint, and beyond both edges."""
+    g = grid.tolist()
+    out = [y for x in g for y in (x, math.nextafter(x, -math.inf),
+                                  math.nextafter(x, math.inf))]
+    out += [0.5 * (a + b) for a, b in zip(g, g[1:])]
+    return out + [g[0] - 1.0, g[-1] + 1.0, -1e300, 1e300, -math.inf, math.inf,
+                  0.0, -0.0, math.nan]
+
+
+class TestKernelMatchesOracle:
+    """The scalar kernel pieces against the list-and-min/max forms they
+    replaced (``tests/oracles.py``), by repr, so a -0.0 or a NaN shows."""
+
+    @pytest.mark.parametrize("which", ["builtin", "random"])
+    def test_interpolate(self, table, which):
+        if which == "random":
+            rng = np.random.default_rng(8)
+            alphas = np.cumsum(rng.uniform(0.05, 1.0, 9)) - 3.0
+            vs = np.cumsum(rng.uniform(0.5, 5.0, 4))
+            table = AeroTable(alphas, vs, rng.normal(size=(9, 4)),
+                              rng.uniform(0.0, 2.0, (9, 4)))
+        reference = oracles.aero_lookup(table)
+        for a in edge_queries(table.alpha_grid):
+            for v in edge_queries(table.v_grid):
+                assert repr(table.interpolate(a, v)) == repr(reference(a, v)), (a, v)
+
+    def test_nan_query_is_nan_and_clamped(self, table):
+        for a, v in ((math.nan, 5.0), (0.1, math.nan)):
+            cl, cd, clamped = table.interpolate(a, v)
+            assert math.isnan(cl) and math.isnan(cd) and clamped
+
+    def test_single_node_grid_rejected(self):
+        with pytest.raises(ValueError, match="two nodes"):
+            AeroTable([0.0], [0.0, 1.0], np.zeros((1, 2)), np.zeros((1, 2)))
+
+    def test_mix(self, params):
+        rng = np.random.default_rng(4)
+        cases = []
+        # random demands, from inside the headroom to deep saturation
+        for scale in (0.01, 0.1, 0.5, 2.0, 10.0):
+            for _ in range(400):
+                tx, ty, tz = rng.normal(0.0, scale, 3).tolist()
+                cases.append((tx, ty, tz, float(rng.uniform(-0.2, 1.2))))
+        # torques around the 1e-12 headroom threshold at thrust edges, where
+        # the final clip to [0, 1] moves a command by less than the tolerance
+        for thrust in (0.0, 1.0, 5e-324, 1e-13, 1.0 - 1e-13, 0.5):
+            for scale in (1e-14, 3e-13, 5e-13, 1e-12, 2e-12, 1e-11):
+                for _ in range(40):
+                    tx, ty, tz = (scale * rng.choice([-1.0, 1.0], 3)
+                                  * rng.uniform(0.5, 1.5, 3)).tolist()
+                    cases.append((tx, ty, tz, thrust))
+        cases += [(0.0, 0.0, 0.0, t) for t in (0.0, -0.0, 1.0, -1.0, 2.0, 0.5)]
+        cases += [(-0.0, -0.0, -0.0, 0.5), (math.nan, 0.0, 0.0, 0.5),
+                  (0.0, 0.0, math.nan, 0.5), (0.0, 0.0, 0.0, math.nan)]
+        flags = set()
+        for tx, ty, tz, thrust in cases:
+            got = _mix(tx, ty, tz, thrust, params)
+            assert repr(got) == repr(oracles.mix(tx, ty, tz, thrust, params)), (
+                tx, ty, tz, thrust)
+            flags.add(got[4])
+        assert flags == {False, True}
 
 
 class TestAeroForces:
