@@ -278,12 +278,19 @@ def _checks_rate_step(sc: Scenario, data: np.ndarray, report: RunReport):
                              f"worst overshoot {worst:.2f} % (<= 5 % required)")
     if not _cut_unmeasured(report, sc, steps[0].t, steps[0].t + STEP_WINDOW_S,
                            "rate_step_rise"):
-        rt = metrics.rise_time(t, w, steps[0].t, 0.0, steps[0].args.get("y", 0.3))
+        first = steps[0]
+        target = first.args.get("y", 0.3)
+        rt = metrics.rise_time(t, w, first.t, 0.0, target)
         report.metrics["rise_time_s"] = rt
-        report.add_check("rate_step_rise", rt <= 0.5,
-                         "the response never reached 90 % of the step "
-                         "(a 10-90 % rise time <= 0.5 s required)" if math.isnan(rt)
-                         else f"10-90 % rise time {rt:.3f} s (<= 0.5 s required)")
+        if target == 0.0:
+            detail = (f"not measured: the first rate_cmd, at {first.t:g} s, "
+                      "is a zero step")
+        elif math.isnan(rt):
+            detail = ("the response never reached 90 % of the step "
+                      "(a 10-90 % rise time <= 0.5 s required)")
+        else:
+            detail = f"10-90 % rise time {rt:.3f} s (<= 0.5 s required)"
+        report.add_check("rate_step_rise", rt <= 0.5, detail)
     # tracking error over the last 0.5 s before each subsequent edge
     at = report.metrics.get("diverged_at_s")
     if len(steps) > 1 and (at is None or steps[-1].t <= at):

@@ -374,6 +374,20 @@ def magnitude_slope(loop: ContinuousTF, f_lo_hz: float, f_hi_hz: float) -> float
     return float(coef[0])
 
 
+# The Nyquist grid, built once, in four blocks: a block's complex
+# temporaries stay under glibc's 128 KB mmap threshold, so they are not
+# page-faulted in afresh on every call.
+_NYQUIST_GRID = _log_grid(*NYQUIST_BAND_HZ, NYQUIST_POINTS_PER_DECADE, 64)
+_NYQUIST_GRID.flags.writeable = False
+_NYQUIST_BLOCKS = np.array_split(_NYQUIST_GRID, 4)
+
+
+def _return_difference_angle(loop: ContinuousTF):
+    """Unwrapped angle of 1 + L(jw) on the Nyquist grid."""
+    return np.unwrap(np.concatenate([np.angle(tf_eval(loop, fb) + 1.0)
+                                     for fb in _NYQUIST_BLOCKS]))
+
+
 def nyquist_stable(loop: ContinuousTF) -> bool:
     """Closed-loop stability of unity feedback around an open loop.
 
@@ -384,9 +398,7 @@ def nyquist_stable(loop: ContinuousTF) -> bool:
     which holds for every loop built from the identified plant family.
     Zero net encirclement means the closed loop is stable.
     """
-    f = _log_grid(*NYQUIST_BAND_HZ, NYQUIST_POINTS_PER_DECADE, 64)
-    h = tf_eval(loop, f) + 1.0
-    ang = np.unwrap(np.angle(h))
+    ang = _return_difference_angle(loop)
     delta = ang[-1] - ang[0]
     # integrators at the origin = leading zero denominator coefficients;
     # each maps the indentation arc to a -pi sweep at infinite radius

@@ -97,10 +97,13 @@ def overshoot_pct(t, y, t_step, y_initial, y_final, settle_window_s=4.0):
 def rise_time(t, y, t_step, y_initial, y_final):
     """10 % to 90 % rise time of a step response, seconds.
 
-    nan if the response from t_step on never reaches 90 % of the step.
+    nan for a zero step, which has no rise, or if the response from t_step
+    on never reaches 90 % of the step.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
+    if y_final == y_initial:
+        return float("nan")
     m = t >= t_step
     tt, yy = t[m], (y[m] - y_initial) / (y_final - y_initial)
     reached = yy >= 0.9

@@ -10,10 +10,12 @@ rather than dropping it.
 
 The parametric fit minimizes the coherence-weighted log-magnitude and
 unwrapped-phase error (Tischler & Remple, Aircraft and Rotorcraft System
-Identification, 2012) with restarted Nelder-Mead.  Its objective is built
-once per fit with the data side precomputed, and evaluates the plant
-structure of ``lti.fitted_plant`` as a product of its factors on the FRF
-grid rather than as a composed transfer function.
+Identification, 2012) with restarted adaptive Nelder-Mead.  Its objective
+is built once per fit with the data side precomputed, and evaluates the
+plant structure of ``lti.fitted_plant`` as a product of its factors on the
+FRF grid rather than as a composed transfer function.  It takes a stack of
+parameter vectors, so the independent restarts run in lockstep and one
+numpy pass costs the points all of them need next.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .lti import PlantFitParams, ResonanceParams, butterworth2, tf_eval
 from .plant import PLANT_RATE_HZ
@@ -34,7 +35,9 @@ COHERENCE_THRESHOLD = 0.6  # an FRF bin is trusted from this coherence up
 # configuration, not optimized: sweep data rarely reaches far past it.
 PHASE_WEIGHT = 0.1
 FIT_RESTARTS = 5
-FIT_MAX_ITERATIONS = 4000
+FIT_MAX_ITERATIONS = 4000  # Nelder-Mead iterations per restart
+FIT_XATOL = 1e-6  # a restart stops once its simplex spans this in x
+FIT_FATOL = 1e-9  # and this in cost
 CONVERGENCE_COST_PER_BIN = 3.0
 KNOWN_LF_CORNER_HZ = 69.0
 # Closed-loop sweep: the proportional rate loop that holds the vehicle, the
@@ -273,7 +276,7 @@ class FitResult:
     converged: bool
     stage1: PlantFitParams
     restart_costs: tuple
-    evaluations: int  # objective calls, summed over the restarts
+    evaluations: int  # points evaluated, summed over the restarts
 
 
 def _stage1_initial(frf: FRFEstimate) -> PlantFitParams:
@@ -393,9 +396,10 @@ class _FitObjective:
         self.delay_phase_deg = 360.0 * f
 
     def rational_response(self, x):
-        """(delay-free model response on the grid, delay in s) for vector x."""
-        b0, b1, b2, tc, fp, pn, pd, fa, an, ad, delay = np.exp(
-            np.clip(x, -40.0, 40.0)).tolist()
+        """(delay-free model responses, delays in s) for the rows of the
+        log-parameter stack x, one row of the grid per row of x."""
+        e = np.exp(np.clip(np.atleast_2d(x), -40.0, 40.0))
+        b0, b1, b2, tc, fp, pn, pd, fa, an, ad, delay = e.T[:, :, np.newaxis]
         s, s2 = self.s, self.s2
         wp = 2.0 * math.pi * fp
         wa = 2.0 * math.pi * fa
@@ -404,14 +408,122 @@ class _FitObjective:
         h = (self.lf * (b0 + b1 * s + b2 * s2) / (s + tc * s2)
              * (q_p + (pn / wp) * s) / (q_p + (pd / wp) * s)
              * (q_a + (an / wa) * s) / (q_a + (ad / wa) * s))
-        return h, min(delay, 0.1)
+        return h, np.minimum(delay[:, 0], 0.1)
 
     def __call__(self, x):
+        """The costs of the rows of the log-parameter stack x (a 1-D x is a
+        stack of one)."""
         h, delay = self.rational_response(x)
         dmag = 20.0 * (np.log10(np.abs(h)) - self.log_mag)
         dph = (np.degrees(np.unwrap(np.angle(h)))
-               - self.delay_phase_deg * delay - self.phase_deg)
-        return float(np.sum(self.weight * (dmag**2 + PHASE_WEIGHT * dph**2)))
+               - self.delay_phase_deg * delay[:, np.newaxis] - self.phase_deg)
+        return np.sum(self.weight * (dmag**2 + PHASE_WEIGHT * dph**2), axis=1)
+
+
+def _nelder_mead(x0):
+    """One adaptive Nelder-Mead run (Gao & Han, Comput. Optim. Appl. 51(1),
+    2012) from x0, as a generator.
+
+    It yields each stack of points it needs costed: the initial simplex, one
+    reflection, expansion or contraction point, or the shrunk vertices.  It
+    is sent their costs and returns (x, cost) at the end.  The operations
+    are those of scipy 1.17's ``_minimize_neldermead`` with
+    ``adaptive=True``, in its order, so a run matches scipy's bit for bit.
+    """
+    n = x0.size
+    dim = float(n)
+    rho = 1
+    chi = 1 + 2 / dim
+    psi = 0.75 - 1 / (2 * dim)
+    sigma = 1 - 1 / dim
+    nonzdelt = 0.05
+    zdelt = 0.00025
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+    fsim = np.array((yield sim))
+    for _ in range(2):  # scipy sorts the first simplex twice
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < FIT_MAX_ITERATIONS:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= FIT_XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= FIT_FATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = (yield xr[np.newaxis])[0]
+        shrink = False
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = (yield xe[np.newaxis])[0]
+            if fxe < fxr:
+                sim[-1] = xe
+                fsim[-1] = fxe
+            else:
+                sim[-1] = xr
+                fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        elif fxr < fsim[-1]:
+            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+            fxc = (yield xc[np.newaxis])[0]
+            if fxc <= fxr:
+                sim[-1] = xc
+                fsim[-1] = fxc
+            else:
+                shrink = True
+        else:
+            xcc = (1 - psi) * xbar + psi * sim[-1]
+            fxcc = (yield xcc[np.newaxis])[0]
+            if fxcc < fsim[-1]:
+                sim[-1] = xcc
+                fsim[-1] = fxcc
+            else:
+                shrink = True
+        if shrink:
+            sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+            fsim[1:] = yield sim[1:]
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
+
+
+def minimize(fun, x0s):
+    """Minimize ``fun`` by adaptive Nelder-Mead from each start in x0s.
+
+    The runs advance in lockstep: each round calls ``fun`` once, on the
+    points every live run needs stacked into one array, and ``fun`` returns
+    one cost per row.  Returns (x, cost, points evaluated) per start, in
+    start order.
+    """
+    runs = [_nelder_mead(np.asarray(x0, dtype=float)) for x0 in x0s]
+    results = [None] * len(runs)
+    evaluations = [0] * len(runs)
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    while pending:
+        costs = fun(np.concatenate(list(pending.values())))
+        stop = 0
+        for i, points in list(pending.items()):
+            start, stop = stop, stop + len(points)
+            evaluations[i] += len(points)
+            try:
+                pending[i] = runs[i].send(costs[start:stop])
+            except StopIteration as done:
+                del pending[i]
+                results[i] = (*done.value, evaluations[i])
+    return results
 
 
 def fit_plant_model(frf: FRFEstimate, seed: int = 0) -> FitResult:
@@ -420,11 +532,12 @@ def fit_plant_model(frf: FRFEstimate, seed: int = 0) -> FitResult:
     Stage 1 initializes from FRF features; stage 2 runs Nelder-Mead on the
     coherence-weighted [log-magnitude, unwrapped-phase] error with random
     restarts drawn from ``seed`` (lowest cost wins, ties broken by restart
-    index).  The objective (``_FitObjective``) is built once per fit: it
-    precomputes the data side and evaluates the model as a product of its
-    factors on the FRF grid.  Requires at least half the bins trusted; a
-    fit that never reaches the convergence threshold is returned flagged,
-    carrying the stage-1 parameters.
+    index), all run in lockstep by ``minimize``.  The objective
+    (``_FitObjective``) is built once per fit: it precomputes the data side
+    and evaluates the model as a product of its factors on the FRF grid, for
+    a stack of parameter vectors at once.  Requires at least half the bins
+    trusted; a fit that never reaches the convergence threshold is returned
+    flagged, carrying the stage-1 parameters.
     """
     if np.mean(frf.trusted) < 0.5:
         raise ValueError("fewer than half the FRF bins are coherence-trusted")
@@ -438,39 +551,24 @@ def fit_plant_model(frf: FRFEstimate, seed: int = 0) -> FitResult:
     rng = np.random.default_rng(seed)
     objective = _FitObjective(frf)
 
-    best = None
-    costs = []
-    evaluations = 0
-    for restart in range(FIT_RESTARTS):
-        xi = x0 if restart == 0 else x0 + rng.normal(0.0, 0.2, x0.shape)
-        res = minimize(
-            objective,
-            xi,
-            method="Nelder-Mead",
-            options={
-                "maxiter": FIT_MAX_ITERATIONS,
-                "xatol": 1e-6,
-                "fatol": 1e-9,
-                "adaptive": True,
-            },
-        )
-        costs.append(float(res.fun))
-        evaluations += res.nfev
-        if best is None or res.fun < best[0]:
-            best = (float(res.fun), res.x.copy())
+    starts = [x0] + [x0 + rng.normal(0.0, 0.2, x0.shape)
+                     for _ in range(FIT_RESTARTS - 1)]
+    runs = minimize(objective, starts)
+    costs = [float(cost) for _, cost, _ in runs]
+    best = min(range(FIT_RESTARTS), key=costs.__getitem__)
 
     n_bins = int(np.sum(frf.trusted))
-    cost_per_bin = best[0] / max(n_bins, 1)
+    cost_per_bin = costs[best] / max(n_bins, 1)
     converged = cost_per_bin <= CONVERGENCE_COST_PER_BIN
-    params = _vector_to_params(best[1]) if converged else stage1
+    params = _vector_to_params(runs[best][0]) if converged else stage1
     return FitResult(
         params=params,
-        cost=best[0],
+        cost=costs[best],
         cost_per_bin=cost_per_bin,
         converged=converged,
         stage1=stage1,
         restart_costs=tuple(costs),
-        evaluations=evaluations,
+        evaluations=sum(n for _, _, n in runs),
     )
 
 

@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import tailsitter
@@ -26,3 +29,14 @@ def test_benchmark_patch_targets_resolve(monkeypatch):
     assert len(targets) >= 30
     for owner, attr in targets + [(tailsitter.sysid, "minimize")]:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+def test_package_imports_no_scipy():
+    # the runtime needs numpy only; scipy is a test and benchmark oracle
+    code = ("import sys, tailsitter.harness, tailsitter.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = Path(tailsitter.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

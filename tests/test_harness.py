@@ -110,6 +110,18 @@ class TestRunScenario:
             False, "the response never reached 90 % of the step "
                    "(a 10-90 % rise time <= 0.5 s required)")
 
+    def test_zero_first_step_fails_rise_as_not_measured(self, tmp_path):
+        # a first rate_cmd of 0 from rest has no rise to time: it must not
+        # divide by the zero step and pass with "0.000 s"
+        sc = dataclasses.replace(builtin_scenarios()["rate_step"], events=(
+            Event(1.0, "rate_cmd", {"y": 0.0}), Event(3.0, "rate_cmd", {"y": 0.3})))
+        report = run_scenario(sc, tmp_path)
+        checks = {name: (ok, detail) for name, ok, detail in report.checks}
+        assert math.isnan(report.metrics["rise_time_s"])
+        assert checks["rate_step_rise"] == (
+            False, "not measured: the first rate_cmd, at 1 s, is a zero step")
+        assert math.isnan(metrics.rise_time([0.0, 1.0], [0.2, 0.2], 0.0, 0.2, 0.2))
+
     def test_rate_loop_that_never_responds_fails_overshoot(self, tmp_path):
         # no excursion past the target is not 0 % overshoot when the
         # response never got near the target

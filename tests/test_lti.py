@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import integrator_tf
+from tailsitter import lti
 from tailsitter.dataio import read_csv, write_bode_csv
 from tailsitter.lti import (
     ContinuousTF,
@@ -309,6 +310,22 @@ class TestNyquist:
         without = tf_series(plant, pid)
         assert nyquist_stable(with_notch)
         assert not nyquist_stable(without)
+
+    def test_blocked_contour_matches_whole_grid(self):
+        # the contour is evaluated in four blocks; on the loop-shaping
+        # candidate grid (PID gain scale x notch shape) its angles equal
+        # those of one tf_eval over the whole grid
+        f = lti._log_grid(*lti.NYQUIST_BAND_HZ, lti.NYQUIST_POINTS_PER_DECADE, 64)
+        plant = fitted_plant()
+        peak_hz = PlantFitParams.reference().peak.freq_hz
+        for g in (0.5, 0.7, 1.0, 1.2, 1.3, 1.5, 2.0):
+            for k1, k2 in ((0.15, 0.018), (0.08, 0.01), (0.3, 0.03),
+                           (0.3, 0.12), (0.15, 0.1)):
+                comp = tf_series(pid_tf(g * 0.09, g * 0.1, g * 0.01, 18.0),
+                                 notch(peak_hz, k1, k2))
+                loop = tf_series(plant, comp)
+                whole = np.unwrap(np.angle(tf_eval(loop, f) + 1.0))
+                assert np.array_equal(lti._return_difference_angle(loop), whole)
 
 
 class TestFrequencyResponse:

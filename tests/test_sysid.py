@@ -309,7 +309,7 @@ class TestFitObjective:
 
         clamped = 0
         for x in xs:
-            h, delay = objective.rational_response(x)
+            (h,), (delay,) = objective.rational_response(x)
             ref_params = _vector_to_params(x)
             clamped += delay == 0.1
             assert delay == ref_params.delay_s
@@ -339,21 +339,99 @@ class TestFitObjective:
         # that evaluated composed transfer functions
         cfg = PipelineConfig(noise_std=noise_std, seed=seed)
         frf = pipeline_frf if cfg == PipelineConfig() else _pipeline_frf(cfg)
-        calls = []
+        rows = []
         minimize = sysid.minimize
 
-        def counted_minimize(fun, x0, **kwargs):
+        def counted_minimize(fun, x0s):
             def counted(x):
-                calls.append(None)
+                rows.append(len(x))
                 return fun(x)
-            return minimize(counted, x0, **kwargs)
+            return minimize(counted, x0s)
 
         monkeypatch.setattr(sysid, "minimize", counted_minimize)
         fit = fit_plant_model(frf, seed=seed)
         assert fit.converged
         assert fit.cost == pytest.approx(cost, rel=1e-9)
         assert fit.params.peak.freq_hz == pytest.approx(peak_hz, rel=1e-6)
-        assert fit.evaluations == len(calls)
+        assert fit.evaluations == sum(rows)
+
+    def test_stacked_rows_match_single_calls(self, pipeline_frf):
+        # a row's cost and response do not depend on the stack it is in
+        objective = _FitObjective(pipeline_frf)
+        x0 = np.array(self.PINNED_COSTS[0][0])
+        rng = np.random.default_rng(12)
+        xs = x0 + rng.normal(0.0, 1.0, (60, x0.size))
+        xs[3, 2] = -45.0  # past either end of the clip
+        xs[7, 6] = 41.5
+        xs[11, 10] = math.log(0.5)  # a 0.5 s delay, past the 0.1 s clamp
+        xs[40, 10] = -1.0
+        for k in (1, 2, 5, 12, 60):
+            stack = xs[:k]
+            costs = objective(stack)
+            h, delay = objective.rational_response(stack)
+            assert costs.shape == delay.shape == (k,)
+            for i, x in enumerate(stack):
+                assert repr(float(costs[i])) == repr(float(objective(x)[0]))
+                h1, delay1 = objective.rational_response(x)
+                assert np.array_equal(h[i], h1[0]) and delay[i] == delay1[0]
+        assert np.sum(objective.rational_response(xs)[1] == 0.1) >= 2
+
+
+class TestMinimize:
+    """``sysid.minimize`` against scipy's Nelder-Mead with the fit's
+    options: every run's x, cost and evaluation count by repr."""
+
+    @staticmethod
+    def assert_matches_scipy(fun, starts):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        got = sysid.minimize(fun, starts)
+        assert len(got) == len(starts)
+        for x0, (x, cost, nfev) in zip(starts, got):
+            ref = scipy_optimize.minimize(
+                lambda x: fun(x)[0], x0, method="Nelder-Mead",
+                options={"maxiter": sysid.FIT_MAX_ITERATIONS,
+                         "xatol": sysid.FIT_XATOL, "fatol": sysid.FIT_FATOL,
+                         "adaptive": True})
+            assert repr(x.tolist()) == repr(ref.x.tolist())
+            assert repr(float(cost)) == repr(float(ref.fun))
+            assert nfev == ref.nfev
+        return ref
+
+    def test_shipped_restarts(self, pipeline_frf, monkeypatch):
+        seen = {}
+        minimize = sysid.minimize
+
+        def capture(fun, x0s):
+            seen["fun"], seen["x0s"] = fun, list(x0s)
+            return minimize(fun, x0s)
+
+        monkeypatch.setattr(sysid, "minimize", capture)
+        fit_plant_model(pipeline_frf, seed=PipelineConfig().seed)
+        assert len(seen["x0s"]) == sysid.FIT_RESTARTS
+        self.assert_matches_scipy(seen["fun"], seen["x0s"])
+
+    def test_starts_that_shrink(self, pipeline_frf):
+        objective = _FitObjective(pipeline_frf)
+        x0 = np.array(TestFitObjective.PINNED_COSTS[0][0])
+        rng = np.random.default_rng(0)
+        far = [x0 + rng.normal(0.0, 2.0, x0.size) for _ in range(3)]
+        for start in (far[0], far[2]):
+            rows = []
+
+            def counted(x):
+                rows.append(len(x))
+                return objective(x)
+
+            self.assert_matches_scipy(counted, [start])
+            # one run alone evaluates 11 points at once only when it shrinks
+            assert x0.size in rows
+
+    def test_iteration_stop(self, pipeline_frf, monkeypatch):
+        monkeypatch.setattr(sysid, "FIT_MAX_ITERATIONS", 30)
+        objective = _FitObjective(pipeline_frf)
+        x0 = np.array(TestFitObjective.PINNED_COSTS[0][0])
+        ref = self.assert_matches_scipy(objective, [x0, x0 + 0.1])
+        assert ref.nit == 30 and ref.status == 2  # stopped by the limit
 
 
 class TestSweepExperiment:
