@@ -44,6 +44,9 @@ class NotchConfig:
     def __post_init__(self):
         if not (self.center_hz > 0.0 and self.k1 > self.k2 > 0.0):
             raise ValueError("need center_hz > 0 and k1 > k2 > 0")
+        if not self.center_hz < 0.5 * CONTROL_RATE_HZ:
+            raise ValueError(f"center_hz must lie below {0.5 * CONTROL_RATE_HZ:g} Hz, "
+                             "half the control rate")
 
     def tf(self) -> ContinuousTF:
         return notch(self.center_hz, self.k1, self.k2)

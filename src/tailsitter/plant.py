@@ -24,12 +24,12 @@ lookup clamps by comparison against edges held on the table; each writes
 out the ``min``/``max`` calls it replaced with the same result bit for bit,
 NaN and signed zeros included.  It shares its body-frame math with the
 250 Hz tick of ``sim.run_nonlinear`` and the altitude feedforward:
-``quat.rotation_rows``, ``air_data`` and ``aero_force_ned``.  The public
-``mixer``, ``step_dynamics`` and ``aero_forces`` wrap ``_mix``, ``_rk4`` and
-``_lift_drag``, so the property tests exercise the code the simulator runs.
-``RigidBodyState`` is the boundary type only: it carries a state into
-``TailsitterSim`` and ``step_dynamics`` and out of them, and checks the
-shapes and the quaternion norm of what it is given.
+``quat.rotation_rows``, ``air_data`` and ``aero_force_ned``.  Each stage
+has one form, under its public name: ``mixer``, ``step_dynamics``,
+``aero_forces`` and ``RateSensor.process`` take and return floats, and
+``TailsitterSim.step`` calls them by those names, so the property tests
+exercise the code the simulator runs.  ``hover_state`` and
+``TailsitterSim.x`` hold the state as the same 13-float list.
 """
 
 from __future__ import annotations
@@ -48,10 +48,7 @@ from .lti import ContinuousTF, ResonanceParams, butterworth2, tf_series
 __all__ = [
     "AircraftParams",
     "AeroTable",
-    "AeroForces",
     "FlexibleModeParams",
-    "MotorCommand",
-    "RigidBodyState",
     "SensorConfig",
     "VibrationConfig",
     "SimNumericsError",
@@ -198,13 +195,6 @@ class AircraftParams:
         )
 
 
-@dataclass(frozen=True)
-class AeroForces:
-    lift_n: float
-    drag_n: float
-    clamped: bool = False
-
-
 class AeroTable:
     """Rectangular (alpha, V) grid of lift/drag coefficients, bilinear lookup.
 
@@ -288,21 +278,14 @@ def default_aero_table():
                      np.tile(cd[:, None], (1, v.size)))
 
 
-def _lift_drag(alpha, v, table: AeroTable, params: AircraftParams):
-    """(lift N, drag N, clamped): L = 1/2 rho V^2 S CL(a, V), same for drag."""
-    cl, cd, clamped = table.interpolate(alpha, v)
-    q = 0.5 * params.air_density * v * v * params.wing_area
-    return q * cl, q * cd, clamped
-
-
-def aero_forces(alpha, v, table: AeroTable, params: AircraftParams) -> AeroForces:
-    """Lift and drag in newtons: L = 1/2 rho V^2 S CL(a, V), same for drag.
+def aero_forces(alpha, v, table: AeroTable, params: AircraftParams):
+    """(lift N, drag N, clamped): L = 1/2 rho V^2 S CL(a, V), same for drag.
 
     Ground speed stands in for airspeed (small-wind assumption).
     """
-    if v < 0.0:
-        raise ValueError("airspeed must be >= 0")
-    return AeroForces(*_lift_drag(alpha, v, table, params))
+    cl, cd, clamped = table.interpolate(alpha, v)
+    q = 0.5 * params.air_density * v * v * params.wing_area
+    return q * cl, q * cd, clamped
 
 
 def air_data(rot, vx, vy, vz):
@@ -327,7 +310,7 @@ def aero_force_ned(rot, ax, ay, az, alpha, speed, table: AeroTable,
     unit airflow direction in NED, and z_v lies in the aircraft symmetry plane
     of ``rot`` (coordinated flight keeps body y perpendicular to the airstream).
     """
-    lift, drag, clamped = _lift_drag(alpha, speed, table, params)
+    lift, drag, clamped = aero_forces(alpha, speed, table, params)
     (_, r01, r02), (_, r11, r12), (_, r21, r22) = rot
     d = r01 * ax + r11 * ay + r21 * az
     bx, by, bz = r01 - d * ax, r11 - d * ay, r21 - d * az
@@ -341,21 +324,6 @@ def aero_force_ned(rot, ax, ay, az, alpha, speed, table: AeroTable,
     return (-drag * ax - lift * (ay * bz - az * by),
             -drag * ay - lift * (az * bx - ax * bz),
             -drag * az - lift * (ax * by - ay * bx), clamped)
-
-
-@dataclass(frozen=True, eq=False)
-class MotorCommand:
-    """Normalized per-motor commands in [0, 1]; clipping is never silent."""
-
-    u: np.ndarray
-    saturated: bool = False
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        if u.shape != (4,):
-            raise ValueError("need 4 motor commands")
-        object.__setattr__(self, "u", u)
-        u.flags.writeable = False
 
 
 def _headroom_scale(b1, b2, b3, b4, d1, d2, d3, d4):
@@ -397,8 +365,15 @@ def _clip_unit(x):
     return o, abs(o - x) > 1e-12 + 1e-5 * abs(x)
 
 
-def _mix(tx, ty, tz, thrust_cmd, params: AircraftParams):
-    """Scalar mixer body: (u1, u2, u3, u4, saturated); see ``mixer``."""
+def mixer(tx, ty, tz, thrust_cmd, params: AircraftParams):
+    """(u1, u2, u3, u4, saturated): invert the allocation matrix with
+    priority thrust > roll/pitch > yaw.
+
+    (tx, ty, tz) is the physical torque demand (N m); thrust_cmd the
+    normalized collective in [0, 1].  When the unsaturated solution leaves
+    [0, 1] the roll/pitch group is scaled first, then yaw, and the command
+    is flagged; the motor commands are clipped to [0, 1], never silently.
+    """
     ((a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33),
      (a40, a41, a42, a43)) = params._alloc_inv_rows
     t = 0.0 if 0.0 > thrust_cmd else thrust_cmd
@@ -421,60 +396,11 @@ def _mix(tx, ty, tz, thrust_cmd, params: AircraftParams):
     return u1, u2, u3, u4, saturated or c1 or c2 or c3 or c4
 
 
-def mixer(torque_nm, thrust_cmd, params: AircraftParams) -> MotorCommand:
-    """Invert the allocation matrix with priority thrust > roll/pitch > yaw.
-
-    torque_nm is the physical torque demand (N m); thrust_cmd the normalized
-    collective in [0, 1].  When the unsaturated solution leaves [0, 1] the
-    roll/pitch group is scaled first, then yaw, and the command is flagged.
-    """
-    tx, ty, tz = (float(t) for t in torque_nm)
-    thrust_cmd = float(thrust_cmd)
-    if not all(map(math.isfinite, (tx, ty, tz, thrust_cmd))):
-        raise ValueError("mixer inputs must be finite")
-    *u, saturated = _mix(tx, ty, tz, thrust_cmd, params)
-    return MotorCommand(u, saturated)
-
-
-@dataclass(frozen=True, eq=False)
-class RigidBodyState:
-    """Position/velocity in NED inertial axes, attitude, body rates."""
-
-    p: np.ndarray
-    v: np.ndarray
-    q: np.ndarray
-    omega: np.ndarray
-
-    def __post_init__(self):
-        for name in ("p", "v", "omega"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector")
-            object.__setattr__(self, name, arr)
-            arr.flags.writeable = False
-        q = np.asarray(self.q, dtype=float)
-        if q.shape != (4,):
-            raise ValueError("q must be a 4-vector (eta, ex, ey, ez)")
-        n = np.linalg.norm(q)
-        if not 0.5 < n < 2.0:
-            raise ValueError("quaternion norm wildly off unit")
-        q = q / n
-        object.__setattr__(self, "q", q)
-        q.flags.writeable = False
-
-    def as_vector(self):
-        return np.concatenate([self.p, self.v, self.q, self.omega])
-
-    @classmethod
-    def from_vector(cls, x):
-        return cls(x[0:3], x[3:6], x[6:10], x[10:13])
-
-
-def hover_state(params: AircraftParams, altitude_m=50.0) -> RigidBodyState:
-    """Nose-up trim: 90 deg pitch, zero velocity, at the given altitude."""
+def hover_state(params: AircraftParams, altitude_m=50.0):
+    """Nose-up trim as the flat 13-float state: 90 deg pitch, zero velocity,
+    at the given altitude."""
     q = quat.euler_zxy_to_quat(quat.EulerZXY(0.0, 0.5 * math.pi, 0.0))
-    return RigidBodyState(np.array([0.0, 0.0, -altitude_m]), np.zeros(3), q,
-                          np.zeros(3))
+    return [0.0, 0.0, -float(altitude_m), 0.0, 0.0, 0.0, *q, 0.0, 0.0, 0.0]
 
 
 def _propeller_wrench(u, params: AircraftParams):
@@ -537,12 +463,15 @@ def _derivatives(x, wrench, params: AircraftParams, table: AeroTable):
             j20 * mx + j21 * my + j22 * mz), clamped
 
 
-def _rk4(x, wrench, dt, params: AircraftParams, table: AeroTable):
-    """One RK4 step of the flat state: (new state list, any aero query clamped).
+def step_dynamics(x, motors, dt, params: AircraftParams, table: AeroTable):
+    """One RK4 step of the flat 13-float state with the 4 normalized motor
+    commands ``motors`` held: (new state list, any aero query clamped).
 
-    Raises SimNumericsError on a non-finite result; the quaternion is
-    renormalized after the step.
+    The motor lag, when simulated, lives in TailsitterSim.  Raises
+    SimNumericsError on a non-finite result; the quaternion is renormalized
+    after the step.
     """
+    wrench = _propeller_wrench(motors, params)
     h = 0.5 * dt
     k1, c1 = _derivatives(x, wrench, params, table)
     k2, c2 = _derivatives([a + h * b for a, b in zip(x, k1)], wrench, params, table)
@@ -559,23 +488,6 @@ def _rk4(x, wrench, dt, params: AircraftParams, table: AeroTable):
     return out, c1 or c2 or c3 or c4
 
 
-def step_dynamics(state: RigidBodyState, motors, dt: float,
-                  params: AircraftParams, table: AeroTable) -> RigidBodyState:
-    """One RK4 step of the rigid-body dynamics with fixed motor thrusts.
-
-    ``motors`` is a MotorCommand or a length-4 array of normalized commands
-    held constant over the step (the motor lag, when simulated, lives in
-    TailsitterSim).  The quaternion is renormalized after the step.  This is
-    the kernel TailsitterSim runs, on the state as a RigidBodyState.
-    """
-    if not 0.0 < dt <= 0.002:
-        raise ValueError("dt must lie in (0, 2 ms]")
-    u = motors.u if isinstance(motors, MotorCommand) else np.asarray(motors, float)
-    x, _ = _rk4(state.as_vector().tolist(), _propeller_wrench(u.tolist(), params),
-                dt, params, table)
-    return RigidBodyState.from_vector(x)
-
-
 class LinearAxisPlant:
     """Stateful single-axis plant realized from an identified TF.
 
@@ -589,7 +501,6 @@ class LinearAxisPlant:
     def __init__(self, tf: ContinuousTF, prewarp_hz=None):
         if tf.num_degree > tf.den_degree:
             raise ValueError("improper transfer function is not realizable")
-        self.tf = tf
         self.cascade = discretize_tustin(tf, PLANT_RATE_HZ, prewarp_hz)
 
     def step(self, u: float) -> float:
@@ -623,6 +534,10 @@ class SensorConfig:
     gyro_noise_std: float = 0.005
     corner_hz: float = 100.0
 
+    def __post_init__(self):
+        if not self.gyro_noise_std >= 0.0:
+            raise ValueError("gyro_noise_std must be >= 0")
+
 
 class RateSensor:
     """1 kHz true rates -> 250 Hz measured rates, deterministic under seed.
@@ -648,8 +563,9 @@ class RateSensor:
         self._noise = []
         self._noise_at = 0
 
-    def _sample(self, wx, wy, wz):
-        """Feed one 1 kHz sample as floats; the 250 Hz measurement or None."""
+    def process(self, wx, wy, wz):
+        """Feed one 1 kHz sample of true rates; the 250 Hz measurement as a
+        3-tuple of floats, or None between decimation ticks."""
         std = self.cfg.gyro_noise_std
         if std > 0.0:
             k = self._noise_at
@@ -666,21 +582,6 @@ class RateSensor:
             return out
         return None
 
-    def process(self, true_rate):
-        """Feed one 1 kHz sample; returns the 250 Hz measurement or None."""
-        out = self._sample(*(float(w) for w in true_rate))
-        return None if out is None else np.array(out)
-
-    def process_block(self, rates):
-        """(N, 3) at 1 kHz -> (N/4, 3) at the control rate."""
-        rates = np.atleast_2d(np.asarray(rates, dtype=float))
-        out = []
-        for row in rates:
-            m = self.process(row)
-            if m is not None:
-                out.append(m)
-        return np.array(out)
-
 
 @dataclass(frozen=True)
 class VibrationConfig:
@@ -691,6 +592,10 @@ class VibrationConfig:
     f_hi: float = 90.0
     n_tones: int = 5
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.amplitude >= 0.0:
+            raise ValueError("amplitude must be >= 0")
 
 
 @lru_cache(maxsize=16)
@@ -735,11 +640,11 @@ class TailsitterSim:
     stateful; run several instances for parallel scenarios.
 
     The substep runs on plain floats: the vehicle state ``x`` is one flat
-    list of 13 floats (p, v, q, omega), replaced by each substep, the
-    delay line holds command tuples and the motor lag is a 4-tuple, so no
-    array or state object is built per substep.  ``state`` builds a
-    RigidBodyState from ``x`` on each read, for callers outside the control
-    loop.
+    list of 13 floats (NED position and velocity, the attitude quaternion,
+    body rates), replaced by each substep, the delay line holds command
+    tuples and the motor lag is a 4-tuple, so no array or state object is
+    built per substep.  ``state``, when given, is the initial ``x`` in the
+    same layout; the default is ``hover_state(params)``.
     """
 
     def __init__(self, params: AircraftParams, table: AeroTable,
@@ -748,10 +653,10 @@ class TailsitterSim:
                  sensor_cfg: SensorConfig = SensorConfig(),
                  vibration_cfg: VibrationConfig = VibrationConfig(),
                  seed: int = 0,
-                 state: RigidBodyState | None = None):
+                 state: list[float] | None = None):
         self.params = params
         self.table = table
-        self.state = state if state is not None else hover_state(params)
+        self.x = list(state) if state is not None else hover_state(params)
         self.t = 0.0
         self.dt = 1.0 / PLANT_RATE_HZ
         self.sensor = RateSensor(sensor_cfg, seed)
@@ -772,19 +677,10 @@ class TailsitterSim:
         self._torque_scale = tuple(params.torque_scale().tolist())
         # exact first-order motor lag over one substep
         self._motor_decay = math.exp(-self.dt / params.motor_tau_s)
-        self._motor_u = _mix(0.0, 0.0, 0.0, float(params.hover_command), params)[:4]
+        self._motor_u = mixer(0.0, 0.0, 0.0, float(params.hover_command), params)[:4]
         self.saturated_last = False
         self.aero_clamped_last = False
         self.last_measurement = None
-
-    @property
-    def state(self) -> RigidBodyState:
-        """The current rigid-body state."""
-        return RigidBodyState.from_vector(self.x)
-
-    @state.setter
-    def state(self, st: RigidBodyState):
-        self.x = st.as_vector().tolist()
 
     def set_command(self, torque_norm, thrust_norm):
         """Latch the 250 Hz controller output (normalized units)."""
@@ -813,15 +709,14 @@ class TailsitterSim:
         if self._flex is not None:
             ty = self._flex.process(ty)
         sx, sy, sz = self._torque_scale
-        u1, u2, u3, u4, self.saturated_last = _mix(sx * tx, sy * ty, sz * tz, thrust,
-                                                   params)
+        u1, u2, u3, u4, self.saturated_last = mixer(sx * tx, sy * ty, sz * tz, thrust,
+                                                    params)
         decay = self._motor_decay
         m1, m2, m3, m4 = self._motor_u
         self._motor_u = u = (u1 + (m1 - u1) * decay, u2 + (m2 - u2) * decay,
                              u3 + (m3 - u3) * decay, u4 + (m4 - u4) * decay)
 
-        x, self.aero_clamped_last = _rk4(self.x, _propeller_wrench(u, params), self.dt,
-                                         params, self.table)
+        x, self.aero_clamped_last = step_dynamics(self.x, u, self.dt, params, self.table)
         self.x = x
         self.t += self.dt
 
@@ -829,7 +724,7 @@ class TailsitterSim:
         if self._vibrating:
             vib = rotor_vibration(self.t, self.vibration_cfg).tolist()
             wx, wy, wz = wx + vib[0], wy + vib[1], wz + vib[2]
-        self.last_measurement = self.sensor._sample(wx, wy, wz)
+        self.last_measurement = self.sensor.process(wx, wy, wz)
 
     def altitude(self):
         return -self.x[2]

@@ -185,6 +185,9 @@ class Scenario:
             raise ValueError("mode: must be nonlinear or linear-axis")
         if not self.duration_s > 0.0:
             raise ValueError("duration_s: must be positive")
+        if not self.plant_params.peak.freq_hz < 0.5 * PLANT_RATE_HZ:
+            raise ValueError("plant_params.peak.freq_hz: must lie below "
+                             f"{0.5 * PLANT_RATE_HZ:g} Hz, half the plant rate")
         ts = [e.t for e in self.events]
         if ts != sorted(ts):
             raise ValueError("events: must be time-ordered")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lti import PlantFitParams, ResonanceParams, butterworth2, tf_eval
-from .plant import PLANT_RATE_HZ
+from .plant import CONTROL_RATE_HZ, PLANT_RATE_HZ
 
 WINDOW_OVERLAP = 0.5  # of consecutive FRF windows
 MIN_WINDOW_SAMPLES = 16  # shortest FRF window, and so the shortest series
@@ -74,11 +74,14 @@ class ChirpConfig:
     f1: float = 60.0
     duration_s: float = 60.0
     amplitude: float = 0.1
-    sample_hz: float = 250.0
+    sample_hz: float = CONTROL_RATE_HZ
 
     def __post_init__(self):
         if not 0.0 < self.f0 <= self.f1 < 0.5 * self.sample_hz:
             raise ValueError("need 0 < f0 <= f1 < sample_hz/2")
+        sub = round(PLANT_RATE_HZ / self.sample_hz)
+        if sub < 1 or abs(PLANT_RATE_HZ - sub * self.sample_hz) > 1e-9:
+            raise ValueError("plant rate must be an integer multiple of sample_hz")
         if not (self.duration_s > 0.0 and self.amplitude > 0.0):
             raise ValueError("duration and amplitude must be positive")
 
@@ -603,8 +606,6 @@ def sweep_experiment(plant, cfg: ChirpConfig, noise_std: float = 0.0,
     divergence time.
     """
     sub = int(round(PLANT_RATE_HZ / cfg.sample_hz))
-    if sub < 1 or abs(PLANT_RATE_HZ - sub * cfg.sample_hz) > 1e-9:
-        raise ValueError("plant rate must be an integer multiple of chirp rate")
     rng = np.random.default_rng(seed)
     u_inj = chirp(cfg).values
     n_settle = int(round(SETTLE_S * cfg.sample_hz))

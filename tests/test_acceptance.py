@@ -39,7 +39,6 @@ from tailsitter.lti import (
 from tailsitter.plant import (
     AircraftParams,
     LinearAxisPlant,
-    RigidBodyState,
     default_aero_table,
     hover_state,
     mixer,
@@ -273,16 +272,16 @@ class TestPropertySuite:
         from tailsitter.plant import AeroTable
         table = AeroTable(alpha, np.array([0.0, 30.0]),
                           np.ones((3, 2)), 0.5 * np.ones((3, 2)))
-        st0 = hover_state(params)
-        st0 = RigidBodyState(st0.p, np.array([6.0, 0.0, -2.0]), st0.q,
-                             np.array([2.0, 3.0, 1.5]))
-        motors = np.array([0.7, 0.5, 0.4, 0.6])
+        x0 = hover_state(params)
+        x0[3:6] = 6.0, 0.0, -2.0
+        x0[10:13] = 2.0, 3.0, 1.5
+        motors = (0.7, 0.5, 0.4, 0.6)
 
         def run(dt):
-            st = st0
+            x = x0
             for _ in range(int(round(1.0 / dt))):
-                st = step_dynamics(st, motors, dt, params, table)
-            return st.as_vector()
+                x, _ = step_dynamics(x, motors, dt, params, table)
+            return np.array(x)
 
         ref = run(0.000125)
         order = math.log2(np.linalg.norm(run(0.002) - ref)
@@ -293,32 +292,31 @@ class TestPropertySuite:
         params = AircraftParams(rate_damping=(0.0, 0.0, 0.0))
         table = default_aero_table()
         inertia = params.inertia
-        st = RigidBodyState(np.zeros(3), np.zeros(3),
-                            np.array([1.0, 0.0, 0.0, 0.0]),
-                            np.array([0.3, 1.0, 0.2]))
-        h0 = np.linalg.norm(inertia @ st.omega)
-        e0 = 0.5 * st.omega @ inertia @ st.omega
+        x = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.3, 1.0, 0.2]
+        omega = np.array(x[10:13])
+        h0 = np.linalg.norm(inertia @ omega)
+        e0 = 0.5 * omega @ inertia @ omega
         for _ in range(10_000):
-            st = step_dynamics(st, np.zeros(4), 1e-3, params, table)
-        drift = max(abs(np.linalg.norm(inertia @ st.omega) / h0 - 1.0),
-                    abs(0.5 * st.omega @ inertia @ st.omega / e0 - 1.0))
+            x, _ = step_dynamics(x, (0.0, 0.0, 0.0, 0.0), 1e-3, params, table)
+        omega = np.array(x[10:13])
+        drift = max(abs(np.linalg.norm(inertia @ omega) / h0 - 1.0),
+                    abs(0.5 * omega @ inertia @ omega / e0 - 1.0))
         check("prop_torque_free", drift < 1e-8,
               f"|I w| and energy drift {drift:.2e} over 10 s")
 
     def test_hover_balance(self):
         params = AircraftParams()
         table = default_aero_table()
-        st = hover_state(params)
-        mc = mixer(np.zeros(3), params.hover_command, params)
-        thrust_total = params.allocation_matrix()[0] @ mc.u
-        nxt = step_dynamics(st, mc, 1e-3, params, table)
+        u = mixer(0.0, 0.0, 0.0, params.hover_command, params)[:4]
+        thrust_total = params.allocation_matrix()[0] @ u
+        nxt, _ = step_dynamics(hover_state(params), u, 1e-3, params, table)
         ok = (abs(thrust_total - params.mass * params.gravity) < 1e-9
-              and np.linalg.norm(nxt.v) < 1e-9
-              and np.linalg.norm(nxt.omega) < 1e-9)
+              and np.linalg.norm(nxt[3:6]) < 1e-9
+              and np.linalg.norm(nxt[10:13]) < 1e-9)
         check("prop_hover_balance", ok,
               f"hover thrust {thrust_total:.6f} N = m g "
               f"{params.mass * params.gravity:.6f} N; state drift "
-              f"{np.linalg.norm(nxt.v):.2e}")
+              f"{np.linalg.norm(nxt[3:6]):.2e}")
 
     def test_frf_unbiased_noiseless(self):
         rng = np.random.default_rng(73)

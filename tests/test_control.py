@@ -265,11 +265,11 @@ def solve_thrust_brute(v_zd, q, speed, alpha, cfg, params, table):
     r31 = rot[2, 0]
     f_az = 0.0
     if speed > 0.0:
-        forces = aero_forces(alpha, speed, table, params)
+        lift, drag, _ = aero_forces(alpha, speed, table, params)
         v_dir = rot @ np.array([math.cos(alpha), 0.0, math.sin(alpha)])
         y_v = rot[:, 1] - (rot[:, 1] @ v_dir) * v_dir
         z_v = np.cross(v_dir, y_v / np.linalg.norm(y_v))
-        f_az = -forces.drag_n * v_dir[2] - forces.lift_n * z_v[2]
+        f_az = -drag * v_dir[2] - lift * z_v[2]
 
     def residual(t_n):
         return params.mass * cfg.ff_gain * v_zd - (

@@ -661,6 +661,18 @@ BAD_SCENARIOS = [
     ({"name": "x", "rate_loop": {"kp": [0.1, float("inf"), 0.1]}}, "rate_loop.kp[1]"),
     ({"name": "x", "aircraft": {"inertia": [0.03, float("nan"), 0.036]}},
      "aircraft.inertia"),
+    # negative noise settings used to run as zero
+    ({"name": "x", "sensor": {"gyro_noise_std": -1.0}}, "sensor"),
+    ({"name": "x", "vibration": {"amplitude": -0.1}}, "vibration"),
+    # frequencies at or above the Nyquist frequency of the loop that
+    # discretizes them used to crash the run after load
+    ({"name": "x", "rate_loop": {"notches": [
+        None, {"center_hz": 130.0, "k1": 0.15, "k2": 0.018}, None]}},
+     "rate_loop.notches[1]"),
+    ({"name": "x", "plant_params": {"peak": {"freq_hz": 600.0}}},
+     "plant_params.peak.freq_hz"),
+    ({"name": "x", "mode": "linear-axis", "plant_params": {"peak": {"freq_hz": 600.0}}},
+     "plant_params.peak.freq_hz"),
 ]
 
 
@@ -981,6 +993,7 @@ class TestCli:
             (["pipeline"], {"notch_k1": 0.01}, "notch_k1"),
             (["pipeline"], {"chirp": {"duration_s": 10.0}}, "chirp"),
             (["pipeline"], {"noise_std": float("nan")}, "noise_std"),
+            (["pipeline"], {"chirp": {"sample_hz": 300.0}}, "chirp"),
             (["bode"], {"num": [1.0], "den": [1.0, 0.1], "dealy": 0.02}, "dealy"),
             (["bode"], {"num": [float("nan")], "den": [1.0, 0.1]}, "num"),
             (["bode"], {"num": [1.0], "den": [1.0, 0.1], "delay": [0.02]},
