@@ -17,8 +17,17 @@ import numpy as np
 
 from . import quat
 from .biquad import discretize_tustin
-from .lti import ContinuousTF, butterworth2, notch, pid_tf, tf_series
-from .plant import CONTROL_RATE_HZ, AeroTable, AircraftParams, aero_force_ned
+from .lti import ContinuousTF, PlantFitParams, butterworth2, notch, pid_tf, tf_series
+from .plant import (
+    CONTROL_DT,
+    CONTROL_RATE_HZ,
+    FLAG_FF_CLAMP,
+    FLAG_NO_AUTHORITY,
+    FLAG_THRUST_SAT,
+    AeroTable,
+    AircraftParams,
+    aero_force_ned,
+)
 
 __all__ = [
     "NotchConfig",
@@ -53,14 +62,14 @@ class NotchConfig:
 
 
 def default_notch_config(center_hz: float | None = None) -> NotchConfig:
-    """Stock notch for the identified 14 Hz mode.
+    """Stock notch, centered by default on the reference plant's 14 Hz mode.
 
     k1/k2 are calibrated against the design constraints: about 5 degrees of
     phase lag at 7 Hz and enough depth to pull the structural peak of the
     reference plant below -3 dB in the designed open loop.
     """
     if center_hz is None:
-        center_hz = 1.0 / math.sqrt(0.000129) / (2.0 * math.pi)
+        center_hz = PlantFitParams.reference().peak.freq_hz
     return NotchConfig(center_hz, 0.15, 0.018)
 
 
@@ -118,7 +127,7 @@ class RateController:
 
     def __init__(self, cfg: RateLoopConfig):
         self.cfg = cfg
-        self.dt = 1.0 / CONTROL_RATE_HZ
+        self.dt = CONTROL_DT
         b = butterworth2(cfg.deriv_corner_hz)
         # kd s B(s) is proper (degree 1 over 2) and discretizes per axis
         self._deriv = [
@@ -247,14 +256,15 @@ def altitude_ff_thrust(v_zd: float, q, speed: float, alpha: float,
     up).  e3.f_aero comes from the plant's own velocity-frame model
     (``plant.aero_force_ned``), fed the coordinated-flight airflow direction
     R (cos alpha, 0, sin alpha).
-    Returns (u_ff, flag) with u_ff = thrust_ratio * T clamped to [0, 1];
-    near-level attitude (|r31| below the authority floor) returns the hover
-    command and flags it so the feedback path knows the model is silent.
+    Returns (u_ff, bits) with u_ff = thrust_ratio * T clamped to [0, 1] and
+    ``FLAG_FF_CLAMP`` set if it was clamped; near-level attitude (|r31|
+    below the authority floor) returns the hover command with
+    ``FLAG_NO_AUTHORITY``, so the feedback path knows the model is silent.
     """
     rot = quat.rotation_rows(*q)
     (r11, _, r13), (r21, _, r23), (r31, _, r33) = rot
     if abs(r31) < cfg.min_vertical_authority:
-        return params.hover_command, "no_vertical_authority"
+        return params.hover_command, FLAG_NO_AUTHORITY
     a_zd = cfg.ff_gain * v_zd
     f_az = 0.0
     if speed > 1e-9:
@@ -263,11 +273,9 @@ def altitude_ff_thrust(v_zd: float, q, speed: float, alpha: float,
                                        r31 * ca + r33 * sa, alpha, speed, table, params)
     t_n = (params.mass * a_zd - params.mass * params.gravity - f_az) / r31
     u = params.thrust_ratio * t_n
-    flag = ""
     if not 0.0 <= u <= 1.0:
-        u = min(max(u, 0.0), 1.0)
-        flag = "thrust_clamped"
-    return float(u), flag
+        return float(min(max(u, 0.0), 1.0)), FLAG_FF_CLAMP
+    return float(u), 0
 
 
 class AltitudeController:
@@ -283,16 +291,16 @@ class AltitudeController:
         self.cfg = cfg
         self.params = params
         self.table = table
-        self.dt = 1.0 / CONTROL_RATE_HZ
+        self.dt = CONTROL_DT
         self.integrator = 0.0
 
     def step(self, alt_meas: float, alt_cmd: float, v_z_meas: float,
              q, speed: float, alpha: float):
-        """One 250 Hz tick -> (thrust_cmd in [0, 1], flags)."""
+        """One 250 Hz tick -> (thrust_cmd in [0, 1], flag bits)."""
         cfg = self.cfg
         v_zd = cfg.alt_gain * (alt_meas - alt_cmd)  # down-positive command
         v_zd = min(max(v_zd, -cfg.v_z_limit), cfg.v_z_limit)
-        u_ff, flag = altitude_ff_thrust(v_zd, q, speed, alpha, cfg,
+        u_ff, bits = altitude_ff_thrust(v_zd, q, speed, alpha, cfg,
                                         self.params, self.table)
         err = v_z_meas - v_zd  # positive = sinking faster than commanded
         u = u_ff + cfg.kp_vz * err + cfg.ki_vz * self.integrator
@@ -300,5 +308,4 @@ class AltitudeController:
         saturated = clamped != u
         if not (saturated and (u - clamped) * err > 0.0):
             self.integrator += err * self.dt
-        flags = tuple(f for f in (flag, "thrust_saturated" if saturated else "") if f)
-        return clamped, flags
+        return clamped, (bits | FLAG_THRUST_SAT) if saturated else bits

@@ -40,6 +40,7 @@ from .lti import (
 )
 from .plant import CONTROL_RATE_HZ, LinearAxisPlant
 from .sim import (
+    CHECK_SUITE_NEEDS,
     SIMLOG_HEADER,
     TELEMETRY_HEADER,
     Event,
@@ -47,8 +48,8 @@ from .sim import (
     run_linear_axis,
     run_nonlinear,
 )
-from .sysid import (ChirpConfig, averaged_bin_share, chirp, estimate_frf,
-                    fit_plant_model, sweep_experiment)
+from .sysid import (ChirpConfig, averaged_bin_share, estimate_frf, fit_plant_model,
+                    sweep_experiment)
 
 __all__ = [
     "RunReport",
@@ -213,10 +214,17 @@ def _cut_unmeasured(report: RunReport, sc: Scenario, t_start: float, t_end: floa
     return True
 
 
-def _checks_notch_ab(sc: Scenario, data: np.ndarray, report: RunReport):
-    t = data[:, 0]
-    w = data[:, _telemetry_col("w_meas_y")]
-    enable_t = next(e.t for e in sc.events if e.kind == "notch" and e.args["enabled"])
+def _measured_events(sc: Scenario) -> list:
+    """The events the scenario's check suite measures, in time order."""
+    measured = CHECK_SUITE_NEEDS[sc.check_suite][1]
+    return [e for e in sc.events if measured(e)]
+
+
+def _checks_notch_ab(sc: Scenario, telemetry: np.ndarray, report: RunReport,
+                     simlog: np.ndarray | None):
+    t = telemetry[:, 0]
+    w = telemetry[:, _telemetry_col("w_meas_y")]
+    enable_t = _measured_events(sc)[0].t
 
     if not _cut_unmeasured(report, sc, enable_t - SPECTRUM_WINDOW_S, enable_t,
                            "notch_off_divergence", "divergence_frequency"):
@@ -243,11 +251,12 @@ def _checks_notch_ab(sc: Scenario, data: np.ndarray, report: RunReport):
                          "(< 0.5 required)")
 
 
-def _checks_rate_step(sc: Scenario, data: np.ndarray, report: RunReport):
-    t = data[:, 0]
-    w = data[:, _telemetry_col("w_meas_y")]
-    cmd = data[:, _telemetry_col("w_cmd_y")]
-    steps = [e for e in sc.events if e.kind == "rate_cmd"]
+def _checks_rate_step(sc: Scenario, telemetry: np.ndarray, report: RunReport,
+                     simlog: np.ndarray | None):
+    t = telemetry[:, 0]
+    w = telemetry[:, _telemetry_col("w_meas_y")]
+    cmd = telemetry[:, _telemetry_col("w_cmd_y")]
+    steps = _measured_events(sc)
     if not _cut_unmeasured(report, sc, steps[0].t, steps[-1].t + STEP_WINDOW_S,
                            "rate_step_overshoot"):
         worst = 0.0
@@ -302,8 +311,8 @@ def _checks_rate_step(sc: Scenario, data: np.ndarray, report: RunReport):
         report.metrics["settled_rms_error"] = rms
 
 
-def _checks_transition(sc: Scenario, data: np.ndarray, report: RunReport,
-                       simlog: np.ndarray):
+def _checks_transition(sc: Scenario, telemetry: np.ndarray, report: RunReport,
+                       simlog: np.ndarray | None):
     t = simlog[:, 0]
     if not _cut_unmeasured(report, sc, 0.0, sc.duration_s, "altitude_hold"):
         alt = -simlog[:, SIMLOG_HEADER.index("pz")]
@@ -313,7 +322,7 @@ def _checks_transition(sc: Scenario, data: np.ndarray, report: RunReport,
                          f"max |altitude error| {alt_err:.3f} m (< 2 m required)")
 
     # the first-order fit and the overshoot both look FIT_WINDOW_S past the step
-    step_ev = [e for e in sc.events if e.kind == "attitude" and "pitch" in e.args][-1]
+    step_ev = _measured_events(sc)[-1]
     if _cut_unmeasured(report, sc, step_ev.t, step_ev.t + metrics.FIT_WINDOW_S,
                        "stepback_first_order", "stepback_overshoot"):
         return
@@ -333,6 +342,8 @@ def _checks_transition(sc: Scenario, data: np.ndarray, report: RunReport,
                      f"overshoot {ov:.2f} % (< 5 % required)")
 
 
+# each suite takes (scenario, telemetry rows, report, state-log rows), the
+# state log None on linear-axis runs
 CHECK_SUITES = {
     "notch_ab": _checks_notch_ab,
     "rate_step": _checks_rate_step,
@@ -381,12 +392,10 @@ def run_scenario(source, out_dir="out", seed=None) -> RunReport:
 
     # recompute every metric from the files just written
     if sc.check_suite is not None:
-        suite = CHECK_SUITES[sc.check_suite]
         tele = _read_back(tele_path, TELEMETRY_HEADER, log.telemetry)
-        if sc.check_suite == "transition":
-            suite(sc, tele, report, _read_back(sim_path, SIMLOG_HEADER, log.simlog))
-        else:
-            suite(sc, tele, report)
+        simlog = (None if sim_path is None
+                  else _read_back(sim_path, SIMLOG_HEADER, log.simlog))
+        CHECK_SUITES[sc.check_suite](sc, tele, report, simlog)
     report.write(out_dir)
     return report
 
@@ -395,14 +404,19 @@ def run_scenario(source, out_dir="out", seed=None) -> RunReport:
 # design pipeline
 
 
+_PITCH_DESIGN = RateLoopConfig.reference_pitch_design()
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Sweep -> identify -> design pipeline settings.
 
     The FRF stage defaults to 60 cycles per window (finer than the general
     default because the structural peak is only ~3 % wide) and deconvolves
-    the known 250 Hz command hold.  Values the stages would reject mid-run
-    are rejected here, before anything is simulated or written.
+    the known 250 Hz command hold.  The loop defaults are the pitch axis of
+    ``RateLoopConfig.reference_pitch_design``.  Values the stages would
+    reject mid-run are rejected here, before anything is simulated or
+    written.
     """
 
     chirp: ChirpConfig = field(default_factory=ChirpConfig)
@@ -412,12 +426,12 @@ class PipelineConfig:
     correct_hold: bool = True
     noise_std: float = 0.0
     seed: int = 3
-    kp: float = 0.09
-    ki: float = 0.1
-    kd: float = 0.01
-    deriv_corner_hz: float = 18.0
-    notch_k1: float = 0.15
-    notch_k2: float = 0.018
+    kp: float = _PITCH_DESIGN.kp[1]
+    ki: float = _PITCH_DESIGN.ki[1]
+    kd: float = _PITCH_DESIGN.kd[1]
+    deriv_corner_hz: float = _PITCH_DESIGN.deriv_corner_hz
+    notch_k1: float = _PITCH_DESIGN.notches[1].k1
+    notch_k2: float = _PITCH_DESIGN.notches[1].k2
     skip_notch: bool = False
     slope_band: tuple[float, float] = (0.6, 14.0)
 
@@ -429,8 +443,8 @@ class PipelineConfig:
         if not self.cycles_per_window > 0.0:
             raise ValueError("cycles_per_window: must be > 0")
         # the fit needs half the bins trusted, and a bin needs two windows
-        share = averaged_bin_share(len(chirp(self.chirp)), self.chirp.sample_hz,
-                                   self.n_freqs, self.chirp.f0, self.chirp.f1,
+        share = averaged_bin_share(self.chirp.n_samples, self.n_freqs,
+                                   self.chirp.f0, self.chirp.f1,
                                    self.cycles_per_window)
         if share < 0.5:
             raise ValueError(f"chirp: too short for its FRF windows: {share:.0%} "
@@ -486,8 +500,8 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     sweep_path = write_csv(
         out_dir / "sweep_io.csv",
         ["t", "u_injected", "u_total", "omega_meas"],
-        np.column_stack([sweep.total_input.times, sweep.injected.values,
-                         sweep.total_input.values, sweep.measured.values]),
+        np.column_stack([np.arange(sweep.total_input.size) / CONTROL_RATE_HZ,
+                         sweep.injected, sweep.total_input, sweep.measured]),
     )
     report.artifacts.append(str(sweep_path))
 
@@ -495,7 +509,7 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
         sweep.total_input, sweep.measured, cfg.n_freqs,
         cfg.chirp.f0, cfg.chirp.f1,
         cycles_per_window=cfg.cycles_per_window,
-        hold_rate_hz=cfg.chirp.sample_hz if cfg.correct_hold else None,
+        correct_hold=cfg.correct_hold,
     )
     report.artifacts.append(str(write_frf_csv(out_dir / "frf.csv", frf)))
     report.metrics["frf_trusted_fraction"] = float(np.mean(frf.trusted))
@@ -590,9 +604,6 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
             f"[{cfg.slope_band[0]}, {cfg.slope_band[1]}] Hz "
             "(reference -19, accepted [-22, -16])",
         )
-        # closed-loop -3 dB bandwidth of the command response, for reference
-        report.metrics["notch_loop_14hz_db"] = peak_mag_db
-
         # bandwidth gained by the notch: compare against the best stable
         # notch-free design found by a pure gain sweep
         base = tf_series(plant_fit_tf, pid)

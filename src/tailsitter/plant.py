@@ -65,6 +65,19 @@ __all__ = [
 
 PLANT_RATE_HZ = 1000.0
 CONTROL_RATE_HZ = 250.0
+SUBSTEPS = round(PLANT_RATE_HZ / CONTROL_RATE_HZ)  # plant steps per control tick
+CONTROL_DT = 1.0 / CONTROL_RATE_HZ
+# Bits of the telemetry flags column: rate-loop saturation, thrust
+# saturation, the no-vertical-authority feedforward fallback, motor-command
+# saturation, an aero query clamped to the table edge in any substep of the
+# tick, and feedforward thrust clamped to [0, 1].  Bits are append-only: a
+# bit keeps its meaning once assigned.
+FLAG_RATE_SAT = 1
+FLAG_THRUST_SAT = 2
+FLAG_NO_AUTHORITY = 4
+FLAG_MOTOR_SAT = 8
+FLAG_AERO_CLAMP = 16
+FLAG_FF_CLAMP = 32
 # Shape of the analytic aero table: finite-wing lift slope (1/rad), stall
 # angle and blend width (rad), zero-lift drag and induced-drag factor.
 LIFT_SLOPE = 4.73
@@ -120,7 +133,7 @@ class AircraftParams:
             raise ValueError("mass and wing area must be positive")
         if not self.motor_tau_s > 0.0:
             raise ValueError("motor_tau_s must be positive")
-        inertia = np.asarray(self.inertia, dtype=float)
+        inertia = np.array(self.inertia, dtype=float)
         if inertia.shape == (3,):
             inertia = np.diag(inertia)
         elif inertia.shape == (3, 3):
@@ -132,7 +145,7 @@ class AircraftParams:
             raise ValueError("inertia must be positive definite")
         object.__setattr__(self, "inertia", inertia)
         inertia.flags.writeable = False
-        pos = np.asarray(self.rotor_positions, dtype=float)
+        pos = np.array(self.rotor_positions, dtype=float)
         if pos.shape != (4, 3):
             raise ValueError("rotor_positions must be 4x3")
         object.__setattr__(self, "rotor_positions", pos)
@@ -558,7 +571,6 @@ class RateSensor:
             for _ in range(3)
         ]
         self._rng = np.random.default_rng(seed)
-        self._decimation = int(round(PLANT_RATE_HZ / CONTROL_RATE_HZ))
         self._count = 0
         self._noise = []
         self._noise_at = 0
@@ -578,7 +590,7 @@ class RateSensor:
         fx, fy, fz = self._filters
         out = (fx.process(wx), fy.process(wy), fz.process(wz))
         self._count += 1
-        if self._count % self._decimation == 0:
+        if self._count % SUBSTEPS == 0:
             return out
         return None
 

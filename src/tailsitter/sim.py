@@ -2,11 +2,8 @@
 controller against either plant, producing the CSV logs every metric is
 recomputed from.
 
-Flags column encoding (bitmask): 1 rate-loop saturation, 2 thrust
-saturation, 4 no-vertical-authority feedforward fallback, 8 motor-command
-saturation, 16 aero query clamped to the table edge in any substep of the
-tick, 32 feedforward thrust clamped to [0, 1].  Bits are append-only: a
-bit keeps its meaning once assigned.
+The telemetry flags column is the ``plant.FLAG_*`` bitmask, re-exported
+here under the same names.
 """
 
 from __future__ import annotations
@@ -27,8 +24,15 @@ from .control import (
 )
 from .lti import PlantFitParams, fitted_plant
 from .plant import (
-    CONTROL_RATE_HZ,
+    CONTROL_DT,
+    FLAG_AERO_CLAMP,
+    FLAG_FF_CLAMP,
+    FLAG_MOTOR_SAT,
+    FLAG_NO_AUTHORITY,
+    FLAG_RATE_SAT,
+    FLAG_THRUST_SAT,
     PLANT_RATE_HZ,
+    SUBSTEPS,
     AircraftParams,
     FlexibleModeParams,
     LinearAxisPlant,
@@ -60,16 +64,7 @@ __all__ = [
     "FLAG_FF_CLAMP",
 ]
 
-CONTROL_DT = 1.0 / CONTROL_RATE_HZ
-SUBSTEPS = int(round(PLANT_RATE_HZ / CONTROL_RATE_HZ))
 ABORT_LIMIT = 1e6  # rad/s: a linear-axis run stops past this pitch rate
-
-FLAG_RATE_SAT = 1
-FLAG_THRUST_SAT = 2
-FLAG_NO_AUTHORITY = 4
-FLAG_MOTOR_SAT = 8
-FLAG_AERO_CLAMP = 16
-FLAG_FF_CLAMP = 32
 
 SIMLOG_HEADER = [
     "t", "px", "py", "pz", "vx", "vy", "vz",
@@ -142,7 +137,7 @@ class Event:
             raise ValueError("pitch_ramp event arg 'duration' must be > 0")
         if self.kind == "inject_chirp":  # a sweep the control loop can play
             ChirpConfig(self.args["f0"], self.args["f1"], self.args["duration"],
-                        self.args["amplitude"], CONTROL_RATE_HZ)
+                        self.args["amplitude"])
 
 
 @dataclass(frozen=True)
@@ -222,20 +217,15 @@ class SimLog:
         return self.telemetry[:, 0], self.telemetry[:, i]
 
 
-def _flags_bits(rate_sat, thrust_flags, motor_sat, aero_clamped):
-    bits = 0
+def _flags_bits(rate_sat, thrust_bits, motor_sat, aero_clamped):
+    """The tick's flags: the altitude loop's bits plus the detected ones."""
+    bits = thrust_bits
     if any(rate_sat):
         bits |= FLAG_RATE_SAT
-    if "thrust_saturated" in thrust_flags:
-        bits |= FLAG_THRUST_SAT
-    if "no_vertical_authority" in thrust_flags:
-        bits |= FLAG_NO_AUTHORITY
     if motor_sat:
         bits |= FLAG_MOTOR_SAT
     if aero_clamped:
         bits |= FLAG_AERO_CLAMP
-    if "thrust_clamped" in thrust_flags:
-        bits |= FLAG_FF_CLAMP
     return bits
 
 
@@ -270,9 +260,8 @@ def run_linear_axis(sc: Scenario) -> SimLog:
                 ctrl.set_notch_enabled(ev.args["enabled"])
             elif ev.kind == "inject_chirp":
                 cfg = ChirpConfig(ev.args["f0"], ev.args["f1"],
-                                  ev.args["duration"], ev.args["amplitude"],
-                                  CONTROL_RATE_HZ)
-                inject = chirp(cfg).values.tolist()
+                                  ev.args["duration"], ev.args["amplitude"])
+                inject = chirp(cfg).tolist()
                 inject_start = i
         meas = y + (rng.normal(0.0, sc.meas_noise_std)
                     if sc.meas_noise_std > 0.0 else 0.0)
@@ -282,7 +271,7 @@ def run_linear_axis(sc: Scenario) -> SimLog:
             ty += inject[i - inject_start]
         for _ in range(SUBSTEPS):
             y = plant.step(ty)
-        bits = _flags_bits(ctrl.saturated, (), False, False)
+        bits = _flags_bits(ctrl.saturated, 0, False, False)
         rows.append((t, *qid, *qid, *w_cmd, *w_meas, tx, ty, tz, 0.0, bits))
         if abs(y) > ABORT_LIMIT:
             diverged_at = t
@@ -369,8 +358,8 @@ def run_nonlinear(sc: Scenario) -> SimLog:
         alpha, speed = air_data(quat.rotation_rows(*q_meas), *x[3:6])
         w_cmd = att_ctrl.step(q_meas, q_cmd)
         torque = rate_ctrl.step(w_meas, w_cmd)
-        thrust, alt_flags = alt_ctrl.step(sim.altitude(), alt_cmd, sim.v_z(),
-                                          q_meas, speed, alpha)
+        thrust, alt_bits = alt_ctrl.step(sim.altitude(), alt_cmd, sim.v_z(),
+                                         q_meas, speed, alpha)
         aero_clamped = False
         try:
             sim.set_command(torque, thrust)
@@ -383,7 +372,7 @@ def run_nonlinear(sc: Scenario) -> SimLog:
         if sim.last_measurement is not None:
             w_meas = sim.last_measurement
 
-        bits = _flags_bits(rate_ctrl.saturated, alt_flags, sim.saturated_last,
+        bits = _flags_bits(rate_ctrl.saturated, alt_bits, sim.saturated_last,
                            aero_clamped)
         x = sim.x
         q_meas = quat.normalize(x[6:10])

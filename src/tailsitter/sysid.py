@@ -1,6 +1,10 @@
 """Frequency-domain identification: chirp excitation, FRF estimation with
 frequency-dependent resolution, and parametric fitting of the plant structure.
 
+Identification runs at the control rate ``plant.CONTROL_RATE_HZ``, the rate
+the flight controller flies the sweep at: every series here is a plain 1-D
+array sampled at that rate.
+
 The estimator realizes frequency-dependent resolution as constant
 cycles-per-window Welch averaging: each output frequency gets its own
 window length (long at low frequency, short at high frequency), Hann
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lti import PlantFitParams, ResonanceParams, butterworth2, tf_eval
-from .plant import CONTROL_RATE_HZ, PLANT_RATE_HZ
+from .plant import CONTROL_RATE_HZ, PLANT_RATE_HZ, SUBSTEPS
 
 WINDOW_OVERLAP = 0.5  # of consecutive FRF windows
 MIN_WINDOW_SAMPLES = 16  # shortest FRF window, and so the shortest series
@@ -39,7 +43,7 @@ FIT_MAX_ITERATIONS = 4000  # Nelder-Mead iterations per restart
 FIT_XATOL = 1e-6  # a restart stops once its simplex spans this in x
 FIT_FATOL = 1e-9  # and this in cost
 CONVERGENCE_COST_PER_BIN = 3.0
-KNOWN_LF_CORNER_HZ = 69.0
+KNOWN_LF_CORNER_HZ = PlantFitParams.reference().lf_corner_hz
 # Closed-loop sweep: the proportional rate loop that holds the vehicle, the
 # settling time before the chirp starts, and the response that aborts it.
 STABILIZING_GAIN = 0.05
@@ -48,7 +52,6 @@ DIVERGENCE_LIMIT = 50.0  # rad/s
 
 __all__ = [
     "ChirpConfig",
-    "TimeSeries",
     "FRFEstimate",
     "FitResult",
     "SweepData",
@@ -63,7 +66,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChirpConfig:
-    """Exponential sweep from f0 to f1 over T seconds, amplitude A.
+    """Exponential sweep from f0 to f1 over T seconds, amplitude A, sampled
+    at ``CONTROL_RATE_HZ``.
 
     The instantaneous frequency is f0 * k**t with k = (f1/f0)**(1/T), so it
     grows geometrically and reaches f1 exactly at t = T.  f0 == f1 is the
@@ -74,53 +78,29 @@ class ChirpConfig:
     f1: float = 60.0
     duration_s: float = 60.0
     amplitude: float = 0.1
-    sample_hz: float = CONTROL_RATE_HZ
 
     def __post_init__(self):
-        if not 0.0 < self.f0 <= self.f1 < 0.5 * self.sample_hz:
-            raise ValueError("need 0 < f0 <= f1 < sample_hz/2")
-        sub = round(PLANT_RATE_HZ / self.sample_hz)
-        if sub < 1 or abs(PLANT_RATE_HZ - sub * self.sample_hz) > 1e-9:
-            raise ValueError("plant rate must be an integer multiple of sample_hz")
+        if not 0.0 < self.f0 <= self.f1 < 0.5 * CONTROL_RATE_HZ:
+            raise ValueError(f"need 0 < f0 <= f1 < {0.5 * CONTROL_RATE_HZ:g} Hz, "
+                             "half the control rate")
         if not (self.duration_s > 0.0 and self.amplitude > 0.0):
             raise ValueError("duration and amplitude must be positive")
 
-
-@dataclass(frozen=True, eq=False)
-class TimeSeries:
-    """Uniformly sampled scalar signal."""
-
-    sample_hz: float
-    values: np.ndarray
-    t0: float = 0.0
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError("values must be 1-D")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "values", v)
-        v.flags.writeable = False
-
     @property
-    def times(self):
-        return self.t0 + np.arange(self.values.size) / self.sample_hz
-
-    def __len__(self):
-        return self.values.size
+    def n_samples(self) -> int:
+        """Length of the sampled sweep."""
+        return round(self.duration_s * CONTROL_RATE_HZ)
 
 
-def chirp(cfg: ChirpConfig) -> TimeSeries:
+def chirp(cfg: ChirpConfig) -> np.ndarray:
     """Sampled exponential chirp u(t) = A sin(phi(t)), u(0) = 0 exactly."""
-    n = int(round(cfg.duration_s * cfg.sample_hz))
-    t = np.arange(n) / cfg.sample_hz
+    t = np.arange(cfg.n_samples) / CONTROL_RATE_HZ
     if cfg.f1 == cfg.f0:
         phi = 2.0 * math.pi * cfg.f0 * t
     else:
         k = (cfg.f1 / cfg.f0) ** (1.0 / cfg.duration_s)
         phi = 2.0 * math.pi * cfg.f0 * (np.power(k, t) - 1.0) / math.log(k)
-    return TimeSeries(cfg.sample_hz, cfg.amplitude * np.sin(phi))
+    return cfg.amplitude * np.sin(phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,28 +160,27 @@ def _frf_freqs(f_lo, f_hi, n_freqs):
     return np.logspace(math.log10(f_lo), math.log10(f_hi), n_freqs)
 
 
-def _windows(n, f, sample_hz, cycles_per_window):
+def _windows(n, f, cycles_per_window):
     """Length and start indices of the windows averaged at frequency f."""
-    win_len = int(round(cycles_per_window * sample_hz / f))
+    win_len = int(round(cycles_per_window * CONTROL_RATE_HZ / f))
     win_len = max(MIN_WINDOW_SAMPLES, min(win_len, n))
     step = max(1, int(round(win_len * (1.0 - WINDOW_OVERLAP))))
     return win_len, range(0, n - win_len + 1, step)
 
 
-def averaged_bin_share(n_samples, sample_hz, n_freqs, f_lo, f_hi,
-                       cycles_per_window):
+def averaged_bin_share(n_samples, n_freqs, f_lo, f_hi, cycles_per_window):
     """Share of the estimate_frf bins that average two or more windows (a
     bin with one window gets coherence 0, so it is never trusted)."""
     return float(np.mean([
-        len(_windows(n_samples, f, sample_hz, cycles_per_window)[1]) >= 2
+        len(_windows(n_samples, f, cycles_per_window)[1]) >= 2
         for f in _frf_freqs(f_lo, f_hi, n_freqs)]))
 
 
-def _single_bin_spectra(u, y, f, sample_hz, cycles_per_window):
+def _single_bin_spectra(u, y, f, cycles_per_window):
     """Averaged auto/cross spectra at one frequency via windowed DFT bins."""
-    win_len, starts = _windows(u.size, f, sample_hz, cycles_per_window)
+    win_len, starts = _windows(u.size, f, cycles_per_window)
     window = np.hanning(win_len)
-    probe = window * np.exp(-2j * np.pi * f * np.arange(win_len) / sample_hz)
+    probe = window * np.exp(-2j * np.pi * f * np.arange(win_len) / CONTROL_RATE_HZ)
     suu = syy = 0.0
     suy = 0.0 + 0.0j
     for s in starts:
@@ -214,40 +193,43 @@ def _single_bin_spectra(u, y, f, sample_hz, cycles_per_window):
     return suu / count, suy / count, syy / count, count
 
 
-def estimate_frf(u: TimeSeries, y: TimeSeries, n_freqs: int = 64,
-                 f_lo: float = 1.0, f_hi: float = 60.0,
+def estimate_frf(u, y, n_freqs: int = 64, f_lo: float = 1.0, f_hi: float = 60.0,
                  cycles_per_window: float = 20.0,
-                 hold_rate_hz: float | None = None) -> FRFEstimate:
-    """H(f) = S_uy/S_uu with frequency-dependent window lengths.
+                 correct_hold: bool = False) -> FRFEstimate:
+    """H(f) = S_uy/S_uu from input u and output y, two 1-D arrays sampled at
+    ``CONTROL_RATE_HZ``, with frequency-dependent window lengths.
 
     The output grid is log-spaced over [f_lo, f_hi]; the window at each
     frequency spans ``cycles_per_window`` periods, which trades variance for
     resolution uniformly across the band.  Coherence is
     |S_uy|^2 / (S_uu S_yy) over the averaged segments.
 
-    ``hold_rate_hz``, when given, deconvolves the exact discrete staircase
-    of the command hold at the 1 kHz ``PLANT_RATE_HZ`` so the estimate refers
-    to the plant alone: each command latched at t_k drives the plant substeps
-    over (t_k, t_k + 1/hold_rate], whose centroid sits half a plant sample
-    later than a continuous zero-order hold.  Resolving a resonance whose
-    relative width is 2*zeta requires roughly ``cycles_per_window > 2/zeta``; the default favors variance.
+    ``correct_hold`` deconvolves the exact discrete staircase of the
+    control-rate command hold at the 1 kHz ``PLANT_RATE_HZ`` so the estimate
+    refers to the plant alone: each command latched at t_k drives the plant
+    substeps over (t_k, t_k + CONTROL_DT], whose centroid sits half a plant
+    sample later than a continuous zero-order hold.  Resolving a resonance
+    whose relative width is 2*zeta requires roughly
+    ``cycles_per_window > 2/zeta``; the default favors variance.
     """
-    if u.sample_hz != y.sample_hz or len(u) != len(y):
-        raise ValueError("input and output series must share rate and length")
-    if len(u) < MIN_WINDOW_SAMPLES:
-        raise ValueError(f"series of {len(u)} samples is shorter than the "
+    u = np.asarray(u, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if u.ndim != 1 or y.ndim != 1:
+        raise ValueError("input and output must be 1-D")
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
+        raise ValueError("input and output must be finite")
+    if u.size != y.size:
+        raise ValueError("input and output must have the same length")
+    if u.size < MIN_WINDOW_SAMPLES:
+        raise ValueError(f"series of {u.size} samples is shorter than the "
                          f"{MIN_WINDOW_SAMPLES}-sample FRF window")
-    if not 0.0 < f_lo < f_hi < 0.5 * u.sample_hz:
+    if not 0.0 < f_lo < f_hi < 0.5 * CONTROL_RATE_HZ:
         raise ValueError("need 0 < f_lo < f_hi < Nyquist")
     freqs = _frf_freqs(f_lo, f_hi, n_freqs)
     h = np.empty(n_freqs, dtype=complex)
     coh = np.empty(n_freqs)
-    uu = u.values
-    yy = y.values
     for i, f in enumerate(freqs):
-        suu, suy, syy, count = _single_bin_spectra(
-            uu, yy, f, u.sample_hz, cycles_per_window
-        )
+        suu, suy, syy, count = _single_bin_spectra(u, y, f, cycles_per_window)
         if suu <= 0.0 or syy <= 0.0:
             h[i] = 0.0
             coh[i] = 0.0
@@ -257,15 +239,16 @@ def estimate_frf(u: TimeSeries, y: TimeSeries, n_freqs: int = 64,
             coh[i] = 0.0
         else:
             coh[i] = min(1.0, (abs(suy) ** 2) / (suu * syy))
-    if hold_rate_hz is not None:
-        h = h / _hold_response(freqs, hold_rate_hz)
+    if correct_hold:
+        h = h / _hold_response(freqs)
     return FRFEstimate(freqs, h, coh)
 
 
-def _hold_response(freqs, hold_rate_hz):
-    """Frequency response of the command hold's staircase at the plant rate."""
+def _hold_response(freqs):
+    """Frequency response of the control-rate command hold's staircase at the
+    plant rate."""
     f = np.asarray(freqs, dtype=float)
-    s = int(round(PLANT_RATE_HZ / hold_rate_hz))
+    s = SUBSTEPS
     theta = 2.0 * np.pi * f / PLANT_RATE_HZ
     return (np.exp(-0.5j * theta * (s + 1))
             * np.sin(0.5 * s * theta) / (s * np.sin(0.5 * theta)))
@@ -585,11 +568,11 @@ class SweepDivergence(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SweepData:
-    """Recorded sweep experiment channels at the controller rate."""
+    """Recorded sweep experiment channels, 1-D arrays at ``CONTROL_RATE_HZ``."""
 
-    injected: TimeSeries
-    total_input: TimeSeries
-    measured: TimeSeries
+    injected: np.ndarray
+    total_input: np.ndarray
+    measured: np.ndarray
 
 
 def sweep_experiment(plant, cfg: ChirpConfig, noise_std: float = 0.0,
@@ -601,14 +584,13 @@ def sweep_experiment(plant, cfg: ChirpConfig, noise_std: float = 0.0,
     ``STABILIZING_GAIN``, no notch) holds the loop around zero command
     while the sweep runs, as on the real vehicle; the chirp starts after
     ``SETTLE_S`` seconds.  The recorded total input is controller output
-    plus injection; the output is the measured rate decimated to the chirp
-    rate.  A response beyond ``DIVERGENCE_LIMIT`` rad/s aborts with the
-    divergence time.
+    plus injection; the output is the measured rate decimated to the
+    control rate.  A response beyond ``DIVERGENCE_LIMIT`` rad/s aborts with
+    the divergence time.
     """
-    sub = int(round(PLANT_RATE_HZ / cfg.sample_hz))
     rng = np.random.default_rng(seed)
-    u_inj = chirp(cfg).values
-    n_settle = int(round(SETTLE_S * cfg.sample_hz))
+    u_inj = chirp(cfg)
+    n_settle = round(SETTLE_S * CONTROL_RATE_HZ)
     n = u_inj.size + n_settle
 
     u_total = np.zeros(n)
@@ -623,14 +605,9 @@ def sweep_experiment(plant, cfg: ChirpConfig, noise_std: float = 0.0,
         u = tau + inj
         u_total[i] = u
         y_meas[i] = meas
-        for _ in range(sub):
+        for _ in range(SUBSTEPS):
             y = plant.step(u)
         if abs(y) > DIVERGENCE_LIMIT:
-            raise SweepDivergence(i / cfg.sample_hz)
+            raise SweepDivergence(i / CONTROL_RATE_HZ)
 
-    sl = slice(n_settle, n)
-    return SweepData(
-        injected=TimeSeries(cfg.sample_hz, u_inj),
-        total_input=TimeSeries(cfg.sample_hz, u_total[sl]),
-        measured=TimeSeries(cfg.sample_hz, y_meas[sl]),
-    )
+    return SweepData(u_inj, u_total[n_settle:], y_meas[n_settle:])

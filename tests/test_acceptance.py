@@ -46,7 +46,6 @@ from tailsitter.plant import (
 )
 from tailsitter.sysid import (
     ChirpConfig,
-    TimeSeries,
     estimate_frf,
     fit_plant_model,
     sweep_experiment,
@@ -175,11 +174,10 @@ class TestSysidRoundTrip:
         t0 = time.time()
         ref = PlantFitParams.reference()
         plant = LinearAxisPlant(fitted_plant(), prewarp_hz=ref.peak.freq_hz)
-        cfg = ChirpConfig(f0=1.0, f1=60.0, duration_s=60.0, amplitude=0.1,
-                          sample_hz=250.0)
+        cfg = ChirpConfig(f0=1.0, f1=60.0, duration_s=60.0, amplitude=0.1)
         sweep = sweep_experiment(plant, cfg, seed=1)
         frf = estimate_frf(sweep.total_input, sweep.measured, 64, 1.0, 60.0,
-                           cycles_per_window=60.0, hold_rate_hz=250.0)
+                           cycles_per_window=60.0, correct_hold=True)
         fit = fit_plant_model(frf, seed=3)
         elapsed = time.time() - t0
 
@@ -324,8 +322,7 @@ class TestPropertySuite:
         c = discretize_tustin(tf, 250.0)
         u = rng.normal(size=30 * 250)
         y = c.process_block(u)
-        frf = estimate_frf(TimeSeries(250.0, u), TimeSeries(250.0, y),
-                           n_freqs=32, f_lo=1.0, f_hi=25.0)
+        frf = estimate_frf(u, y, n_freqs=32, f_lo=1.0, f_hi=25.0)
         err_db = 20.0 * np.log10(np.abs(frf.response / tf_eval(tf, frf.freqs)))
         worst = float(np.max(np.abs(err_db[frf.trusted])))
         check("prop_frf_unbiased", worst < 1.0,

@@ -14,7 +14,7 @@ from tailsitter.lti import (
     tf_eval,
     tf_series,
 )
-from tailsitter.sysid import TimeSeries, estimate_frf
+from tailsitter.sysid import estimate_frf
 
 FS = 250.0
 
@@ -104,8 +104,7 @@ class TestProcessing:
         c = discretize_tustin(tf, FS)
         u = rng.normal(size=60 * int(FS))
         y = c.process_block(u)
-        frf = estimate_frf(TimeSeries(FS, u), TimeSeries(FS, y),
-                           n_freqs=40, f_lo=1.0, f_hi=25.0)
+        frf = estimate_frf(u, y, n_freqs=40, f_lo=1.0, f_hi=25.0)
         hc = tf_eval(tf, frf.freqs)
         err_db = 20.0 * np.log10(np.abs(frf.response / hc))
         assert np.max(np.abs(err_db[frf.trusted])) < 0.5

@@ -17,7 +17,8 @@ from tailsitter.control import (
     default_notch_config,
 )
 from tailsitter.lti import fitted_plant, tf_eval, tf_series
-from tailsitter.plant import AircraftParams, default_aero_table
+from tailsitter.plant import (FLAG_NO_AUTHORITY, FLAG_THRUST_SAT, AircraftParams,
+                              default_aero_table)
 
 DT = 1.0 / 250.0
 
@@ -291,7 +292,7 @@ class TestAltitudeFeedforward:
         q = quat.euler_zxy_to_quat(quat.EulerZXY(0.0, math.pi / 2, 0.0))
         u, flag = altitude_ff_thrust(0.0, q, 0.0, 0.0, cfg, params, table)
         assert u == pytest.approx(params.hover_command, abs=1e-12)
-        assert flag == ""
+        assert flag == 0
 
     def test_descent_decreases_thrust_monotonically(self, params, table):
         cfg = AltitudeLoopConfig()
@@ -312,7 +313,7 @@ class TestAltitudeFeedforward:
         cfg = AltitudeLoopConfig()
         q = quat.euler_zxy_to_quat(quat.EulerZXY(0.0, 0.0, 0.0))  # level
         u, flag = altitude_ff_thrust(0.0, q, 0.0, 0.0, cfg, params, table)
-        assert flag == "no_vertical_authority"
+        assert flag == FLAG_NO_AUTHORITY
         assert u == params.hover_command
 
 
@@ -322,7 +323,7 @@ class TestAltitudeController:
         q = quat.euler_zxy_to_quat(quat.EulerZXY(0.0, math.pi / 2, 0.0))
         u, flags = ctrl.step(50.0, 50.0, 0.0, q, 0.0, 0.0)
         assert u == pytest.approx(params.hover_command, abs=1e-12)
-        assert flags == ()
+        assert flags == 0
 
     def test_velocity_command_clamped(self, params, table):
         cfg = AltitudeLoopConfig(v_z_limit=3.0)
@@ -340,7 +341,7 @@ class TestAltitudeController:
         for _ in range(2500):
             u, flags = ctrl.step(0.0, 100.0, 5.0, q, 0.0, 0.0)
         assert u == 1.0
-        assert "thrust_saturated" in flags
+        assert flags & FLAG_THRUST_SAT
         assert ctrl.integrator <= (1.0 / AltitudeLoopConfig().ki_vz) + 1e-9
 
 

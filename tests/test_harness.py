@@ -546,7 +546,7 @@ def every_field_scenario():
 
 def every_field_pipeline():
     return PipelineConfig(
-        chirp=ChirpConfig(2.0, 50.0, 30.0, 0.05, 200.0),
+        chirp=ChirpConfig(2.0, 50.0, 30.0, 0.05),
         true_params=PlantFitParams(delay_s=0.02,
                                    peak=ResonanceParams(14.5, 0.22, 0.031)),
         n_freqs=40, cycles_per_window=50.0, correct_hold=False, noise_std=0.01,
@@ -874,7 +874,7 @@ class TestPipeline:
         from tailsitter.harness import PipelineConfig, design_pipeline
         from tailsitter.sysid import ChirpConfig
 
-        cfg = PipelineConfig(chirp=ChirpConfig(1.0, 60.0, 30.0, 0.1, 250.0))
+        cfg = PipelineConfig(chirp=ChirpConfig(1.0, 60.0, 30.0, 0.1))
         report = design_pipeline(cfg, tmp_path)
         assert report.metrics["fit_converged"]
         for name in ("sweep_io.csv", "frf.csv", "fit_report.txt",
@@ -901,7 +901,7 @@ class TestPipeline:
         from tailsitter.harness import PipelineConfig, design_pipeline
         from tailsitter.sysid import ChirpConfig
 
-        cfg = PipelineConfig(chirp=ChirpConfig(1.0, 60.0, 30.0, 0.1, 250.0),
+        cfg = PipelineConfig(chirp=ChirpConfig(1.0, 60.0, 30.0, 0.1),
                              skip_notch=True)
         report = design_pipeline(cfg, tmp_path)
         assert report.metrics["loop_peak_mag_db"] > 0.0
@@ -993,7 +993,7 @@ class TestCli:
             (["pipeline"], {"notch_k1": 0.01}, "notch_k1"),
             (["pipeline"], {"chirp": {"duration_s": 10.0}}, "chirp"),
             (["pipeline"], {"noise_std": float("nan")}, "noise_std"),
-            (["pipeline"], {"chirp": {"sample_hz": 300.0}}, "chirp"),
+            (["pipeline"], {"chirp": {"sample_hz": 300.0}}, "chirp.sample_hz"),
             (["bode"], {"num": [1.0], "den": [1.0, 0.1], "dealy": 0.02}, "dealy"),
             (["bode"], {"num": [float("nan")], "den": [1.0, 0.1]}, "num"),
             (["bode"], {"num": [1.0], "den": [1.0, 0.1], "delay": [0.02]},

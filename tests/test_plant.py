@@ -49,6 +49,21 @@ def flat_cl_table():
     return AeroTable(a, v, np.ones((3, 2)), 0.5 * np.ones((3, 2)))
 
 
+class TestAircraftParams:
+    def test_copies_the_callers_arrays(self):
+        inertia = np.diag((0.03, 0.008, 0.036))
+        rotors = np.array([[0.0, 0.22, 0.09], [0.0, -0.22, 0.09],
+                           [0.0, -0.22, -0.09], [0.0, 0.22, -0.09]])
+        p = AircraftParams(inertia=inertia, rotor_positions=rotors)
+        # the caller's arrays stay writeable, and writing them later leaves
+        # the params as they were built
+        inertia[0, 0] = 0.04
+        rotors[0, 2] = 0.5
+        assert p.inertia[0, 0] == 0.03
+        assert p.rotor_positions[0, 2] == 0.09
+        assert not (p.inertia.flags.writeable or p.rotor_positions.flags.writeable)
+
+
 class TestAeroTable:
     def test_nodes_reproduced_exactly(self, table):
         for i in (0, 30, 72, 144):

@@ -7,12 +7,11 @@ from oracles import chirp_instantaneous_freq, frf_of_tf, integrator_tf
 from tailsitter import sysid
 from tailsitter.harness import PipelineConfig
 from tailsitter.lti import PlantFitParams, fitted_plant, tf_eval
-from tailsitter.plant import LinearAxisPlant
+from tailsitter.plant import CONTROL_RATE_HZ, LinearAxisPlant
 from tailsitter.sysid import (
     ChirpConfig,
     FRFEstimate,
     SweepDivergence,
-    TimeSeries,
     _FitObjective,
     _vector_to_params,
     chirp,
@@ -27,7 +26,7 @@ def reference_sweep():
     """One noiseless closed-loop sweep against the reference plant, shared."""
     ref = PlantFitParams.reference()
     plant = LinearAxisPlant(fitted_plant(), prewarp_hz=ref.peak.freq_hz)
-    cfg = ChirpConfig(1.0, 60.0, 60.0, 0.1, 250.0)
+    cfg = ChirpConfig(1.0, 60.0, 60.0, 0.1)
     return sweep_experiment(plant, cfg, seed=1)
 
 
@@ -40,7 +39,7 @@ def _pipeline_frf(cfg: PipelineConfig):
     return estimate_frf(sw.total_input, sw.measured, cfg.n_freqs,
                         cfg.chirp.f0, cfg.chirp.f1,
                         cycles_per_window=cfg.cycles_per_window,
-                        hold_rate_hz=cfg.chirp.sample_hz)
+                        correct_hold=True)
 
 
 @pytest.fixture(scope="module")
@@ -51,24 +50,23 @@ def pipeline_frf():
 
 class TestChirp:
     def test_starts_at_zero(self):
-        u = chirp(ChirpConfig(1.0, 60.0, 60.0, 0.5, 250.0))
-        assert u.values[0] == 0.0
+        u = chirp(ChirpConfig(1.0, 60.0, 60.0, 0.5))
+        assert u[0] == 0.0
 
     def test_instantaneous_frequency_endpoints(self):
-        cfg = ChirpConfig(1.0, 60.0, 60.0, 0.5, 250.0)
+        cfg = ChirpConfig(1.0, 60.0, 60.0, 0.5)
         assert chirp_instantaneous_freq(cfg, 0.0) == pytest.approx(1.0, rel=1e-12)
         assert chirp_instantaneous_freq(cfg, 60.0) == pytest.approx(60.0, rel=1e-12)
 
     def test_zero_crossing_frequency_track(self):
-        cfg = ChirpConfig(1.0, 60.0, 60.0, 1.0, 250.0)
-        u = chirp(cfg)
-        t = u.times
-        x = u.values
+        cfg = ChirpConfig(1.0, 60.0, 60.0, 1.0)
+        x = chirp(cfg)
+        t = np.arange(x.size) / CONTROL_RATE_HZ
         # upward crossings, linearly interpolated between samples (raw
         # sample-index crossings quantize the period badly near 60 Hz)
         idx = np.flatnonzero((x[:-1] < 0.0) & (x[1:] >= 0.0))
         frac = -x[idx] / (x[idx + 1] - x[idx])
-        crossings = t[idx] + frac / cfg.sample_hz
+        crossings = t[idx] + frac / CONTROL_RATE_HZ
         periods = np.diff(crossings)
         f_est = 1.0 / periods
         t_mid = 0.5 * (crossings[:-1] + crossings[1:])
@@ -77,15 +75,15 @@ class TestChirp:
         assert np.max(np.abs(f_est[mask] / f_true - 1.0)) < 0.01
 
     def test_degenerate_single_tone(self):
-        cfg = ChirpConfig(5.0, 5.0, 2.0, 1.0, 250.0)
+        cfg = ChirpConfig(5.0, 5.0, 2.0, 1.0)
         u = chirp(cfg)
-        t = u.times
-        np.testing.assert_allclose(u.values, np.sin(2 * np.pi * 5.0 * t),
+        t = np.arange(u.size) / CONTROL_RATE_HZ
+        np.testing.assert_allclose(u, np.sin(2 * np.pi * 5.0 * t),
                                    atol=1e-12)
 
     def test_band_energy_coverage(self):
-        cfg = ChirpConfig(1.0, 60.0, 60.0, 1.0, 250.0)
-        u = chirp(cfg).values
+        cfg = ChirpConfig(1.0, 60.0, 60.0, 1.0)
+        u = chirp(cfg)
         spec = np.abs(np.fft.rfft(u)) ** 2
         freqs = np.fft.rfftfreq(u.size, 1.0 / 250.0)
         band = (freqs >= 0.8 * cfg.f0) & (freqs <= 1.25 * cfg.f1)
@@ -95,13 +93,13 @@ class TestChirp:
         with pytest.raises(ValueError):
             ChirpConfig(f0=10.0, f1=5.0)
         with pytest.raises(ValueError):
-            ChirpConfig(f0=1.0, f1=200.0, sample_hz=250.0)
+            ChirpConfig(f0=1.0, f1=200.0)
 
 
 class TestEstimateFRF:
     def test_identity_system(self):
         rng = np.random.default_rng(51)
-        x = TimeSeries(250.0, rng.normal(size=5000))
+        x = rng.normal(size=5000)
         frf = estimate_frf(x, x, n_freqs=24, f_lo=2.0, f_hi=50.0)
         np.testing.assert_allclose(np.abs(frf.response), 1.0, atol=1e-9)
         np.testing.assert_allclose(frf.coherence, 1.0, atol=1e-9)
@@ -109,8 +107,8 @@ class TestEstimateFRF:
     def test_pure_delay(self):
         rng = np.random.default_rng(52)
         x = rng.normal(size=10000)
-        u = TimeSeries(250.0, x[5:])
-        y = TimeSeries(250.0, x[:-5])  # y delayed by 5 samples (20 ms)
+        u = x[5:]
+        y = x[:-5]  # y delayed by 5 samples (20 ms)
         frf = estimate_frf(u, y, n_freqs=30, f_lo=1.0, f_hi=40.0)
         below = frf.freqs <= 30.0
         np.testing.assert_allclose(np.abs(frf.response)[below], 1.0, atol=0.02)
@@ -127,10 +125,10 @@ class TestEstimateFRF:
         smooth = PlantFitParams(peak=ResonanceParams(14.0128, 0.2, 0.2),
                                 anti=ResonanceParams(26.979, 0.2, 0.2))
         plant = LinearAxisPlant(fitted_plant(smooth))
-        sw = sweep_experiment(plant, ChirpConfig(1.0, 60.0, 60.0, 0.1, 250.0),
+        sw = sweep_experiment(plant, ChirpConfig(1.0, 60.0, 60.0, 0.1),
                               seed=1)
         frf = estimate_frf(sw.total_input, sw.measured, n_freqs=64,
-                           f_lo=1.0, f_hi=60.0, hold_rate_hz=250.0)
+                           f_lo=1.0, f_hi=60.0, correct_hold=True)
         h_true = tf_eval(fitted_plant(smooth), frf.freqs)
         band = (frf.freqs >= 1.5) & (frf.freqs <= 50.0) & frf.trusted
         err_db = 20.0 * np.log10(np.abs(frf.response / h_true))
@@ -140,8 +138,8 @@ class TestEstimateFRF:
 
     def test_zero_excitation_gives_zero_coherence(self):
         rng = np.random.default_rng(53)
-        u = TimeSeries(250.0, np.zeros(4000))
-        y = TimeSeries(250.0, rng.normal(size=4000))
+        u = np.zeros(4000)
+        y = rng.normal(size=4000)
         frf = estimate_frf(u, y, n_freqs=16, f_lo=2.0, f_hi=40.0)
         assert np.all(frf.coherence == 0.0)
         assert not np.any(frf.trusted)
@@ -150,14 +148,14 @@ class TestEstimateFRF:
         # doubling the injection amplitude quadruples the input power
         # spectrum plateau (and leaves H unchanged)
         ref = PlantFitParams.reference()
-        cfg1 = ChirpConfig(1.0, 60.0, 30.0, 0.05, 250.0)
-        cfg2 = ChirpConfig(1.0, 60.0, 30.0, 0.10, 250.0)
+        cfg1 = ChirpConfig(1.0, 60.0, 30.0, 0.05)
+        cfg2 = ChirpConfig(1.0, 60.0, 30.0, 0.10)
         out = []
         for cfg in (cfg1, cfg2):
             plant = LinearAxisPlant(fitted_plant(),
                                     prewarp_hz=ref.peak.freq_hz)
             sw = sweep_experiment(plant, cfg, seed=2)
-            u = sw.total_input.values
+            u = sw.total_input
             spec = np.abs(np.fft.rfft(u * np.hanning(u.size))) ** 2
             freqs = np.fft.rfftfreq(u.size, 1.0 / 250.0)
             band = (freqs > 5.0) & (freqs < 40.0)
@@ -166,16 +164,28 @@ class TestEstimateFRF:
 
     def test_short_series_rejected(self):
         # no 16-sample window fits: a clear error, not a division by zero
-        x = TimeSeries(250.0, np.arange(10.0))
+        x = np.arange(10.0)
         with pytest.raises(ValueError, match="shorter than the 16-sample"):
             estimate_frf(x, x, n_freqs=4, f_lo=2.0, f_hi=40.0)
-        x = TimeSeries(250.0, np.sin(np.arange(16.0)))
+        x = np.sin(np.arange(16.0))
         frf = estimate_frf(x, x, n_freqs=4, f_lo=2.0, f_hi=40.0)
         assert frf.freqs.size == 4
 
+    @pytest.mark.parametrize("u, y, f_hi, match", [
+        (np.ones((64, 2)), np.ones((64, 2)), 40.0, "1-D"),
+        (np.ones(64), np.r_[np.ones(63), np.nan], 40.0, "finite"),
+        (np.r_[np.ones(63), np.inf], np.ones(64), 40.0, "finite"),
+        (np.ones(64), np.ones(65), 40.0, "same length"),
+        # the arrays carry no rate: the band is checked against the control rate
+        (np.ones(64), np.ones(64), 0.5 * CONTROL_RATE_HZ, "Nyquist"),
+    ])
+    def test_malformed_input_rejected(self, u, y, f_hi, match):
+        with pytest.raises(ValueError, match=match):
+            estimate_frf(u, y, n_freqs=4, f_lo=2.0, f_hi=f_hi)
+
     def test_coherence_monotone_in_noise(self):
         ref = PlantFitParams.reference()
-        cfg = ChirpConfig(1.0, 60.0, 20.0, 0.1, 250.0)
+        cfg = ChirpConfig(1.0, 60.0, 20.0, 0.1)
         means = []
         for noise in (0.0, 0.01, 0.05, 0.2):
             vals = []
@@ -217,10 +227,10 @@ class TestFit:
     def test_noisy_roundtrip_relaxed_tolerances(self):
         ref = PlantFitParams.reference()
         plant = LinearAxisPlant(fitted_plant(), prewarp_hz=ref.peak.freq_hz)
-        sw = sweep_experiment(plant, ChirpConfig(1.0, 60.0, 60.0, 0.1, 250.0),
+        sw = sweep_experiment(plant, ChirpConfig(1.0, 60.0, 60.0, 0.1),
                               noise_std=0.005, seed=9)
         frf = estimate_frf(sw.total_input, sw.measured, 64, 1.0, 60.0,
-                           cycles_per_window=60.0, hold_rate_hz=250.0)
+                           cycles_per_window=60.0, correct_hold=True)
         fit = fit_plant_model(frf, seed=9)
         assert fit.converged
         assert abs(fit.params.peak.freq_hz / ref.peak.freq_hz - 1.0) < 0.04
@@ -452,7 +462,7 @@ class TestSweepExperiment:
         # feedback, which diverges
         plant = LinearAxisPlant(-1.0 * fitted_plant(),
                                 prewarp_hz=ref.peak.freq_hz)
-        cfg = ChirpConfig(1.0, 60.0, 30.0, 0.1, 250.0)
+        cfg = ChirpConfig(1.0, 60.0, 30.0, 0.1)
         with pytest.raises(SweepDivergence) as exc:
             sweep_experiment(plant, cfg)
         assert exc.value.time_s >= 0.0
@@ -466,7 +476,7 @@ class TestSweepExperiment:
 
         frf = estimate_frf(reference_sweep.total_input, reference_sweep.measured,
                            64, 1.0, 60.0, cycles_per_window=60.0,
-                           hold_rate_hz=250.0)
+                           correct_hold=True)
         fit = fit_plant_model(frf, seed=3)
         assert fit.converged
         plant_fit = fitted_plant(fit.params)
