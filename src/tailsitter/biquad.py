@@ -76,9 +76,6 @@ class BiquadCascade:
             x = y
         return x
 
-    def process_block(self, xs):
-        return np.array([self.process(float(x)) for x in np.asarray(xs)])
-
     def response(self, freq_hz):
         """Complex response at freq_hz including the integer-sample delay."""
         f = np.asarray(freq_hz, dtype=float)

@@ -17,10 +17,11 @@ import numpy as np
 
 from . import quat
 from .biquad import discretize_tustin
-from .lti import ContinuousTF, PlantFitParams, butterworth2, notch, pid_tf, tf_series
+from .lti import ContinuousTF, PlantFitParams, butterworth2, notch
 from .plant import (
     CONTROL_DT,
     CONTROL_RATE_HZ,
+    FLAG_FF_AERO_CLAMP,
     FLAG_FF_CLAMP,
     FLAG_NO_AUTHORITY,
     FLAG_THRUST_SAT,
@@ -108,12 +109,6 @@ class RateLoopConfig:
     def reference_pitch_design(cls) -> "RateLoopConfig":
         """Stock loop-shaping design: PID gains with the pitch-axis notch."""
         return cls(notches=(None, default_notch_config(), None))
-
-    def axis_compensator_tf(self, axis: int) -> ContinuousTF:
-        """Continuous compensator C(s) of one axis (PID cascaded with notch)."""
-        c = pid_tf(self.kp[axis], self.ki[axis], self.kd[axis], self.deriv_corner_hz)
-        n = self.notches[axis]
-        return tf_series(c, n.tf()) if n is not None else c
 
 
 class RateController:
@@ -257,8 +252,9 @@ def altitude_ff_thrust(v_zd: float, q, speed: float, alpha: float,
     (``plant.aero_force_ned``), fed the coordinated-flight airflow direction
     R (cos alpha, 0, sin alpha).
     Returns (u_ff, bits) with u_ff = thrust_ratio * T clamped to [0, 1] and
-    ``FLAG_FF_CLAMP`` set if it was clamped; near-level attitude (|r31|
-    below the authority floor) returns the hover command with
+    ``FLAG_FF_CLAMP`` set if it was clamped, and ``FLAG_FF_AERO_CLAMP`` set
+    if the aero lookup clamped to the table edge; near-level attitude
+    (|r31| below the authority floor) returns the hover command with
     ``FLAG_NO_AUTHORITY``, so the feedback path knows the model is silent.
     """
     rot = quat.rotation_rows(*q)
@@ -267,15 +263,19 @@ def altitude_ff_thrust(v_zd: float, q, speed: float, alpha: float,
         return params.hover_command, FLAG_NO_AUTHORITY
     a_zd = cfg.ff_gain * v_zd
     f_az = 0.0
+    bits = 0
     if speed > 1e-9:
         ca, sa = math.cos(alpha), math.sin(alpha)
-        _, _, f_az, _ = aero_force_ned(rot, r11 * ca + r13 * sa, r21 * ca + r23 * sa,
-                                       r31 * ca + r33 * sa, alpha, speed, table, params)
+        _, _, f_az, clamped = aero_force_ned(
+            rot, r11 * ca + r13 * sa, r21 * ca + r23 * sa, r31 * ca + r33 * sa,
+            alpha, speed, table, params)
+        if clamped:
+            bits = FLAG_FF_AERO_CLAMP
     t_n = (params.mass * a_zd - params.mass * params.gravity - f_az) / r31
     u = params.thrust_ratio * t_n
     if not 0.0 <= u <= 1.0:
-        return float(min(max(u, 0.0), 1.0)), FLAG_FF_CLAMP
-    return float(u), 0
+        return float(min(max(u, 0.0), 1.0)), bits | FLAG_FF_CLAMP
+    return float(u), bits
 
 
 class AltitudeController:

@@ -70,14 +70,16 @@ CONTROL_DT = 1.0 / CONTROL_RATE_HZ
 # Bits of the telemetry flags column: rate-loop saturation, thrust
 # saturation, the no-vertical-authority feedforward fallback, motor-command
 # saturation, an aero query clamped to the table edge in any substep of the
-# tick, and feedforward thrust clamped to [0, 1].  Bits are append-only: a
-# bit keeps its meaning once assigned.
+# tick, feedforward thrust clamped to [0, 1], and the feedforward's own aero
+# query clamped to the table edge.  Bits are append-only: a bit keeps its
+# meaning once assigned.
 FLAG_RATE_SAT = 1
 FLAG_THRUST_SAT = 2
 FLAG_NO_AUTHORITY = 4
 FLAG_MOTOR_SAT = 8
 FLAG_AERO_CLAMP = 16
 FLAG_FF_CLAMP = 32
+FLAG_FF_AERO_CLAMP = 64
 # Shape of the analytic aero table: finite-wing lift slope (1/rad), stall
 # angle and blend width (rad), zero-lift drag and induced-drag factor.
 LIFT_SLOPE = 4.73
@@ -150,11 +152,14 @@ class AircraftParams:
             raise ValueError("rotor_positions must be 4x3")
         object.__setattr__(self, "rotor_positions", pos)
         pos.flags.writeable = False
-        # reject degenerate allocation geometry at construction time
-        a = self._build_allocation()
+        # the allocation maps motor commands to (total thrust N, torque N m
+        # x/y/z); reject degenerate geometry at construction time
+        c = self.motor_thrust_coeff
+        s = np.asarray(self.spin_directions, dtype=float)
+        a = np.array([c * np.ones(4), c * self.rotor_torque_ratio * s,
+                      c * pos[:, 2], -c * pos[:, 1]])
         if np.linalg.cond(a) > 1e6:
             raise ValueError("rotor geometry gives a singular thrust allocation")
-        object.__setattr__(self, "_alloc", a)
         # constants of the scalar kernel, as plain floats
         object.__setattr__(self, "_alloc_inv_rows",
                            tuple(map(tuple, np.linalg.inv(a).tolist())))
@@ -173,24 +178,6 @@ class AircraftParams:
     def thrust_ratio(self):
         """Normalized command per newton of thrust (hover identity)."""
         return self.hover_command / (self.mass * self.gravity)
-
-    def _build_allocation(self):
-        c = self.motor_thrust_coeff
-        y = self.rotor_positions[:, 1]
-        z = self.rotor_positions[:, 2]
-        s = np.asarray(self.spin_directions, dtype=float)
-        return np.array(
-            [
-                c * np.ones(4),
-                c * self.rotor_torque_ratio * s,
-                c * z,
-                -c * y,
-            ]
-        )
-
-    def allocation_matrix(self):
-        """Map motor commands to (total thrust N, torque N m x/y/z)."""
-        return self._alloc.copy()
 
     def torque_scale(self):
         """Physical torque (N m) produced per unit normalized torque command.

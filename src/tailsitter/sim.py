@@ -1,6 +1,7 @@
 """Closed-loop scenario engine: event-scripted runs of the cascaded
-controller against either plant, producing the CSV logs every metric is
-recomputed from.
+controller against either plant, producing the logged arrays every metric
+is computed from.  The harness writes them to CSV files that parse back to
+the same arrays bit for bit.
 
 The telemetry flags column is the ``plant.FLAG_*`` bitmask, re-exported
 here under the same names.
@@ -26,6 +27,7 @@ from .lti import PlantFitParams, fitted_plant
 from .plant import (
     CONTROL_DT,
     FLAG_AERO_CLAMP,
+    FLAG_FF_AERO_CLAMP,
     FLAG_FF_CLAMP,
     FLAG_MOTOR_SAT,
     FLAG_NO_AUTHORITY,
@@ -62,6 +64,7 @@ __all__ = [
     "FLAG_MOTOR_SAT",
     "FLAG_AERO_CLAMP",
     "FLAG_FF_CLAMP",
+    "FLAG_FF_AERO_CLAMP",
 ]
 
 ABORT_LIMIT = 1e6  # rad/s: a linear-axis run stops past this pitch rate
@@ -206,15 +209,20 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class SimLog:
-    """In-memory run record; rows match the CSV schemas exactly."""
+    """In-memory run record; rows match the CSV schemas exactly.
+
+    Each log is a 2-D float array as wide as its header, also when the run
+    logged no row.
+    """
 
     telemetry: np.ndarray
     simlog: np.ndarray | None = None
     diverged_at: float | None = None
 
-    def pitch_rate(self):
-        i = TELEMETRY_HEADER.index("w_meas_y")
-        return self.telemetry[:, 0], self.telemetry[:, i]
+
+def _table(rows, header):
+    """The logged rows as a (rows, len(header)) float array."""
+    return np.array(rows, dtype=float).reshape(-1, len(header))
 
 
 def _flags_bits(rate_sat, thrust_bits, motor_sat, aero_clamped):
@@ -276,7 +284,7 @@ def run_linear_axis(sc: Scenario) -> SimLog:
         if abs(y) > ABORT_LIMIT:
             diverged_at = t
             break
-    return SimLog(np.array(rows), None, diverged_at)
+    return SimLog(_table(rows, TELEMETRY_HEADER), None, diverged_at)
 
 
 def _build_sim(sc: Scenario) -> TailsitterSim:
@@ -379,4 +387,5 @@ def run_nonlinear(sc: Scenario) -> SimLog:
         telemetry.append((t, *q_cmd, *q_meas, *w_cmd, *w_meas, *torque, thrust, bits))
         simrows.append((t, *x[0:6], *q_meas, *x[10:13], *sim.motor_states,
                         int(sim.saturated_last)))
-    return SimLog(np.array(telemetry), np.array(simrows), diverged_at)
+    return SimLog(_table(telemetry, TELEMETRY_HEADER),
+                  _table(simrows, SIMLOG_HEADER), diverged_at)

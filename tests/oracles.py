@@ -7,8 +7,10 @@ definitions, and the numpy-array versions of the 250 Hz rate-loop tick, the
 quaternion normalization and the attitude error that the float versions
 must match bit for bit, and the list-and-``min``/``max`` forms of the aero
 table lookup and the motor mixer that the plant kernel must match bit for
-bit.  Quaternions go in and come out as 4-tuples of floats, the package's
-one quaternion form.
+bit.  The thrust allocation is built here from the airframe's public
+fields, the one-axis compensator from the rate-loop config, and a filter's
+block output from its per-sample ``process``.  Quaternions go in and come
+out as 4-tuples of floats, the package's one quaternion form.
 """
 
 import math
@@ -17,7 +19,7 @@ from bisect import bisect_right
 import numpy as np
 
 from tailsitter.control import RateController
-from tailsitter.lti import ContinuousTF, tf_eval
+from tailsitter.lti import ContinuousTF, pid_tf, tf_eval, tf_series
 from tailsitter.quat import _SMALL_HALF_ANGLE
 from tailsitter.sysid import FRFEstimate
 
@@ -220,6 +222,34 @@ def aero_lookup(table):
     return interpolate
 
 
+def allocation_matrix(params):
+    """Motor commands -> (total thrust N, torque N m about body x, y, z).
+
+    Each motor pushes F = thrust_coeff / 4 N per unit command along body x
+    from its rotor position r = (x, y, z): the torque r x F = (0, z F, -y F),
+    plus the rotor's reaction torque spin * rotor_torque_ratio * F about x.
+    """
+    f = params.thrust_coeff / 4.0
+    columns = [(f, f * params.rotor_torque_ratio * float(spin), f * z, -f * y)
+               for (_, y, z), spin in zip(params.rotor_positions.tolist(),
+                                          params.spin_directions)]
+    return np.array(list(zip(*columns)))
+
+
+def compensator_tf(cfg, axis) -> ContinuousTF:
+    """Continuous compensator C(s) of one rate-loop axis: the PID cascaded
+    with the axis notch, if it has one."""
+    c = pid_tf(cfg.kp[axis], cfg.ki[axis], cfg.kd[axis], cfg.deriv_corner_hz)
+    n = cfg.notches[axis]
+    return tf_series(c, n.tf()) if n is not None else c
+
+
+def process_block(cascade, xs) -> np.ndarray:
+    """A biquad cascade's output for a whole input sequence, one sample at a
+    time through ``process``."""
+    return np.array([cascade.process(float(x)) for x in np.asarray(xs)])
+
+
 def headroom_scale(u0, du):
     """Largest factor in [0, 1] keeping u0 + f*du inside [0, 1]."""
     f = 1.0
@@ -235,7 +265,7 @@ def mix(tx, ty, tz, thrust_cmd, params):
     """(u1, u2, u3, u4, saturated) of the priority mixer on lists: thrust,
     then roll/pitch scaled into the headroom, then yaw, then a clip to
     [0, 1] flagged past ``np.allclose``'s tolerance."""
-    a = np.linalg.inv(params.allocation_matrix()).tolist()
+    a = np.linalg.inv(allocation_matrix(params)).tolist()
     thrust_n = min(max(thrust_cmd, 0.0), 1.0) * params.thrust_coeff
     base = [r[0] * thrust_n for r in a]
     rp = [r[1] * tx + r[2] * ty for r in a]

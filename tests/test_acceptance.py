@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import negate, quat_multiply
+from oracles import allocation_matrix, negate, process_block, quat_multiply
 from tailsitter import quat
 from tailsitter.biquad import discretize_tustin
 from tailsitter.control import default_notch_config
@@ -306,7 +306,7 @@ class TestPropertySuite:
         params = AircraftParams()
         table = default_aero_table()
         u = mixer(0.0, 0.0, 0.0, params.hover_command, params)[:4]
-        thrust_total = params.allocation_matrix()[0] @ u
+        thrust_total = allocation_matrix(params)[0] @ u
         nxt, _ = step_dynamics(hover_state(params), u, 1e-3, params, table)
         ok = (abs(thrust_total - params.mass * params.gravity) < 1e-9
               and np.linalg.norm(nxt[3:6]) < 1e-9
@@ -321,7 +321,7 @@ class TestPropertySuite:
         tf = butterworth2(18.0)
         c = discretize_tustin(tf, 250.0)
         u = rng.normal(size=30 * 250)
-        y = c.process_block(u)
+        y = process_block(c, u)
         frf = estimate_frf(u, y, n_freqs=32, f_lo=1.0, f_hi=25.0)
         err_db = 20.0 * np.log10(np.abs(frf.response / tf_eval(tf, frf.freqs)))
         worst = float(np.max(np.abs(err_db[frf.trusted])))

@@ -51,7 +51,6 @@ class TestRateController:
 
     def test_matches_continuous_compensator_response(self):
         cfg = RateLoopConfig.reference_pitch_design()
-        c_tf = cfg.axis_compensator_tf(1)
         for f in (0.5, 2.0, 6.8, 12.0, 20.0, 25.0):
             ctrl = RateController(cfg)
             t = np.arange(0, 6.0, DT)
@@ -75,7 +74,7 @@ class TestRateController:
         # feed the measurement port (command zero): the response must follow
         # the full C = PID + kd s B cascaded with the notch
         cfg = RateLoopConfig.reference_pitch_design()
-        c_tf = cfg.axis_compensator_tf(1)
+        c_tf = oracles.compensator_tf(cfg, 1)
         for f in (2.0, 6.8, 14.0, 20.0, 25.0):
             ctrl = RateController(cfg)
             t = np.arange(0, 6.0, DT)
@@ -226,9 +225,9 @@ class TestNotchPlacement:
         cfg = RateLoopConfig.reference_pitch_design()
         plant = fitted_plant()
         f_peak = 1.0 / math.sqrt(0.000129) / (2.0 * math.pi)
-        with_notch = tf_series(plant, cfg.axis_compensator_tf(1))
+        with_notch = tf_series(plant, oracles.compensator_tf(cfg, 1))
         no_notch_cfg = RateLoopConfig()
-        without = tf_series(plant, no_notch_cfg.axis_compensator_tf(1))
+        without = tf_series(plant, oracles.compensator_tf(no_notch_cfg, 1))
         db_on = 20.0 * math.log10(abs(tf_eval(with_notch, f_peak)))
         db_off = 20.0 * math.log10(abs(tf_eval(without, f_peak)))
         assert db_on < -3.0

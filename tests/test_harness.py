@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tailsitter import cli, metrics
+from tailsitter import cli, harness, metrics
 from tailsitter.control import (
     AltitudeLoopConfig,
     AttitudeLoopConfig,
@@ -41,7 +41,8 @@ from tailsitter.harness import (
 from tailsitter.lti import PlantFitParams, ResonanceParams
 from tailsitter.plant import (AircraftParams, SensorConfig, VibrationConfig,
                              default_aero_table)
-from tailsitter.sim import Event, Scenario, run_linear_axis, run_nonlinear
+from tailsitter.sim import (SIMLOG_HEADER, TELEMETRY_HEADER, Event, Scenario,
+                            run_linear_axis, run_nonlinear)
 from tailsitter.sysid import ChirpConfig
 
 
@@ -72,14 +73,50 @@ class TestRunScenario:
         assert (tmp_path / "hover_notch_ab_telemetry.csv").exists()
         assert (tmp_path / "hover_notch_ab_report.txt").exists()
 
-    def test_metrics_recomputable_from_csv(self, tmp_path):
-        report = run_scenario("hover_notch_ab", tmp_path)
-        header, data = read_csv(tmp_path / "hover_notch_ab_telemetry.csv")
-        t = data[:, 0]
-        w = data[:, header.index("w_meas_y")]
-        seg = (t >= 4.0) & (t < 10.0)
-        f = metrics.dominant_frequency(w[seg], 1.0 / (t[1] - t[0]))
-        assert f == report.metrics["divergence_dominant_hz"]
+    @pytest.mark.parametrize("source", ["hover_notch_ab", "rate_step", "transition",
+                                        "first_tick_divergence"])
+    def test_metrics_recomputable_from_csv(self, tmp_path, monkeypatch, source):
+        # the checks read the arrays the run logged: the CSV files it wrote
+        # must parse back to those arrays bit for bit, and the check suite
+        # must give the same report from the parsed files
+        if source == "first_tick_divergence":
+            source = diverging_config(tmp_path, "transition", inertia=1e-12)
+        runs = []
+        for name in ("run_linear_axis", "run_nonlinear"):
+            def capture(sc, run=getattr(harness, name)):
+                runs.append((sc, run(sc)))
+                return runs[-1][1]
+            monkeypatch.setattr(harness, name, capture)
+        out = tmp_path / "out"
+        report = run_scenario(source, out)
+        (sc, log), = runs
+
+        parsed = {}
+        for kind, header, logged in (("telemetry", TELEMETRY_HEADER, log.telemetry),
+                                     ("simlog", SIMLOG_HEADER, log.simlog)):
+            path = out / f"{sc.name}_{kind}.csv"
+            if logged is None:
+                assert not path.exists()
+                parsed[kind] = None
+                continue
+            assert logged.ndim == 2 and logged.shape[1] == len(header)
+            if len(logged):
+                file_header, rows = read_csv(path)
+                assert file_header == header
+            else:  # read_csv rejects a header-only file
+                assert path.read_bytes() == (",".join(header) + "\r\n").encode()
+                rows = np.empty((0, len(header)))
+            assert rows.shape == logged.shape
+            assert np.array_equal(rows.view(np.uint64), logged.view(np.uint64))
+            parsed[kind] = rows
+
+        again = harness.RunReport(sc.name, {"diverged": log.diverged_at is not None})
+        if log.diverged_at is not None:
+            again.metrics["diverged_at_s"] = log.diverged_at
+        harness.CHECK_SUITES[sc.check_suite](sc, parsed["telemetry"], again,
+                                             parsed["simlog"])
+        assert repr(again.metrics) == repr(report.metrics)
+        assert repr(again.checks) == repr(report.checks)
 
     def test_unknown_source_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -199,7 +236,8 @@ class TestDivergedRun:
             assert f"[FAIL] {check}: not measured: the run diverged at diverged_at_s" in text
 
     def test_divergence_on_the_first_tick(self, tmp_path, capsys):
-        # no row is logged: the checks still report, from header-only logs
+        # no row is logged: the logged arrays have no rows, the files only
+        # their header, and the checks still report, as not measured
         path = diverging_config(tmp_path, "transition", inertia=1e-12)
         out = tmp_path / "out"
         rc = cli.main(["run", str(path), "--out-dir", str(out)])
@@ -929,7 +967,8 @@ class TestSaturationHonesty:
 
     def test_aero_and_feedforward_clamp_bits(self, tmp_path):
         from tailsitter.plant import AeroTable, default_aero_table
-        from tailsitter.sim import FLAG_AERO_CLAMP, FLAG_FF_CLAMP, run_nonlinear
+        from tailsitter.sim import (FLAG_AERO_CLAMP, FLAG_FF_AERO_CLAMP, FLAG_FF_CLAMP,
+                                    run_nonlinear)
 
         def flags(sc):
             return run_nonlinear(sc).telemetry[:, -1].astype(int)
@@ -940,9 +979,12 @@ class TestSaturationHonesty:
         path = save_aero_table(tmp_path / "aero.csv", AeroTable(
             t.alpha_grid, [1.0, 20.0], t.cl[:, :2], t.cd[:, :2]))
         base = Scenario(name="clamps", duration_s=0.5, seed=2)
-        assert not np.any(flags(base) & (FLAG_AERO_CLAMP | FLAG_FF_CLAMP))
+        assert not np.any(flags(base) & (FLAG_AERO_CLAMP | FLAG_FF_CLAMP
+                                         | FLAG_FF_AERO_CLAMP))
         bits = flags(dataclasses.replace(base, aero_table_path=str(path)))
         assert np.all(bits[10:] & FLAG_AERO_CLAMP)
+        # the feedforward's own lookup clamps too, and says so
+        assert np.all(bits[10:] & FLAG_FF_AERO_CLAMP)
         # a steep climb command asks the feedforward for more than full thrust
         climb = dataclasses.replace(
             base, events=(Event(0.0, "altitude", {"alt": 60.0}),),

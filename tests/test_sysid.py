@@ -471,7 +471,7 @@ class TestSweepExperiment:
         # margins from fitted parameters must predict simulated stability
         from tailsitter.control import RateLoopConfig, default_notch_config
         from tailsitter.lti import margins, nyquist_stable, pid_tf, tf_series
-        from tailsitter.sim import Scenario, run_linear_axis
+        from tailsitter.sim import TELEMETRY_HEADER, Scenario, run_linear_axis
         from tailsitter.metrics import max_growth_rate
 
         frf = estimate_frf(reference_sweep.total_input, reference_sweep.measured,
@@ -500,7 +500,8 @@ class TestSweepExperiment:
                 initial_pitch_rate=0.01,
             )
             log = run_linear_axis(sc)
-            t, w = log.pitch_rate()
+            t = log.telemetry[:, 0]
+            w = log.telemetry[:, TELEMETRY_HEADER.index("w_meas_y")]
             tail = np.max(np.abs(w[t >= sc.duration_s - 2.0]))
             if expect_stable:
                 growth = max_growth_rate(t, w, t_lo=1.0)
