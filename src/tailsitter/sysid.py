@@ -12,14 +12,18 @@ weighting, 50 % overlap, and a single-bin DFT evaluated exactly at the
 target frequency.  Coherence below the threshold marks a bin untrusted
 rather than dropping it.
 
-The parametric fit minimizes the coherence-weighted log-magnitude and
-unwrapped-phase error (Tischler & Remple, Aircraft and Rotorcraft System
-Identification, 2012) with restarted adaptive Nelder-Mead.  Its objective
-is built once per fit with the data side precomputed, and evaluates the
-plant structure of ``lti.fitted_plant`` as a product of its factors on the
-FRF grid rather than as a composed transfer function.  It takes a stack of
-parameter vectors, so the independent restarts run in lockstep and one
-numpy pass costs the points all of them need next.
+The parametric fit is a weighted nonlinear least-squares problem on the
+coherence-weighted log-magnitude and unwrapped-phase error (Tischler &
+Remple, Aircraft and Rotorcraft System Identification, 2012), solved by
+restarted Levenberg-Marquardt.  Its objective is built once per fit with
+the data side precomputed, evaluates the plant structure of
+``lti.fitted_plant`` as a product of its factors on the FRF grid rather than
+as a composed transfer function, and returns the weighted residual rows.
+It takes a stack of parameter vectors, so the independent restarts run in
+lockstep and one numpy pass costs the Jacobians or trial steps all of them
+need next.  The solver works on an ordered parameter vector, in which the
+peak amplifies, the anti-resonance sits above the peak and attenuates, and
+the delay stays below 0.1 s for any value of the vector.
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ COHERENCE_THRESHOLD = 0.6  # an FRF bin is trusted from this coherence up
 # Parametric fit.  The measurement-filter corner is known flight-stack
 # configuration, not optimized: sweep data rarely reaches far past it.
 PHASE_WEIGHT = 0.1
-FIT_RESTARTS = 5
-FIT_MAX_ITERATIONS = 4000  # Nelder-Mead iterations per restart
-FIT_XATOL = 1e-6  # a restart stops once its simplex spans this in x
-FIT_FATOL = 1e-9  # and this in cost
+FIT_RESTARTS = 10
+FIT_MAX_ITERATIONS = 100  # Levenberg-Marquardt steps per restart
+FIT_RTOL = 1e-10  # a restart stops at a smaller relative cost decrease
+FIT_DIFF_STEP = 1e-7  # forward-difference step of the Jacobian
 CONVERGENCE_COST_PER_BIN = 3.0
 KNOWN_LF_CORNER_HZ = PlantFitParams.reference().lf_corner_hz
 # Closed-loop sweep: the proportional rate loop that holds the vehicle, the
@@ -354,8 +358,43 @@ def _vector_to_params(x) -> PlantFitParams:
     )
 
 
+# entries of the log vector that the ordered vector holds as a gap above
+# another entry, and those entries
+_ABOVE, _BELOW = [5, 7, 9], [6, 4, 8]
+
+
+def _ordered_to_log(z):
+    """The log-parameter vectors of the rows of the ordered stack z.
+
+    The ordered vector is the log vector with four entries replaced by the
+    log of a positive gap: the peak's numerator damping sits e^z5 above its
+    denominator damping (the peak amplifies), the anti-resonance e^z7 above
+    the peak in log frequency, its denominator damping e^z9 above its
+    numerator damping (it attenuates), and the log delay e^z10 below
+    log 0.1 s.  The gaps are clipped to [e^-20, e^3] and the entries below
+    them to [-19, 19], so every entry written stays finite and inside the
+    objective's +-40 clip, and each pair stays strictly ordered for any z.
+    """
+    x = np.array(z, dtype=float)
+    gap = np.exp(np.clip(x[..., _ABOVE + [10]], -20.0, 3.0))
+    x[..., _BELOW] = np.clip(x[..., _BELOW], -19.0, 19.0)
+    x[..., _ABOVE] = x[..., _BELOW] + gap[..., :3]
+    x[..., 10] = math.log(0.1) - gap[..., 3]
+    return x
+
+
+def _log_to_ordered(x):
+    """The ordered vector of the log-parameter vector x.  A gap below 1e-3,
+    such as that of the stage-1 delay clamped to 0.1 s, starts at 1e-3."""
+    gap = np.append(x[_ABOVE] - x[_BELOW], math.log(0.1) - x[10])
+    z = x.copy()
+    z[_ABOVE + [10]] = np.log(np.maximum(gap, 1e-3))
+    return z
+
+
 class _FitObjective:
-    """The fit cost of one FRF as a function of the log-parameter vector.
+    """The weighted fit residual of one FRF as a function of the
+    log-parameter vector.
 
     Everything that depends only on the data is computed once: the
     coherence weights, the data's log-magnitude and unwrapped phase, s and
@@ -369,10 +408,12 @@ class _FitObjective:
 
     def __init__(self, frf: FRFEstimate):
         f = frf.freqs
-        self.weight = np.where(frf.trusted, frf.coherence, 0.0)
+        weight = np.where(frf.trusted, frf.coherence, 0.0)
+        self.mag_scale = np.sqrt(weight)
+        self.phase_scale = np.sqrt(weight * PHASE_WEIGHT)
         # log10 of the weighted bins only (0 elsewhere): a zero-weight bin
         # may hold a zero response, whose log would turn 0 x inf into NaN
-        self.log_mag = np.log10(np.where(self.weight > 0.0,
+        self.log_mag = np.log10(np.where(weight > 0.0,
                                          np.abs(frf.response), 1.0))
         self.phase_deg = frf.unwrapped_phase_deg()
         w = 2.0 * np.pi * f
@@ -397,133 +438,88 @@ class _FitObjective:
         return h, np.minimum(delay[:, 0], 0.1)
 
     def __call__(self, x):
-        """The costs of the rows of the log-parameter stack x (a 1-D x is a
-        stack of one)."""
+        """The residual rows [sqrt(w) dmag_dB, sqrt(w PHASE_WEIGHT) dphase_deg]
+        of the rows of the log-parameter stack x (a 1-D x is a stack of one).
+        A row's sum of squares is its fit cost."""
         h, delay = self.rational_response(x)
         dmag = 20.0 * (np.log10(np.abs(h)) - self.log_mag)
         dph = (np.degrees(np.unwrap(np.angle(h)))
                - self.delay_phase_deg * delay[:, np.newaxis] - self.phase_deg)
-        return np.sum(self.weight * (dmag**2 + PHASE_WEIGHT * dph**2), axis=1)
-
-
-def _nelder_mead(x0):
-    """One adaptive Nelder-Mead run (Gao & Han, Comput. Optim. Appl. 51(1),
-    2012) from x0, as a generator.
-
-    It yields each stack of points it needs costed: the initial simplex, one
-    reflection, expansion or contraction point, or the shrunk vertices.  It
-    is sent their costs and returns (x, cost) at the end.  The operations
-    are those of scipy 1.17's ``_minimize_neldermead`` with
-    ``adaptive=True``, in its order, so a run matches scipy's bit for bit.
-    """
-    n = x0.size
-    dim = float(n)
-    rho = 1
-    chi = 1 + 2 / dim
-    psi = 0.75 - 1 / (2 * dim)
-    sigma = 1 - 1 / dim
-    nonzdelt = 0.05
-    zdelt = 0.00025
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = np.array(x0, copy=True)
-        if y[k] != 0:
-            y[k] = (1 + nonzdelt) * y[k]
-        else:
-            y[k] = zdelt
-        sim[k + 1] = y
-    fsim = np.array((yield sim))
-    for _ in range(2):  # scipy sorts the first simplex twice
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-
-    iterations = 1
-    while iterations < FIT_MAX_ITERATIONS:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= FIT_XATOL
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= FIT_FATOL):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = (yield xr[np.newaxis])[0]
-        shrink = False
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = (yield xe[np.newaxis])[0]
-            if fxe < fxr:
-                sim[-1] = xe
-                fsim[-1] = fxe
-            else:
-                sim[-1] = xr
-                fsim[-1] = fxr
-        elif fxr < fsim[-2]:
-            sim[-1] = xr
-            fsim[-1] = fxr
-        elif fxr < fsim[-1]:
-            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-            fxc = (yield xc[np.newaxis])[0]
-            if fxc <= fxr:
-                sim[-1] = xc
-                fsim[-1] = fxc
-            else:
-                shrink = True
-        else:
-            xcc = (1 - psi) * xbar + psi * sim[-1]
-            fxcc = (yield xcc[np.newaxis])[0]
-            if fxcc < fsim[-1]:
-                sim[-1] = xcc
-                fsim[-1] = fxcc
-            else:
-                shrink = True
-        if shrink:
-            sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
-            fsim[1:] = yield sim[1:]
-        iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim)
+        return np.concatenate([self.mag_scale * dmag, self.phase_scale * dph],
+                              axis=1)
 
 
 def minimize(fun, x0s):
-    """Minimize ``fun`` by adaptive Nelder-Mead from each start in x0s.
+    """Minimize the sum of squares of ``fun`` by Levenberg-Marquardt
+    (Marquardt, J. SIAM 11(2), 1963) from each start in x0s.
 
-    The runs advance in lockstep: each round calls ``fun`` once, on the
-    points every live run needs stacked into one array, and ``fun`` returns
-    one cost per row.  Returns (x, cost, points evaluated) per start, in
-    start order.
+    ``fun`` maps a stack of points to one residual row per point.  The runs
+    advance in lockstep: each round makes one call on the forward-difference
+    Jacobian stacks of the runs that moved, and one on every live run's
+    trial step.  A step solves the normal equations damped by lambda times
+    their floored diagonal; lambda grows 4-fold when a step is rejected and
+    shrinks 3-fold when one is accepted.  A run stops at a zero gradient, at
+    an accepted step that lowers its cost by less than ``FIT_RTOL``
+    relative, or after ``FIT_MAX_ITERATIONS`` steps.  Returns (x, cost,
+    points evaluated) per start, in start order.
     """
-    runs = [_nelder_mead(np.asarray(x0, dtype=float)) for x0 in x0s]
-    results = [None] * len(runs)
-    evaluations = [0] * len(runs)
-    pending = {i: next(run) for i, run in enumerate(runs)}
-    while pending:
-        costs = fun(np.concatenate(list(pending.values())))
-        stop = 0
-        for i, points in list(pending.items()):
-            start, stop = stop, stop + len(points)
-            evaluations[i] += len(points)
-            try:
-                pending[i] = runs[i].send(costs[start:stop])
-            except StopIteration as done:
-                del pending[i]
-                results[i] = (*done.value, evaluations[i])
-    return results
+    x = [np.array(x0, dtype=float) for x0 in x0s]
+    n = x[0].size
+    probe = FIT_DIFF_STEP * np.eye(n)
+    r = list(fun(np.array(x)))
+    cost = [float(np.sum(ri * ri)) for ri in r]
+    points = [1] * len(x)
+    lam = [1e-3] * len(x)
+    jac = [None] * len(x)  # transposed, one row per coordinate
+    live = list(range(len(x)))
+    for _ in range(FIT_MAX_ITERATIONS):
+        moved = [i for i in live if jac[i] is None]
+        if moved:
+            rows = fun(np.concatenate([x[i] + probe for i in moved]))
+            for k, i in enumerate(moved):
+                jac[i] = (rows[k * n:(k + 1) * n] - r[i]) / FIT_DIFF_STEP
+                points[i] += n
+        trials = {}
+        for i in live:
+            a = jac[i] @ jac[i].T
+            g = jac[i] @ r[i]
+            if g.any():
+                scale = np.maximum(np.diag(a), 1e-12 * np.max(np.diag(a)))
+                trials[i] = x[i] - np.linalg.solve(a + lam[i] * np.diag(scale), g)
+        live = list(trials)
+        if not live:
+            break
+        rows = fun(np.array(list(trials.values())))
+        for i, ri in zip(list(trials), rows):
+            points[i] += 1
+            c = float(np.sum(ri * ri))
+            if not c < cost[i]:
+                lam[i] *= 4.0
+                continue
+            done = cost[i] - c < FIT_RTOL * cost[i]
+            x[i], r[i], cost[i], jac[i] = trials[i], ri, c, None
+            lam[i] /= 3.0
+            if done:
+                live.remove(i)
+    return [(x[i], cost[i], points[i]) for i in range(len(x))]
 
 
 def fit_plant_model(frf: FRFEstimate, seed: int = 0) -> FitResult:
     """Two-stage fit of the identified-plant structure to an FRF.
 
-    Stage 1 initializes from FRF features; stage 2 runs Nelder-Mead on the
-    coherence-weighted [log-magnitude, unwrapped-phase] error with random
-    restarts drawn from ``seed`` (lowest cost wins, ties broken by restart
-    index), all run in lockstep by ``minimize``.  The objective
-    (``_FitObjective``) is built once per fit: it precomputes the data side
-    and evaluates the model as a product of its factors on the FRF grid, for
-    a stack of parameter vectors at once.  Requires at least half the bins
-    trusted; a fit that never reaches the convergence threshold is returned
-    flagged, carrying the stage-1 parameters.
+    Stage 1 initializes from FRF features; stage 2 runs ``minimize``'s
+    Levenberg-Marquardt on the coherence-weighted [log-magnitude,
+    unwrapped-phase] residual from the stage-1 point and from random
+    restarts around it drawn from ``seed`` (lowest cost wins, ties broken by
+    restart index), all in lockstep.  The solver moves the ordered vector of
+    ``_ordered_to_log``, so every fitted peak amplifies, every fitted
+    anti-resonance sits above the peak and attenuates, and the fitted delay
+    is below 0.1 s.  The objective (``_FitObjective``) is built once per fit:
+    it precomputes the data side and evaluates the model as a product of its
+    factors on the FRF grid, for a stack of parameter vectors at once.
+    Requires at least half the bins trusted; a fit that never reaches the
+    convergence threshold is returned flagged, carrying the stage-1
+    parameters.
     """
     if np.mean(frf.trusted) < 0.5:
         raise ValueError("fewer than half the FRF bins are coherence-trusted")
@@ -533,20 +529,21 @@ def fit_plant_model(frf: FRFEstimate, seed: int = 0) -> FitResult:
         raise ValueError(f"FRF bin {i} ({frf.freqs[i]:.4g} Hz) is trusted but "
                          "its response is zero")
     stage1 = _stage1_initial(frf)
-    x0 = _params_to_vector(stage1)
+    z0 = _log_to_ordered(_params_to_vector(stage1))
     rng = np.random.default_rng(seed)
     objective = _FitObjective(frf)
 
-    starts = [x0] + [x0 + rng.normal(0.0, 0.2, x0.shape)
+    starts = [z0] + [z0 + rng.normal(0.0, 0.2, z0.shape)
                      for _ in range(FIT_RESTARTS - 1)]
-    runs = minimize(objective, starts)
+    runs = minimize(lambda z: objective(_ordered_to_log(z)), starts)
     costs = [float(cost) for _, cost, _ in runs]
     best = min(range(FIT_RESTARTS), key=costs.__getitem__)
 
     n_bins = int(np.sum(frf.trusted))
     cost_per_bin = costs[best] / max(n_bins, 1)
     converged = cost_per_bin <= CONVERGENCE_COST_PER_BIN
-    params = _vector_to_params(runs[best][0]) if converged else stage1
+    params = (_vector_to_params(_ordered_to_log(runs[best][0])) if converged
+              else stage1)
     return FitResult(
         params=params,
         cost=costs[best],

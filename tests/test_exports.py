@@ -32,7 +32,7 @@ def test_benchmark_patch_targets_resolve(monkeypatch):
 
 
 def test_package_imports_no_scipy():
-    # the runtime needs numpy only; scipy is a test and benchmark oracle
+    # the runtime needs numpy only; scipy is a benchmark oracle
     code = ("import sys, tailsitter.harness, tailsitter.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = Path(tailsitter.__file__).resolve().parent.parent

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tailsitter import cli, harness, metrics
+from tailsitter import cli, harness, metrics, sysid
 from tailsitter.control import (
     AltitudeLoopConfig,
     AttitudeLoopConfig,
@@ -933,7 +933,8 @@ class TestPipeline:
         assert evaluations > 0
         assert f"fit evaluations = {evaluations}" in lines
         costs = [l for l in lines if l.startswith("restart costs = ")]
-        assert len(costs) == 1 and len(costs[0].split(", ")) == 5
+        assert len(costs) == 1
+        assert len(costs[0].split(", ")) == sysid.FIT_RESTARTS
 
     def test_skip_notch_flags_instability(self, tmp_path):
         from tailsitter.harness import PipelineConfig, design_pipeline
