@@ -35,6 +35,7 @@ from .lti import (
     fitted_plant,
     magnitude_slope,
     margins,
+    max_stable_gain,
     nyquist_stable,
     pid_tf,
     tf_eval,
@@ -453,21 +454,10 @@ class PipelineConfig:
 
 def _max_stable_gain_crossover(loop_base, lo=0.01, hi=8.0):
     """Gain sweep: largest stable scalar gain and its crossover frequency."""
-    if nyquist_stable(hi * loop_base):
-        g_max = hi
-    elif not nyquist_stable(lo * loop_base):
+    g_max = max_stable_gain(loop_base, lo, hi)
+    if g_max == 0.0:
         return 0.0, None
-    else:
-        a, b = lo, hi
-        for _ in range(40):
-            mid = math.sqrt(a * b)
-            if nyquist_stable(mid * loop_base):
-                a = mid
-            else:
-                b = mid
-        g_max = a
-    m = margins(g_max * loop_base)
-    return g_max, m.gain_crossover_hz
+    return g_max, margins(g_max * loop_base).gain_crossover_hz
 
 
 def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunReport:
@@ -576,17 +566,20 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     report.metrics["slope_db_per_decade"] = slope
 
     if not cfg.skip_notch:
+        no_crossover = "no gain crossover in [0.05, 100] Hz"
         report.add_check(
             "crossover_band", m.has_gain_crossover
             and 5.8 <= m.gain_crossover_hz <= 7.8,
-            f"gain crossover {m.gain_crossover_hz:.3f} Hz "
-            "(reference 6.8, accepted [5.8, 7.8])",
+            (f"gain crossover {m.gain_crossover_hz:.3f} Hz"
+             if m.has_gain_crossover else no_crossover)
+            + " (reference 6.8, accepted [5.8, 7.8])",
         )
         report.add_check(
             "phase_margin_band", m.has_gain_crossover
             and 36.0 <= m.phase_margin_deg <= 52.0,
-            f"phase margin {m.phase_margin_deg:.2f} deg "
-            "(reference 44, accepted [36, 52])",
+            (f"phase margin {m.phase_margin_deg:.2f} deg"
+             if m.has_gain_crossover else no_crossover)
+            + " (reference 44, accepted [36, 52])",
         )
         report.add_check(
             "slope_band", -22.0 <= slope <= -16.0,
@@ -601,14 +594,23 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
         report.metrics["notch_free_max_gain"] = g_free
         if bw_free is not None:
             report.metrics["notch_free_max_crossover_hz"] = bw_free
+        ok = False
+        if not m.has_gain_crossover:
+            detail = f"not measured: the notched loop has {no_crossover}"
+        elif g_free == 0.0:
+            detail = ("not measured: the notch-free loop is unstable at "
+                      "every swept gain")
+        elif bw_free is None:
+            detail = ("not measured: the notch-free loop at its largest "
+                      f"stable gain {g_free:.4g} has {no_crossover}")
+        else:
             gain_pct = 100.0 * (m.gain_crossover_hz / bw_free - 1.0)
             report.metrics["bandwidth_gain_pct"] = gain_pct
-            report.add_check(
-                "bandwidth_gain", gain_pct >= 50.0,
-                f"notch-enabled crossover {m.gain_crossover_hz:.2f} Hz vs "
-                f"notch-free stable limit {bw_free:.2f} Hz: +{gain_pct:.0f} % "
-                "(>= 50 % required)",
-            )
+            ok = gain_pct >= 50.0
+            detail = (f"notch-enabled crossover {m.gain_crossover_hz:.2f} Hz vs "
+                      f"notch-free stable limit {bw_free:.2f} Hz: "
+                      f"+{gain_pct:.0f} % (>= 50 % required)")
+        report.add_check("bandwidth_gain", ok, detail)
 
     report.artifacts.append(str(write_bode_csv(out_dir / "bode_plant_fit.csv",
                                                plant_fit_tf)))

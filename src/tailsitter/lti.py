@@ -12,6 +12,15 @@ ContinuousTF values composed with tf_series.
 unwrapped_phase_deg is the one home of a transfer function's phase: it
 unwraps the rational part on a grid and subtracts the delay phase exactly.
 margins and the Bode export both read their phase from it.
+
+_encirclements is the one home of the Nyquist winding count.  nyquist_stable
+applies it to a loop's response h on the Nyquist grid; max_stable_gain
+evaluates h once and applies it to k h for each trial gain k.  That is the
+test nyquist_stable(k * loop) makes, because a gain scales only the
+numerator: the denominator, and with it the integrator count that closes
+the contour, is the same for every k.  k h differs from a fresh evaluation
+of k * loop by rounding alone, so a verdict could differ only at a gain
+within rounding of a change in the winding count.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ __all__ = [
     "margins",
     "magnitude_slope",
     "nyquist_stable",
+    "max_stable_gain",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -382,26 +392,68 @@ _NYQUIST_GRID.flags.writeable = False
 _NYQUIST_BLOCKS = np.array_split(_NYQUIST_GRID, 4)
 
 
-def _return_difference_angle(loop: ContinuousTF):
-    """Unwrapped angle of 1 + L(jw) on the Nyquist grid."""
-    return np.unwrap(np.concatenate([np.angle(tf_eval(loop, fb) + 1.0)
-                                     for fb in _NYQUIST_BLOCKS]))
+def _nyquist_response(loop: ContinuousTF):
+    """L(jw) on the Nyquist grid, one array per block."""
+    return [tf_eval(loop, fb) for fb in _NYQUIST_BLOCKS]
+
+
+def _return_difference_angle(h_blocks):
+    """Unwrapped angle of 1 + h on the Nyquist grid, taken block by block."""
+    return np.unwrap(np.concatenate([np.angle(hb + 1.0) for hb in h_blocks]))
+
+
+def _encirclements(h_blocks, den) -> int:
+    """Net encirclements of -1 by an open-loop response h on the Nyquist grid.
+
+    Winds 1 + h over w > 0, mirrors it for w < 0, and closes the contour
+    with the indentation arc around the integrators at the origin, which
+    are the leading zero coefficients of the open loop's denominator
+    ``den``; each maps the arc to a -pi sweep at infinite radius.
+    """
+    ang = _return_difference_angle(h_blocks)
+    delta = ang[-1] - ang[0]
+    n_integrators = int(np.nonzero(den)[0][0])
+    return round((2.0 * delta - n_integrators * math.pi) / (2.0 * math.pi))
 
 
 def nyquist_stable(loop: ContinuousTF) -> bool:
     """Closed-loop stability of unity feedback around an open loop.
 
-    Counts encirclements of -1 by L(jw) (winding of 1 + L) on a dense log
-    grid over w > 0, mirrors it for w < 0, and closes the contour with the
-    indentation arc around the origin integrators.  Assumes the open loop
-    has no right-half-plane poles apart from integrators at the origin,
-    which holds for every loop built from the identified plant family.
-    Zero net encirclement means the closed loop is stable.
+    Counts encirclements of -1 by L(jw) on a dense log grid over w > 0 with
+    ``_encirclements``, the one winding count.  ``max_stable_gain`` runs
+    the same count on k L(jw) from one evaluation of L: a gain leaves the
+    denominator, and so the integrator count, unchanged.  Assumes the open
+    loop has no right-half-plane poles apart from integrators at the
+    origin, which holds for every loop built from the identified plant
+    family.  Zero net encirclement means the closed loop is stable.
     """
-    ang = _return_difference_angle(loop)
-    delta = ang[-1] - ang[0]
-    # integrators at the origin = leading zero denominator coefficients;
-    # each maps the indentation arc to a -pi sweep at infinite radius
-    n_integrators = int(np.nonzero(loop.den)[0][0])
-    encirclements = (2.0 * delta - n_integrators * math.pi) / (2.0 * math.pi)
-    return round(encirclements) == 0
+    return _encirclements(_nyquist_response(loop), loop.den) == 0
+
+
+def _scaled_nyquist(loop: ContinuousTF):
+    """k -> nyquist_stable(k * loop), from one evaluation of loop's response."""
+    h_blocks = _nyquist_response(loop)
+    return lambda k: _encirclements([k * hb for hb in h_blocks], loop.den) == 0
+
+
+def max_stable_gain(loop: ContinuousTF, lo: float, hi: float) -> float:
+    """Largest scalar gain k in [lo, hi] for which k * loop is Nyquist stable.
+
+    ``hi`` when k = hi is stable, 0.0 when k = lo is not; otherwise the
+    stable end of 40 geometric bisections of [lo, hi].  The loop's response
+    is evaluated once and scaled by each trial gain.
+    """
+    if not 0.0 < lo < hi:
+        raise ValueError("need 0 < lo < hi")
+    stable = _scaled_nyquist(loop)
+    if stable(hi):
+        return hi
+    if not stable(lo):
+        return 0.0
+    for _ in range(40):
+        mid = math.sqrt(lo * hi)
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -948,6 +948,47 @@ class TestPipeline:
         results = {n: ok for n, ok, _ in report.checks}
         assert results["no_notch_flagged_unstable"]
 
+    @pytest.mark.parametrize("gains", [
+        {"kp": 100.0},
+        {"kp": 1e-5, "ki": 1e-7, "kd": 0.0},
+    ], ids=["kp_100", "kp_1e-5"])
+    def test_loop_without_gain_crossover_fails_its_checks(self, tmp_path, gains):
+        # both configs load; neither designed loop crosses 0 dB downward in
+        # the margins band, so the checks that read the crossover fail with
+        # a detail instead of ending the run with a traceback
+        cfg = tmp_path / "pipe.json"
+        cfg.write_text(json.dumps(gains))
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", str(cfg), "--out-dir", str(out)]) \
+            == EXIT_CHECK_FAILED
+        text = (out / "design_pipeline_report.txt").read_text()
+        no_fc = "no gain crossover in [0.05, 100] Hz"
+        assert (f"[FAIL] crossover_band: {no_fc} "
+                "(reference 6.8, accepted [5.8, 7.8])") in text
+        assert (f"[FAIL] phase_margin_band: {no_fc} "
+                "(reference 44, accepted [36, 52])") in text
+        assert ("[FAIL] bandwidth_gain: not measured: the notched loop has "
+                f"{no_fc}") in text
+        assert "bandwidth_gain_pct" not in text
+
+    @pytest.mark.parametrize("sweep, detail", [
+        ((0.0, None), "the notch-free loop is unstable at every swept gain"),
+        ((8.0, None), "the notch-free loop at its largest stable gain 8 has "
+                      "no gain crossover in [0.05, 100] Hz"),
+    ], ids=["unstable_at_lo", "no_crossover_at_hi"])
+    def test_bandwidth_gain_not_measured_without_notch_free_crossover(
+            self, tmp_path, monkeypatch, sweep, detail):
+        from tailsitter.sysid import ChirpConfig
+
+        monkeypatch.setattr(harness, "_max_stable_gain_crossover",
+                            lambda loop: sweep)
+        cfg = PipelineConfig(chirp=ChirpConfig(1.0, 60.0, 30.0, 0.1))
+        report = harness.design_pipeline(cfg, tmp_path)
+        results = {n: (ok, d) for n, ok, d in report.checks}
+        assert results["bandwidth_gain"] == (False, f"not measured: {detail}")
+        assert report.metrics["notch_free_max_gain"] == sweep[0]
+        assert "bandwidth_gain_pct" not in report.metrics
+
 
 class TestSaturationHonesty:
     def test_aggressive_altitude_step_logs_saturation(self, tmp_path):

@@ -15,6 +15,7 @@ from tailsitter.lti import (
     fitted_plant,
     magnitude_slope,
     margins,
+    max_stable_gain,
     notch,
     nyquist_stable,
     pid_tf,
@@ -325,7 +326,86 @@ class TestNyquist:
                                  notch(peak_hz, k1, k2))
                 loop = tf_series(plant, comp)
                 whole = np.unwrap(np.angle(tf_eval(loop, f) + 1.0))
-                assert np.array_equal(lti._return_difference_angle(loop), whole)
+                assert np.array_equal(
+                    lti._return_difference_angle(lti._nyquist_response(loop)),
+                    whole)
+
+
+def _loop_shaping_candidates():
+    """The loop-shaping candidate grid: PID gain scale x notch shape."""
+    plant = fitted_plant()
+    peak_hz = PlantFitParams.reference().peak.freq_hz
+    for g in (0.5, 0.7, 1.0, 1.2, 1.3, 1.5, 2.0):
+        for k1, k2 in ((0.15, 0.018), (0.08, 0.01), (0.3, 0.03),
+                       (0.3, 0.12), (0.15, 0.1)):
+            comp = tf_series(pid_tf(g * 0.09, g * 0.1, g * 0.01, 18.0),
+                             notch(peak_hz, k1, k2))
+            yield tf_series(plant, comp)
+
+
+@pytest.fixture(scope="module")
+def shipped_notch_free_loop():
+    """Fitted plant times PID of the shipped pipeline, as design_pipeline
+    builds it for its notch-free gain sweep."""
+    from tailsitter.harness import PipelineConfig
+    from tailsitter.plant import LinearAxisPlant
+    from tailsitter.sysid import estimate_frf, fit_plant_model, sweep_experiment
+
+    cfg = PipelineConfig()
+    plant = LinearAxisPlant(fitted_plant(cfg.true_params),
+                            prewarp_hz=cfg.true_params.peak.freq_hz)
+    sw = sweep_experiment(plant, cfg.chirp, noise_std=cfg.noise_std,
+                          seed=cfg.seed)
+    frf = estimate_frf(sw.total_input, sw.measured, cfg.n_freqs,
+                       cfg.chirp.f0, cfg.chirp.f1,
+                       cycles_per_window=cfg.cycles_per_window,
+                       correct_hold=cfg.correct_hold)
+    fit = fit_plant_model(frf, seed=cfg.seed)
+    return tf_series(fitted_plant(fit.params),
+                     pid_tf(cfg.kp, cfg.ki, cfg.kd, cfg.deriv_corner_hz))
+
+
+class TestMaxStableGain:
+    def test_shipped_notch_free_loop_pinned(self, shipped_notch_free_loop):
+        from tailsitter.harness import _max_stable_gain_crossover
+
+        base = shipped_notch_free_loop
+        assert repr(max_stable_gain(base, 0.01, 8.0)) == "0.29670416673016076"
+        g, fc = _max_stable_gain_crossover(base)
+        assert repr((g, fc)) == "(0.29670416673016076, 1.3522359485169553)"
+
+    def test_shipped_verdicts_match_fresh_evaluation(self, shipped_notch_free_loop):
+        # the scaled response k h gives the verdict of evaluating k L afresh
+        base = shipped_notch_free_loop
+        stable = lti._scaled_nyquist(base)
+        gains = np.geomspace(0.01, 8.0, 200)
+        verdicts = [stable(k) for k in gains]
+        assert verdicts == [nyquist_stable(k * base) for k in gains]
+        assert any(verdicts) and not all(verdicts)
+
+    def test_candidate_verdicts_match_fresh_evaluation(self):
+        gains = np.geomspace(0.01, 8.0, 12)
+        for loop in _loop_shaping_candidates():
+            stable = lti._scaled_nyquist(loop)
+            assert ([stable(k) for k in gains]
+                    == [nyquist_stable(k * loop) for k in gains])
+
+    def test_stable_at_hi_returns_hi(self):
+        assert max_stable_gain(ContinuousTF([10.0], [1.0, 1.0]), 0.01, 8.0) == 8.0
+
+    def test_unstable_at_lo_returns_zero(self):
+        from tailsitter.harness import _max_stable_gain_crossover
+
+        # 1000/s at the smallest gain, with 0.3 s of delay: many encirclements
+        loop = ContinuousTF([1e5], [0.0, 1.0], 0.3)
+        assert not nyquist_stable(0.01 * loop)
+        assert max_stable_gain(loop, 0.01, 8.0) == 0.0
+        assert _max_stable_gain_crossover(loop) == (0.0, None)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 8.0), (8.0, 8.0), (1.0, 0.5)])
+    def test_band_validation(self, lo, hi):
+        with pytest.raises(ValueError):
+            max_stable_gain(ContinuousTF([10.0], [1.0, 1.0]), lo, hi)
 
 
 class TestFrequencyResponse:
