@@ -59,8 +59,6 @@ def build_parser():
                             help="sweep -> identify -> design pipeline")
     pipe_p.add_argument("config", nargs="?", default=None,
                         help="optional pipeline JSON config")
-    pipe_p.add_argument("--skip-notch", action="store_true",
-                        help="design without the notch stage (diagnostic)")
     _add_run_flags(pipe_p)
 
     bode_p = sub.add_parser("bode", help="export Bode CSV for a TF config")
@@ -100,8 +98,6 @@ def main(argv=None) -> int:
                    else from_config(PipelineConfig, load_json(args.config)))
             if args.seed is not None:
                 cfg = replace(cfg, seed=args.seed)
-            if args.skip_notch:
-                cfg = replace(cfg, skip_notch=True)
             report = design_pipeline(cfg, args.out_dir)
             sys.stdout.write(report.to_text())
             return EXIT_OK if report.passed else EXIT_CHECK_FAILED

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, quat
+from .biquad import discretize_tustin
 from .control import NotchConfig, RateLoopConfig, default_notch_config
 from .dataio import (
     ConfigError,
@@ -26,6 +27,7 @@ from .dataio import (
     plant_params_to_config,
     read_csv,
     to_config,
+    write_biquad_csv,
     write_bode_csv,
     write_csv,
     write_frf_csv,
@@ -41,7 +43,7 @@ from .lti import (
     tf_eval,
     tf_series,
 )
-from .plant import CONTROL_RATE_HZ, LinearAxisPlant
+from .plant import CONTROL_RATE_HZ, PLANT_RATE_HZ, LinearAxisPlant
 from .sim import (
     CHECK_SUITE_NEEDS,
     SIMLOG_HEADER,
@@ -51,8 +53,8 @@ from .sim import (
     run_linear_axis,
     run_nonlinear,
 )
-from .sysid import (ChirpConfig, averaged_bin_share, estimate_frf, fit_plant_model,
-                    sweep_experiment)
+from .sysid import (MIN_TRUSTED_SHARE, ChirpConfig, averaged_bin_share, estimate_frf,
+                    fit_plant_model, sweep_experiment)
 
 __all__ = [
     "RunReport",
@@ -423,7 +425,6 @@ class PipelineConfig:
     deriv_corner_hz: float = _PITCH_DESIGN.deriv_corner_hz
     notch_k1: float = _PITCH_DESIGN.notches[1].k1
     notch_k2: float = _PITCH_DESIGN.notches[1].k2
-    skip_notch: bool = False
     slope_band: tuple[float, float] = (0.6, 14.0)
 
     def __post_init__(self):
@@ -433,13 +434,19 @@ class PipelineConfig:
             raise ValueError("n_freqs: need at least 2 frequencies to span the band")
         if not self.cycles_per_window > 0.0:
             raise ValueError("cycles_per_window: must be > 0")
-        # the fit needs half the bins trusted, and a bin needs two windows
+        if not self.noise_std >= 0.0:
+            raise ValueError("noise_std: must be >= 0")
+        if not self.true_params.peak.freq_hz < 0.5 * PLANT_RATE_HZ:
+            raise ValueError("true_params.peak.freq_hz: must lie below "
+                             f"{0.5 * PLANT_RATE_HZ:g} Hz, half the plant rate")
+        # a bin the fit may trust averages two or more windows
         share = averaged_bin_share(self.chirp.n_samples, self.n_freqs,
                                    self.chirp.f0, self.chirp.f1,
                                    self.cycles_per_window)
-        if share < 0.5:
+        if share < MIN_TRUSTED_SHARE:
             raise ValueError(f"chirp: too short for its FRF windows: {share:.0%} "
-                             "of the bins average two or more, the fit needs 50 %")
+                             "of the bins average two or more, the fit needs "
+                             f"{MIN_TRUSTED_SHARE:.0%}")
         if not 0.0 < self.slope_band[0] < self.slope_band[1]:
             raise ValueError("slope_band: need 0 < f_lo < f_hi")
         try:
@@ -465,9 +472,10 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
 
     Stages: chirp sweep against the linear plant, FRF estimation, parametric
     fit, notch placement at the fitted peak, margins and slope of the
-    designed loop, and the notch-free stability-limited bandwidth for
-    comparison.  Emits Bode CSVs for plant, compensator and open loop, the
-    FRF, and a fit report.
+    designed loop, and the notch-free loop's resonance, Nyquist verdict and
+    stability-limited bandwidth for comparison.  Emits Bode CSVs for plant,
+    compensator and open loop, the FRF, and a fit report.  Too few trusted
+    FRF bins to fit fail ``fit_converged``, as a stalled fit does.
     """
     cfg = cfg or PipelineConfig()
     out_dir = Path(out_dir)
@@ -492,7 +500,15 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
         correct_hold=cfg.correct_hold,
     )
     report.artifacts.append(str(write_frf_csv(out_dir / "frf.csv", frf)))
-    report.metrics["frf_trusted_fraction"] = float(np.mean(frf.trusted))
+    trusted = float(np.mean(frf.trusted))
+    report.metrics["frf_trusted_fraction"] = trusted
+    if trusted < MIN_TRUSTED_SHARE:
+        report.metrics["fit_converged"] = False
+        report.add_check("fit_converged", False,
+                         f"not run: {trusted:.0%} of the FRF bins are "
+                         f"coherence-trusted, the fit needs {MIN_TRUSTED_SHARE:.0%}")
+        report.write(out_dir)
+        return report
 
     fit = fit_plant_model(frf, seed=cfg.seed)
     report.metrics["fit_converged"] = fit.converged
@@ -537,25 +553,14 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
 
     # loop shaping on the identified model
     pid = pid_tf(cfg.kp, cfg.ki, cfg.kd, cfg.deriv_corner_hz)
-    if cfg.skip_notch:
-        comp = pid
-    else:
-        notch_cfg = NotchConfig(p.peak.freq_hz, cfg.notch_k1, cfg.notch_k2)
-        comp = tf_series(pid, notch_cfg.tf())
+    comp = tf_series(pid, NotchConfig(p.peak.freq_hz, cfg.notch_k1,
+                                      cfg.notch_k2).tf())
     loop = tf_series(plant_fit_tf, comp)
 
     m = margins(loop)
-    peak_mag_db = 20.0 * math.log10(abs(tf_eval(loop, p.peak.freq_hz)))
-    report.metrics["loop_peak_mag_db"] = peak_mag_db
-    stable = nyquist_stable(loop)
-    report.metrics["closed_loop_stable"] = stable
-    if cfg.skip_notch:
-        report.add_check(
-            "no_notch_flagged_unstable",
-            peak_mag_db > 0.0 and not stable,
-            f"resonance at {peak_mag_db:.2f} dB (> 0 dB) and Nyquist "
-            f"{'stable' if stable else 'unstable'}",
-        )
+    report.metrics["loop_peak_mag_db"] = 20.0 * math.log10(
+        abs(tf_eval(loop, p.peak.freq_hz)))
+    report.metrics["closed_loop_stable"] = nyquist_stable(loop)
     if m.has_gain_crossover:
         report.metrics["crossover_hz"] = m.gain_crossover_hz
         report.metrics["phase_margin_deg"] = m.phase_margin_deg
@@ -565,52 +570,62 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     slope = magnitude_slope(loop, *cfg.slope_band)
     report.metrics["slope_db_per_decade"] = slope
 
-    if not cfg.skip_notch:
-        no_crossover = "no gain crossover in [0.05, 100] Hz"
-        report.add_check(
-            "crossover_band", m.has_gain_crossover
-            and 5.8 <= m.gain_crossover_hz <= 7.8,
-            (f"gain crossover {m.gain_crossover_hz:.3f} Hz"
-             if m.has_gain_crossover else no_crossover)
-            + " (reference 6.8, accepted [5.8, 7.8])",
-        )
-        report.add_check(
-            "phase_margin_band", m.has_gain_crossover
-            and 36.0 <= m.phase_margin_deg <= 52.0,
-            (f"phase margin {m.phase_margin_deg:.2f} deg"
-             if m.has_gain_crossover else no_crossover)
-            + " (reference 44, accepted [36, 52])",
-        )
-        report.add_check(
-            "slope_band", -22.0 <= slope <= -16.0,
-            f"magnitude slope {slope:.2f} dB/dec over "
-            f"[{cfg.slope_band[0]}, {cfg.slope_band[1]}] Hz "
-            "(reference -19, accepted [-22, -16])",
-        )
-        # bandwidth gained by the notch: compare against the best stable
-        # notch-free design found by a pure gain sweep
-        base = tf_series(plant_fit_tf, pid)
-        g_free, bw_free = _max_stable_gain_crossover(base)
-        report.metrics["notch_free_max_gain"] = g_free
-        if bw_free is not None:
-            report.metrics["notch_free_max_crossover_hz"] = bw_free
-        ok = False
-        if not m.has_gain_crossover:
-            detail = f"not measured: the notched loop has {no_crossover}"
-        elif g_free == 0.0:
-            detail = ("not measured: the notch-free loop is unstable at "
-                      "every swept gain")
-        elif bw_free is None:
-            detail = ("not measured: the notch-free loop at its largest "
-                      f"stable gain {g_free:.4g} has {no_crossover}")
-        else:
-            gain_pct = 100.0 * (m.gain_crossover_hz / bw_free - 1.0)
-            report.metrics["bandwidth_gain_pct"] = gain_pct
-            ok = gain_pct >= 50.0
-            detail = (f"notch-enabled crossover {m.gain_crossover_hz:.2f} Hz vs "
-                      f"notch-free stable limit {bw_free:.2f} Hz: "
-                      f"+{gain_pct:.0f} % (>= 50 % required)")
-        report.add_check("bandwidth_gain", ok, detail)
+    no_crossover = "no gain crossover in [0.05, 100] Hz"
+    report.add_check(
+        "crossover_band", m.has_gain_crossover
+        and 5.8 <= m.gain_crossover_hz <= 7.8,
+        (f"gain crossover {m.gain_crossover_hz:.3f} Hz"
+         if m.has_gain_crossover else no_crossover)
+        + " (reference 6.8, accepted [5.8, 7.8])",
+    )
+    report.add_check(
+        "phase_margin_band", m.has_gain_crossover
+        and 36.0 <= m.phase_margin_deg <= 52.0,
+        (f"phase margin {m.phase_margin_deg:.2f} deg"
+         if m.has_gain_crossover else no_crossover)
+        + " (reference 44, accepted [36, 52])",
+    )
+    report.add_check(
+        "slope_band", -22.0 <= slope <= -16.0,
+        f"magnitude slope {slope:.2f} dB/dec over "
+        f"[{cfg.slope_band[0]}, {cfg.slope_band[1]}] Hz "
+        "(reference -19, accepted [-22, -16])",
+    )
+
+    # the same loop without the notch: the mode's resonance above 0 dB makes
+    # it unstable, and a pure gain sweep finds its best stable bandwidth,
+    # which the notch must beat
+    base = tf_series(plant_fit_tf, pid)
+    free_peak_db = 20.0 * math.log10(abs(tf_eval(base, p.peak.freq_hz)))
+    free_stable = nyquist_stable(base)
+    report.metrics["notch_free_peak_mag_db"] = free_peak_db
+    report.metrics["notch_free_stable"] = free_stable
+    report.add_check(
+        "no_notch_flagged_unstable", free_peak_db > 0.0 and not free_stable,
+        f"notch-free resonance at {free_peak_db:.2f} dB (> 0 dB) and Nyquist "
+        f"{'stable' if free_stable else 'unstable'}",
+    )
+    g_free, bw_free = _max_stable_gain_crossover(base)
+    report.metrics["notch_free_max_gain"] = g_free
+    if bw_free is not None:
+        report.metrics["notch_free_max_crossover_hz"] = bw_free
+    ok = False
+    if not m.has_gain_crossover:
+        detail = f"not measured: the notched loop has {no_crossover}"
+    elif g_free == 0.0:
+        detail = ("not measured: the notch-free loop is unstable at "
+                  "every swept gain")
+    elif bw_free is None:
+        detail = ("not measured: the notch-free loop at its largest "
+                  f"stable gain {g_free:.4g} has {no_crossover}")
+    else:
+        gain_pct = 100.0 * (m.gain_crossover_hz / bw_free - 1.0)
+        report.metrics["bandwidth_gain_pct"] = gain_pct
+        ok = gain_pct >= 50.0
+        detail = (f"notch-enabled crossover {m.gain_crossover_hz:.2f} Hz vs "
+                  f"notch-free stable limit {bw_free:.2f} Hz: "
+                  f"+{gain_pct:.0f} % (>= 50 % required)")
+    report.add_check("bandwidth_gain", ok, detail)
 
     report.artifacts.append(str(write_bode_csv(out_dir / "bode_plant_fit.csv",
                                                plant_fit_tf)))
@@ -619,12 +634,7 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     report.artifacts.append(str(write_bode_csv(out_dir / "bode_open_loop.csv",
                                                loop)))
     # runnable 250 Hz form of the designed compensator
-    from .biquad import discretize_tustin
-    from .dataio import write_biquad_csv
-
-    cascade = discretize_tustin(comp, CONTROL_RATE_HZ,
-                                prewarp_hz=None if cfg.skip_notch
-                                else p.peak.freq_hz)
+    cascade = discretize_tustin(comp, CONTROL_RATE_HZ, prewarp_hz=p.peak.freq_hz)
     report.artifacts.append(str(write_biquad_csv(
         out_dir / "compensator_biquads_250hz.csv", cascade)))
     report.write(out_dir)

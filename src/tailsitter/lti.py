@@ -9,9 +9,11 @@ Everything downstream of system identification speaks this type: the fitted
 plant, the notch filter, the PID compensator and the open loop are all
 ContinuousTF values composed with tf_series.
 
-unwrapped_phase_deg is the one home of a transfer function's phase: it
-unwraps the rational part on a grid and subtracts the delay phase exactly.
-margins and the Bode export both read their phase from it.
+_unwrap_phase_deg is the one home of a model's phase: it unwraps the
+rational part's phase and subtracts the delay phase 360 f delay exactly.
+unwrapped_phase_deg (so margins and the Bode export) and sysid's fit
+objective read phase from it.  The FRF's trusted-bin unwrap and
+_return_difference_angle stay apart: they unwrap measured data and 1 + L.
 
 _encirclements is the one home of the Nyquist winding count.  nyquist_stable
 applies it to a loop's response h on the Nyquist grid; max_stable_gain
@@ -282,17 +284,18 @@ def _log_grid(f_lo, f_hi, points_per_decade, min_points=2):
     return np.logspace(math.log10(f_lo), math.log10(f_hi), max(min_points, n))
 
 
-def unwrapped_phase_deg(tf: ContinuousTF, f):
-    """Unwrapped phase in degrees at frequencies f.
+def _unwrap_phase_deg(rational_response, f, delay):
+    """Degrees: the rational response's phase on the grid f unwrapped along
+    the last axis, so the unbounded delay phase never confuses the unwrap,
+    less 360 f delay exactly.  A stack of responses takes a column of delays."""
+    return np.degrees(np.unwrap(np.angle(rational_response))) - 360.0 * f * delay
 
-    The rational part is unwrapped on the (dense) grid; the delay term is
-    added analytically, so the unbounded delay phase never confuses the
-    unwrapping.
-    """
+
+def unwrapped_phase_deg(tf: ContinuousTF, f):
+    """Unwrapped phase in degrees at frequencies f (``_unwrap_phase_deg``)."""
     f = np.asarray(f, dtype=float)
     rational = ContinuousTF(tf.num, tf.den, 0.0)
-    ph = np.unwrap(np.angle(tf_eval(rational, f)))
-    return np.degrees(ph) - 360.0 * f * tf.delay
+    return _unwrap_phase_deg(tf_eval(rational, f), f, tf.delay)
 
 
 @dataclass(frozen=True)

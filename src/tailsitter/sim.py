@@ -46,7 +46,6 @@ from .plant import (
     default_aero_table,
     hover_state,
 )
-from .sysid import ChirpConfig, chirp
 
 __all__ = [
     "EVENT_KINDS",
@@ -93,8 +92,6 @@ EVENT_KINDS = {
     "altitude": (("nonlinear",), ("alt",), ("alt",)),
     "rate_cmd": (("linear-axis",), ("x", "y", "z"), ()),
     "notch": (("nonlinear", "linear-axis"), ("enabled",), ("enabled",)),
-    "inject_chirp": (("linear-axis",), ("f0", "f1", "duration", "amplitude"),
-                     ("f0", "f1", "duration", "amplitude")),
 }
 
 # check suite -> (mode, the event its checks measure, that event's description)
@@ -113,7 +110,7 @@ class Event:
 
     kinds: "attitude" {roll,pitch,yaw rad} | "pitch_ramp" {pitch_to rad,
     duration s} | "altitude" {alt m} | "rate_cmd" {x,y,z rad/s} |
-    "notch" {enabled bool} | "inject_chirp" {f0,f1,duration,amplitude}.
+    "notch" {enabled bool}.
     """
 
     t: float
@@ -138,9 +135,6 @@ class Event:
                 raise ValueError(f"{self.kind} event needs arg {k!r}")
         if self.kind == "pitch_ramp" and not self.args["duration"] > 0.0:
             raise ValueError("pitch_ramp event arg 'duration' must be > 0")
-        if self.kind == "inject_chirp":  # a sweep the control loop can play
-            ChirpConfig(self.args["f0"], self.args["f1"], self.args["duration"],
-                        self.args["amplitude"])
 
 
 @dataclass(frozen=True)
@@ -183,6 +177,8 @@ class Scenario:
             raise ValueError("mode: must be nonlinear or linear-axis")
         if not self.duration_s > 0.0:
             raise ValueError("duration_s: must be positive")
+        if not self.meas_noise_std >= 0.0:
+            raise ValueError("meas_noise_std: must be >= 0")
         if not self.plant_params.peak.freq_hz < 0.5 * PLANT_RATE_HZ:
             raise ValueError("plant_params.peak.freq_hz: must lie below "
                              f"{0.5 * PLANT_RATE_HZ:g} Hz, half the plant rate")
@@ -251,8 +247,6 @@ def run_linear_axis(sc: Scenario) -> SimLog:
     n = int(round(sc.duration_s / CONTROL_DT))
     events = list(sc.events)
     w_cmd = (0.0, 0.0, 0.0)
-    inject = None
-    inject_start = 0
     rows = []
     y = sc.initial_pitch_rate
     diverged_at = None
@@ -266,17 +260,10 @@ def run_linear_axis(sc: Scenario) -> SimLog:
                          float(ev.args.get("z", 0.0)))
             elif ev.kind == "notch":
                 ctrl.set_notch_enabled(ev.args["enabled"])
-            elif ev.kind == "inject_chirp":
-                cfg = ChirpConfig(ev.args["f0"], ev.args["f1"],
-                                  ev.args["duration"], ev.args["amplitude"])
-                inject = chirp(cfg).tolist()
-                inject_start = i
         meas = y + (rng.normal(0.0, sc.meas_noise_std)
                     if sc.meas_noise_std > 0.0 else 0.0)
         w_meas = (0.0, meas, 0.0)
         tx, ty, tz = ctrl.step(w_meas, w_cmd)
-        if inject is not None and i - inject_start < len(inject):
-            ty += inject[i - inject_start]
         for _ in range(SUBSTEPS):
             y = plant.step(ty)
         bits = _flags_bits(ctrl.saturated, 0, False, False)

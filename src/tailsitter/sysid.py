@@ -33,12 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import PlantFitParams, ResonanceParams, butterworth2, tf_eval
+from .lti import (PlantFitParams, ResonanceParams, _unwrap_phase_deg, butterworth2,
+                  tf_eval)
 from .plant import CONTROL_RATE_HZ, PLANT_RATE_HZ, SUBSTEPS
 
 WINDOW_OVERLAP = 0.5  # of consecutive FRF windows
 MIN_WINDOW_SAMPLES = 16  # shortest FRF window, and so the shortest series
 COHERENCE_THRESHOLD = 0.6  # an FRF bin is trusted from this coherence up
+MIN_TRUSTED_SHARE = 0.5  # of the FRF bins, for a parametric fit
 # Parametric fit.  The measurement-filter corner is known flight-stack
 # configuration, not optimized: sweep data rarely reaches far past it.
 PHASE_WEIGHT = 0.1
@@ -401,9 +403,8 @@ class _FitObjective:
     s^2 on the grid, and the fixed measurement-filter response.  Each call
     then evaluates the factors of ``fitted_plant`` on the grid and
     multiplies them, with the same clip and delay clamp as
-    ``_vector_to_params``; no transfer function is built.  The delay enters
-    only as its exact phase, -360 f delay degrees, so the model's rational
-    phase is unwrapped on its own, as ``lti.unwrapped_phase_deg`` does.
+    ``_vector_to_params``; no transfer function is built.  The model's phase
+    follows the delay-phase convention of ``lti._unwrap_phase_deg``.
     """
 
     def __init__(self, frf: FRFEstimate):
@@ -420,7 +421,7 @@ class _FitObjective:
         self.s = 1j * w
         self.s2 = -w * w  # s^2 on the imaginary axis is real
         self.lf = tf_eval(butterworth2(KNOWN_LF_CORNER_HZ), f)
-        self.delay_phase_deg = 360.0 * f
+        self.f = f
 
     def rational_response(self, x):
         """(delay-free model responses, delays in s) for the rows of the
@@ -443,8 +444,7 @@ class _FitObjective:
         A row's sum of squares is its fit cost."""
         h, delay = self.rational_response(x)
         dmag = 20.0 * (np.log10(np.abs(h)) - self.log_mag)
-        dph = (np.degrees(np.unwrap(np.angle(h)))
-               - self.delay_phase_deg * delay[:, np.newaxis] - self.phase_deg)
+        dph = _unwrap_phase_deg(h, self.f, delay[:, np.newaxis]) - self.phase_deg
         return np.concatenate([self.mag_scale * dmag, self.phase_scale * dph],
                               axis=1)
 
@@ -517,12 +517,13 @@ def fit_plant_model(frf: FRFEstimate, seed: int = 0) -> FitResult:
     is below 0.1 s.  The objective (``_FitObjective``) is built once per fit:
     it precomputes the data side and evaluates the model as a product of its
     factors on the FRF grid, for a stack of parameter vectors at once.
-    Requires at least half the bins trusted; a fit that never reaches the
-    convergence threshold is returned flagged, carrying the stage-1
-    parameters.
+    Requires a ``MIN_TRUSTED_SHARE`` of the bins trusted; a fit that never
+    reaches the convergence threshold is returned flagged, carrying the
+    stage-1 parameters.
     """
-    if np.mean(frf.trusted) < 0.5:
-        raise ValueError("fewer than half the FRF bins are coherence-trusted")
+    if np.mean(frf.trusted) < MIN_TRUSTED_SHARE:
+        raise ValueError(f"fewer than {MIN_TRUSTED_SHARE:.0%} of the FRF bins "
+                         "are coherence-trusted")
     zero = np.flatnonzero(frf.trusted & ~(np.abs(frf.response) > 0.0))
     if zero.size:
         i = int(zero[0])

@@ -589,7 +589,7 @@ def every_field_pipeline():
                                    peak=ResonanceParams(14.5, 0.22, 0.031)),
         n_freqs=40, cycles_per_window=50.0, correct_hold=False, noise_std=0.01,
         seed=5, kp=0.08, ki=0.11, kd=0.012, deriv_corner_hz=17.0,
-        notch_k1=0.16, notch_k2=0.017, skip_notch=True, slope_band=(0.5, 12.0))
+        notch_k1=0.16, notch_k2=0.017, slope_band=(0.5, 12.0))
 
 
 def assert_same_fields(a, b, path=""):
@@ -702,6 +702,8 @@ BAD_SCENARIOS = [
     # negative noise settings used to run as zero
     ({"name": "x", "sensor": {"gyro_noise_std": -1.0}}, "sensor"),
     ({"name": "x", "vibration": {"amplitude": -0.1}}, "vibration"),
+    ({"name": "x", "mode": "linear-axis", "meas_noise_std": -1.0},
+     "meas_noise_std"),
     # frequencies at or above the Nyquist frequency of the loop that
     # discretizes them used to crash the run after load
     ({"name": "x", "rate_loop": {"notches": [
@@ -776,23 +778,11 @@ class TestScenarioSerialization:
         log = run_nonlinear(sc)
         assert log.diverged_at is None
 
-    def test_chirp_injection_event(self, tmp_path):
-        sc = Scenario(
-            name="inj", mode="linear-axis", duration_s=6.0, seed=1,
-            events=(Event(1.0, "inject_chirp",
-                          {"f0": 2.0, "f1": 30.0, "duration": 4.0,
-                           "amplitude": 0.05}),),
-            rate_cfg=RateLoopConfig.reference_pitch_design(),
-        )
-        report = run_scenario(sc, tmp_path)
-        header, tele = read_csv(tmp_path / "inj_telemetry.csv")
-        t = tele[:, 0]
-        torque = tele[:, header.index("torque_y")]
-        w = tele[:, header.index("w_meas_y")]
-        # injection appears on the torque channel and excites the plant
-        assert np.max(np.abs(torque[(t >= 1.0) & (t < 5.0)])) > 0.04
-        assert np.max(np.abs(w[(t >= 1.0) & (t < 5.0)])) > 0.05
-        assert np.max(np.abs(w[t < 1.0])) < 1e-6
+    def test_inject_chirp_is_unknown_kind(self):
+        # the runner plays no sweep: the pipeline's sweep has its own loop
+        with pytest.raises(ValueError, match="unknown event kind 'inject_chirp'"):
+            Event(1.0, "inject_chirp", {"f0": 2.0, "f1": 30.0, "duration": 4.0,
+                                        "amplitude": 0.05})
 
     def test_events_must_be_ordered(self):
         with pytest.raises(ValueError):
@@ -936,17 +926,39 @@ class TestPipeline:
         assert len(costs) == 1
         assert len(costs[0].split(", ")) == sysid.FIT_RESTARTS
 
-    def test_skip_notch_flags_instability(self, tmp_path):
-        from tailsitter.harness import PipelineConfig, design_pipeline
-        from tailsitter.sysid import ChirpConfig
-
-        cfg = PipelineConfig(chirp=ChirpConfig(1.0, 60.0, 30.0, 0.1),
-                             skip_notch=True)
-        report = design_pipeline(cfg, tmp_path)
-        assert report.metrics["loop_peak_mag_db"] > 0.0
-        assert not report.metrics["closed_loop_stable"]
+    def test_notch_free_loop_flagged_unstable(self, tmp_path):
+        # the default run reports the notch-free loop the gain sweep starts
+        # from: its resonance above 0 dB and its Nyquist instability, while
+        # the notched loop is stable
+        cfg = PipelineConfig(chirp=ChirpConfig(1.0, 60.0, 30.0, 0.1))
+        report = harness.design_pipeline(cfg, tmp_path)
+        assert report.metrics["notch_free_peak_mag_db"] > 0.0
+        assert not report.metrics["notch_free_stable"]
+        assert report.metrics["closed_loop_stable"]
         results = {n: ok for n, ok, _ in report.checks}
         assert results["no_notch_flagged_unstable"]
+
+    @pytest.mark.parametrize("cfg", [
+        {"noise_std": 1.0},
+        {"true_params": {"main_num": [0.0, 0.0, 0.0]}},
+    ], ids=["noise_1", "zero_gain"])
+    def test_too_few_trusted_bins_fail_fit_converged(self, tmp_path, cfg):
+        # both configs load and sweep; too few FRF bins are coherence-trusted
+        # to fit, so the run fails fit_converged with a report instead of
+        # ending with a traceback
+        path = tmp_path / "pipe.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", str(path), "--out-dir", str(out)]) \
+            == EXIT_CHECK_FAILED
+        text = (out / "design_pipeline_report.txt").read_text()
+        trusted = re.search(r"^  frf_trusted_fraction = (\S+)$", text, re.M)
+        share = float(trusted.group(1))
+        assert share < sysid.MIN_TRUSTED_SHARE
+        assert "  fit_converged = False\n" in text
+        assert (f"[FAIL] fit_converged: not run: {share:.0%} of the FRF bins "
+                "are coherence-trusted, the fit needs 50%") in text
+        assert not (out / "fit_report.txt").exists()
 
     @pytest.mark.parametrize("gains", [
         {"kp": 100.0},
@@ -1077,6 +1089,10 @@ class TestCli:
             (["pipeline"], {"notch_k1": 0.01}, "notch_k1"),
             (["pipeline"], {"chirp": {"duration_s": 10.0}}, "chirp"),
             (["pipeline"], {"noise_std": float("nan")}, "noise_std"),
+            (["pipeline"], {"noise_std": -1.0}, "noise_std"),
+            (["pipeline"], {"true_params": {"peak": {"freq_hz": 600.0}}},
+             "true_params.peak.freq_hz"),
+            (["pipeline"], {"skip_notch": True}, "skip_notch"),
             (["pipeline"], {"chirp": {"sample_hz": 300.0}}, "chirp.sample_hz"),
             (["bode"], {"num": [1.0], "den": [1.0, 0.1], "dealy": 0.02}, "dealy"),
             (["bode"], {"num": [float("nan")], "den": [1.0, 0.1]}, "num"),
@@ -1110,6 +1126,13 @@ class TestCli:
             assert rc == EXIT_CONFIG_ERROR, (argv, cfg, err)
             assert err.startswith(f"config error: {path}:"), (cfg, err)
             assert not out.exists(), argv
+
+    def test_removed_skip_notch_flag_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pipeline", "--skip-notch", "--out-dir", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        assert "unrecognized arguments: --skip-notch" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_margins_command(self, tmp_path, capsys):
         cfg = tmp_path / "tf.json"
