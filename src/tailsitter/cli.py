@@ -14,7 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .dataio import ConfigError, from_config, load_json, tf_from_config, write_bode_csv
+from .dataio import (ConfigError, from_config, load_json, tf_from_config, to_config,
+                     write_bode_csv)
 from .harness import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -25,7 +26,6 @@ from .harness import (
     compare_runs,
     design_pipeline,
     run_scenario,
-    scenario_to_config,
 )
 from .lti import magnitude_slope, margins
 from .plant import SimNumericsError
@@ -140,7 +140,7 @@ def main(argv=None) -> int:
                 if args.dump_dir:
                     path = Path(args.dump_dir) / f"{name}.json"
                     path.parent.mkdir(parents=True, exist_ok=True)
-                    path.write_text(json.dumps(scenario_to_config(sc), indent=2))
+                    path.write_text(json.dumps(to_config(sc), indent=2))
                     print(f"  wrote {path}")
             return EXIT_OK
     except ConfigError as e:

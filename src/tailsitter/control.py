@@ -132,12 +132,9 @@ class RateController:
             )
             for i in range(3)
         ]
-        self._notch = [
-            discretize_tustin(n.tf(), CONTROL_RATE_HZ, prewarp_hz=n.center_hz)
-            if n is not None
-            else None
-            for n in cfg.notches
-        ]
+        self._notch = [None, None, None]
+        for axis, n in enumerate(cfg.notches):
+            self.set_notch_enabled(n is not None, axis)
         self._kp = tuple(float(k) for k in cfg.kp)
         self._ki = tuple(float(k) for k in cfg.ki)
         self._output_limit = float(cfg.output_limit)

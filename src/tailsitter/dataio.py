@@ -40,7 +40,6 @@ __all__ = [
     "from_config",
     "tf_from_config",
     "plant_params_from_config",
-    "plant_params_to_config",
 ]
 
 
@@ -190,11 +189,6 @@ def load_json(path):
 # configs: JSON mappings derived from the dataclass fields
 
 
-def _key(f):
-    """JSON key of a dataclass field: its name unless metadata says otherwise."""
-    return f.metadata.get("key", f.name)
-
-
 def _reject_unknown(mapping, keys, path=""):
     unknown = sorted(set(mapping) - set(keys))
     if unknown:
@@ -202,11 +196,11 @@ def _reject_unknown(mapping, keys, path=""):
 
 
 def to_config(obj):
-    """JSON-ready form of a config dataclass, keyed as the config files are."""
+    """JSON-ready form of a config dataclass, keyed by its field names."""
     if isinstance(obj, Event):
         return {"t": obj.t, "kind": obj.kind, **obj.args}
     if dataclasses.is_dataclass(obj):
-        return {_key(f): to_config(getattr(obj, f.name))
+        return {f.name: to_config(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -272,19 +266,18 @@ def _load_dataclass(cls, value, path, default):
         raise ConfigError(f"{path or cls.__name__}: expected a mapping, "
                           f"got {type(value).__name__}")
     fields = dataclasses.fields(cls)
-    _reject_unknown(value, [_key(f) for f in fields], path)
+    _reject_unknown(value, [f.name for f in fields], path)
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for f in fields:
-        key = _key(f)
-        sub = f"{path}.{key}" if path else key
-        if key in value:
+        sub = f"{path}.{f.name}" if path else f.name
+        if f.name in value:
             if default is not None:
                 base = getattr(default, f.name)
             else:
                 base = (None if f.default_factory is dataclasses.MISSING
                         else f.default_factory())
-            kwargs[f.name] = _load(hints[f.name], value[key], sub, base)
+            kwargs[f.name] = _load(hints[f.name], value[f.name], sub, base)
         elif default is None and f.default is f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{sub}: required")
     try:
@@ -329,7 +322,3 @@ def tf_from_config(cfg) -> ContinuousTF:
 
 def plant_params_from_config(d) -> PlantFitParams:
     return from_config(PlantFitParams, d)
-
-
-def plant_params_to_config(p: PlantFitParams) -> dict:
-    return to_config(p)

@@ -24,7 +24,6 @@ from .dataio import (
     ConfigError,
     from_config,
     load_json,
-    plant_params_to_config,
     read_csv,
     to_config,
     write_biquad_csv,
@@ -43,7 +42,7 @@ from .lti import (
     tf_eval,
     tf_series,
 )
-from .plant import CONTROL_RATE_HZ, PLANT_RATE_HZ, LinearAxisPlant
+from .plant import CONTROL_RATE_HZ, LinearAxisPlant, check_plant_peak
 from .sim import (
     CHECK_SUITE_NEEDS,
     SIMLOG_HEADER,
@@ -63,8 +62,6 @@ __all__ = [
     "design_pipeline",
     "compare_runs",
     "builtin_scenarios",
-    "scenario_from_config",
-    "scenario_to_config",
     "EXIT_OK",
     "EXIT_CHECK_FAILED",
     "EXIT_CONFIG_ERROR",
@@ -137,7 +134,7 @@ def builtin_scenarios() -> dict:
             Event(0.0, "notch", {"enabled": False}),
             Event(10.0, "notch", {"enabled": True}),
         ),
-        rate_cfg=RateLoopConfig(
+        rate_loop=RateLoopConfig(
             kp=(0.054, 0.054, 0.054),
             ki=(0.06, 0.06, 0.06),
             kd=(0.006, 0.006, 0.006),
@@ -155,7 +152,7 @@ def builtin_scenarios() -> dict:
             Event(1.0 + 2.0 * k, "rate_cmd", {"y": 0.3 if k % 2 == 0 else -0.3})
             for k in range(3)
         ),
-        rate_cfg=RateLoopConfig.reference_pitch_design(),
+        rate_loop=RateLoopConfig.reference_pitch_design(),
         check_suite="rate_step",
     )
     transition = Scenario(
@@ -171,18 +168,6 @@ def builtin_scenarios() -> dict:
         check_suite="transition",
     )
     return {s.name: s for s in (notch_ab, rate_step, transition)}
-
-
-# ---------------------------------------------------------------------------
-# scenario (de)serialization
-
-
-def scenario_to_config(sc: Scenario) -> dict:
-    return to_config(sc)
-
-
-def scenario_from_config(cfg: dict) -> Scenario:
-    return from_config(Scenario, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +226,10 @@ def _checks_notch_ab(sc: Scenario, telemetry: np.ndarray, report: RunReport,
         seg = (t >= enable_t - SPECTRUM_WINDOW_S) & (t < enable_t)
         f_dom = metrics.dominant_frequency(w[seg], 1.0 / (t[1] - t[0]))
         report.metrics["divergence_dominant_hz"] = f_dom
-        report.add_check("divergence_frequency", abs(f_dom - 14.0) <= 1.0,
-                         f"dominant oscillation {f_dom:.2f} Hz (14 +/- 1 Hz required)")
+        f_peak = sc.plant_params.peak.freq_hz
+        report.add_check("divergence_frequency", abs(f_dom - f_peak) <= 1.0,
+                         f"dominant oscillation {f_dom:.2f} Hz (plant peak "
+                         f"{f_peak:.2f} +/- 1 Hz required)")
 
     if not _cut_unmeasured(report, sc, enable_t, enable_t + 3.0,
                            "notch_on_convergence"):
@@ -368,7 +355,7 @@ def run_scenario(source, out_dir="out", seed=None) -> RunReport:
     elif str(source) in builtin_scenarios():
         sc = builtin_scenarios()[str(source)]
     else:
-        sc = scenario_from_config(load_json(source))
+        sc = from_config(Scenario, load_json(source))
     if seed is not None:
         sc = replace(sc, seed=int(seed))
 
@@ -436,9 +423,7 @@ class PipelineConfig:
             raise ValueError("cycles_per_window: must be > 0")
         if not self.noise_std >= 0.0:
             raise ValueError("noise_std: must be >= 0")
-        if not self.true_params.peak.freq_hz < 0.5 * PLANT_RATE_HZ:
-            raise ValueError("true_params.peak.freq_hz: must lie below "
-                             f"{0.5 * PLANT_RATE_HZ:g} Hz, half the plant rate")
+        check_plant_peak(self.true_params, "true_params")
         # a bin the fit may trust averages two or more windows
         share = averaged_bin_share(self.chirp.n_samples, self.n_freqs,
                                    self.chirp.f0, self.chirp.f1,
@@ -481,8 +466,7 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     out_dir = Path(out_dir)
     report = RunReport("design_pipeline")
 
-    plant_tf = fitted_plant(cfg.true_params)
-    plant = LinearAxisPlant(plant_tf, prewarp_hz=cfg.true_params.peak.freq_hz)
+    plant = LinearAxisPlant.identified(cfg.true_params)
     sweep = sweep_experiment(plant, cfg.chirp, noise_std=cfg.noise_std,
                              seed=cfg.seed)
     sweep_path = write_csv(
@@ -534,7 +518,7 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     plant_fit_tf = fitted_plant(p)
     fit_report = out_dir / "fit_report.txt"
     fit_lines = ["identified plant parameters:"]
-    for k, v in plant_params_to_config(p).items():
+    for k, v in to_config(p).items():
         fit_lines.append(f"  {k} = {v}")
     fit_lines.append(f"fit cost per bin = {fit.cost_per_bin:.4f}")
     fit_lines.append(f"fit evaluations = {fit.evaluations}")

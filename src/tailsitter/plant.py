@@ -43,7 +43,8 @@ import numpy as np
 
 from . import quat
 from .biquad import discretize_tustin
-from .lti import ContinuousTF, ResonanceParams, butterworth2, tf_series
+from .lti import (ContinuousTF, PlantFitParams, ResonanceParams, butterworth2,
+                  fitted_plant, tf_series)
 
 __all__ = [
     "AircraftParams",
@@ -58,6 +59,7 @@ __all__ = [
     "step_dynamics",
     "hover_state",
     "LinearAxisPlant",
+    "check_plant_peak",
     "RateSensor",
     "rotor_vibration",
     "TailsitterSim",
@@ -87,6 +89,15 @@ ALPHA_STALL = 0.2618
 BLEND_WIDTH = 0.0873
 CD0 = 0.03
 INDUCED_FACTOR = 0.0654
+
+
+def check_plant_peak(p: PlantFitParams, where: str):
+    """Reject a plant whose structural peak ``LinearAxisPlant.identified``
+    could not prewarp: it must lie below half ``PLANT_RATE_HZ``.  ``where``
+    names the parameters' config field in the ValueError."""
+    if not p.peak.freq_hz < 0.5 * PLANT_RATE_HZ:
+        raise ValueError(f"{where}.peak.freq_hz: must lie below "
+                         f"{0.5 * PLANT_RATE_HZ:g} Hz, half the plant rate")
 
 
 class SimNumericsError(RuntimeError):
@@ -499,9 +510,12 @@ class LinearAxisPlant:
     """
 
     def __init__(self, tf: ContinuousTF, prewarp_hz=None):
-        if tf.num_degree > tf.den_degree:
-            raise ValueError("improper transfer function is not realizable")
         self.cascade = discretize_tustin(tf, PLANT_RATE_HZ, prewarp_hz)
+
+    @classmethod
+    def identified(cls, p: PlantFitParams) -> "LinearAxisPlant":
+        """The plant ``fitted_plant(p)``, prewarped at its structural peak."""
+        return cls(fitted_plant(p), prewarp_hz=p.peak.freq_hz)
 
     def step(self, u: float) -> float:
         return self.cascade.process(float(u))
@@ -648,7 +662,7 @@ class TailsitterSim:
 
     def __init__(self, params: AircraftParams, table: AeroTable,
                  flex: FlexibleModeParams | None = None,
-                 delay_s: float = 0.021,
+                 delay_s: float = PlantFitParams.delay_s,
                  sensor_cfg: SensorConfig = SensorConfig(),
                  vibration_cfg: VibrationConfig = VibrationConfig(),
                  seed: int = 0,

@@ -3,8 +3,7 @@ controller against either plant, producing the logged arrays every metric
 is computed from.  The harness writes them to CSV files that parse back to
 the same arrays bit for bit.
 
-The telemetry flags column is the ``plant.FLAG_*`` bitmask, re-exported
-here under the same names.
+The telemetry flags column is the ``plant.FLAG_*`` bitmask.
 """
 
 from __future__ import annotations
@@ -23,17 +22,12 @@ from .control import (
     RateController,
     RateLoopConfig,
 )
-from .lti import PlantFitParams, fitted_plant
+from .lti import PlantFitParams
 from .plant import (
     CONTROL_DT,
     FLAG_AERO_CLAMP,
-    FLAG_FF_AERO_CLAMP,
-    FLAG_FF_CLAMP,
     FLAG_MOTOR_SAT,
-    FLAG_NO_AUTHORITY,
     FLAG_RATE_SAT,
-    FLAG_THRUST_SAT,
-    PLANT_RATE_HZ,
     SUBSTEPS,
     AircraftParams,
     FlexibleModeParams,
@@ -43,6 +37,7 @@ from .plant import (
     TailsitterSim,
     VibrationConfig,
     air_data,
+    check_plant_peak,
     default_aero_table,
     hover_state,
 )
@@ -57,13 +52,6 @@ __all__ = [
     "run_nonlinear",
     "SIMLOG_HEADER",
     "TELEMETRY_HEADER",
-    "FLAG_RATE_SAT",
-    "FLAG_THRUST_SAT",
-    "FLAG_NO_AUTHORITY",
-    "FLAG_MOTOR_SAT",
-    "FLAG_AERO_CLAMP",
-    "FLAG_FF_CLAMP",
-    "FLAG_FF_AERO_CLAMP",
 ]
 
 ABORT_LIMIT = 1e6  # rad/s: a linear-axis run stops past this pitch rate
@@ -139,33 +127,23 @@ class Event:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A deterministic scripted run against one plant mode.
-
-    Six fields load from a config key other than their name, stated once in
-    the field metadata (``rate_cfg`` is ``rate_loop`` and so on).
-    """
+    """A deterministic scripted run against one plant mode."""
 
     name: str
     mode: str = "nonlinear"  # or "linear-axis"
     duration_s: float = 20.0
     seed: int = 0
     events: tuple[Event, ...] = ()
-    rate_cfg: RateLoopConfig = field(
-        default_factory=RateLoopConfig.reference_pitch_design,
-        metadata={"key": "rate_loop"})
-    attitude_cfg: AttitudeLoopConfig = field(
-        default_factory=AttitudeLoopConfig, metadata={"key": "attitude_loop"})
-    altitude_cfg: AltitudeLoopConfig = field(
-        default_factory=AltitudeLoopConfig, metadata={"key": "altitude_loop"})
-    params: AircraftParams = field(default_factory=AircraftParams,
-                                   metadata={"key": "aircraft"})
+    rate_loop: RateLoopConfig = field(
+        default_factory=RateLoopConfig.reference_pitch_design)
+    attitude_loop: AttitudeLoopConfig = field(default_factory=AttitudeLoopConfig)
+    altitude_loop: AltitudeLoopConfig = field(default_factory=AltitudeLoopConfig)
+    aircraft: AircraftParams = field(default_factory=AircraftParams)
     plant_params: PlantFitParams = field(default_factory=PlantFitParams.reference)
     flex_enabled: bool = True
     delay_enabled: bool = True
-    sensor_cfg: SensorConfig = field(default_factory=SensorConfig,
-                                     metadata={"key": "sensor"})
-    vibration_cfg: VibrationConfig = field(default_factory=VibrationConfig,
-                                           metadata={"key": "vibration"})
+    sensor: SensorConfig = field(default_factory=SensorConfig)
+    vibration: VibrationConfig = field(default_factory=VibrationConfig)
     meas_noise_std: float = 0.0  # linear-axis measurement noise
     initial_altitude_m: float = 50.0
     initial_pitch_rate: float = 0.0
@@ -179,9 +157,7 @@ class Scenario:
             raise ValueError("duration_s: must be positive")
         if not self.meas_noise_std >= 0.0:
             raise ValueError("meas_noise_std: must be >= 0")
-        if not self.plant_params.peak.freq_hz < 0.5 * PLANT_RATE_HZ:
-            raise ValueError("plant_params.peak.freq_hz: must lie below "
-                             f"{0.5 * PLANT_RATE_HZ:g} Hz, half the plant rate")
+        check_plant_peak(self.plant_params, "plant_params")
         ts = [e.t for e in self.events]
         if ts != sorted(ts):
             raise ValueError("events: must be time-ordered")
@@ -190,7 +166,7 @@ class Scenario:
             if self.mode not in EVENT_KINDS[e.kind][0]:
                 raise ValueError(f"{where} is not valid in {self.mode} mode")
             if (e.kind == "notch" and e.args["enabled"]
-                    and self.rate_cfg.notches[1] is None):
+                    and self.rate_loop.notches[1] is None):
                 raise ValueError(f"{where} enables a pitch notch that "
                                  "rate_loop.notches does not configure")
         if self.check_suite is not None:
@@ -240,9 +216,8 @@ def run_linear_axis(sc: Scenario) -> SimLog:
     decimated measurement.  Divergence beyond ``ABORT_LIMIT`` rad/s stops
     the run and records the departure time instead of raising.
     """
-    plant = LinearAxisPlant(fitted_plant(sc.plant_params),
-                            prewarp_hz=sc.plant_params.peak.freq_hz)
-    ctrl = RateController(sc.rate_cfg)
+    plant = LinearAxisPlant.identified(sc.plant_params)
+    ctrl = RateController(sc.rate_loop)
     rng = np.random.default_rng(sc.seed)
     n = int(round(sc.duration_s / CONTROL_DT))
     events = list(sc.events)
@@ -285,14 +260,14 @@ def _build_sim(sc: Scenario) -> TailsitterSim:
     else:
         table = default_aero_table()
     return TailsitterSim(
-        sc.params,
+        sc.aircraft,
         table,
         flex=flex,
         delay_s=sc.plant_params.delay_s if sc.delay_enabled else 0.0,
-        sensor_cfg=sc.sensor_cfg,
-        vibration_cfg=sc.vibration_cfg,
+        sensor_cfg=sc.sensor,
+        vibration_cfg=sc.vibration,
         seed=sc.seed,
-        state=hover_state(sc.params, sc.initial_altitude_m),
+        state=hover_state(sc.aircraft, sc.initial_altitude_m),
     )
 
 
@@ -303,9 +278,9 @@ def run_nonlinear(sc: Scenario) -> SimLog:
     is its quaternion normalized once per tick, and both logs record it.
     """
     sim = _build_sim(sc)
-    rate_ctrl = RateController(sc.rate_cfg)
-    att_ctrl = AttitudeController(sc.attitude_cfg)
-    alt_ctrl = AltitudeController(sc.altitude_cfg, sc.params, sim.table)
+    rate_ctrl = RateController(sc.rate_loop)
+    att_ctrl = AttitudeController(sc.attitude_loop)
+    alt_ctrl = AltitudeController(sc.altitude_loop, sc.aircraft, sim.table)
 
     hover_pitch = 0.5 * math.pi
     q_cmd = quat.euler_zxy_to_quat(quat.EulerZXY(0.0, hover_pitch, 0.0))

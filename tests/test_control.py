@@ -114,10 +114,11 @@ class TestRateController:
             c.step(np.array([np.nan, 0, 0]), np.zeros(3))
 
     def test_sample_rate_pinned(self):
-        from tailsitter.harness import scenario_from_config
+        from tailsitter.dataio import from_config
+        from tailsitter.sim import Scenario
 
         with pytest.raises(ValueError):
-            scenario_from_config({"name": "x", "rate_loop": {"sample_hz": 500.0}})
+            from_config(Scenario, {"name": "x", "rate_loop": {"sample_hz": 500.0}})
 
     def test_notch_toggle_requires_configuration(self):
         c = RateController(RateLoopConfig(notches=(None, None, None)))

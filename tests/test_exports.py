@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -17,6 +18,28 @@ def test_all_names_are_bound():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_all_names_are_defined_in_their_module():
+    # each public name has one home: a module's __all__ lists only what the
+    # module itself defines (def, class or assignment), so a re-export
+    # cannot come back, and the package root imports nothing
+    package = Path(tailsitter.__file__).parent
+    root = ast.parse((package / "__init__.py").read_text())
+    assert not [n for n in ast.walk(root) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    for m in pkgutil.iter_modules(tailsitter.__path__):
+        tree = ast.parse((package / f"{m.name}.py").read_text())
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.add(node.target.id)
+        module = importlib.import_module(f"tailsitter.{m.name}")
+        exported = set(getattr(module, "__all__", ()))
+        assert exported <= defined, f"{m.name} re-exports {sorted(exported - defined)}"
 
 
 def test_benchmark_patch_targets_resolve(monkeypatch):

@@ -35,8 +35,6 @@ from tailsitter.harness import (
     builtin_scenarios,
     compare_runs,
     run_scenario,
-    scenario_from_config,
-    scenario_to_config,
 )
 from tailsitter.lti import PlantFitParams, ResonanceParams
 from tailsitter.plant import (AircraftParams, SensorConfig, VibrationConfig,
@@ -57,7 +55,7 @@ def short_ab_scenario(name="ab_short", enabled_at=6.0, duration=9.0, seed=1,
             Event(0.0, "notch", {"enabled": False}),
             Event(enabled_at, "notch", {"enabled": True}),
         ),
-        rate_cfg=RateLoopConfig(
+        rate_loop=RateLoopConfig(
             kp=(0.054,) * 3, ki=(0.06,) * 3, kd=(0.006,) * 3,
             notches=(None, default_notch_config(), None)),
         initial_pitch_rate=0.01,
@@ -72,6 +70,23 @@ class TestRunScenario:
         assert report.passed
         assert (tmp_path / "hover_notch_ab_telemetry.csv").exists()
         assert (tmp_path / "hover_notch_ab_report.txt").exists()
+
+    @pytest.mark.parametrize("peak_hz, detail", [
+        (None, "dominant oscillation 13.50 Hz (plant peak 14.01 +/- 1 Hz required)"),
+        # the plant's mode and the notch both moved to 12 Hz: the notch-off
+        # oscillation follows them, and the check centres on the plant peak
+        (12.0, "dominant oscillation 11.83 Hz (plant peak 12.00 +/- 1 Hz required)"),
+    ], ids=["stock", "peak_12hz"])
+    def test_divergence_frequency_centres_on_plant_peak(self, tmp_path, peak_hz,
+                                                        detail):
+        cfg = to_config(builtin_scenarios()["hover_notch_ab"])
+        if peak_hz is not None:
+            cfg["plant_params"]["peak"]["freq_hz"] = peak_hz
+            cfg["rate_loop"]["notches"][1]["center_hz"] = peak_hz
+        report = run_scenario(from_config(Scenario, cfg), tmp_path)
+        checks = {name: (ok, text) for name, ok, text in report.checks}
+        assert checks["divergence_frequency"] == (True, detail)
+        assert report.passed
 
     @pytest.mark.parametrize("source", ["hover_notch_ab", "rate_step", "transition",
                                         "first_tick_divergence"])
@@ -135,9 +150,9 @@ class TestRunScenario:
     def dead_rate_loop(tmp_path):
         """The builtin rate_step with kp, ki and kd all 0: w_meas stays at 0."""
         sc = builtin_scenarios()["rate_step"]
-        off = dataclasses.replace(sc.rate_cfg, kp=(0.0,) * 3, ki=(0.0,) * 3,
+        off = dataclasses.replace(sc.rate_loop, kp=(0.0,) * 3, ki=(0.0,) * 3,
                                   kd=(0.0,) * 3)
-        report = run_scenario(dataclasses.replace(sc, rate_cfg=off), tmp_path)
+        report = run_scenario(dataclasses.replace(sc, rate_loop=off), tmp_path)
         return report, {name: (ok, detail) for name, ok, detail in report.checks}
 
     def test_rate_loop_that_never_responds_fails_rise(self, tmp_path):
@@ -178,7 +193,7 @@ class TestRunScenario:
     ])
     def test_window_outside_the_log_is_not_measured(self, tmp_path, capsys,
                                                     name, events, cut):
-        cfg = scenario_to_config(builtin_scenarios()[name])
+        cfg = to_config(builtin_scenarios()[name])
         cfg["events"] = events
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
@@ -473,14 +488,14 @@ class TestCompareRuns:
         diverging = Scenario(
             name="div", mode="linear-axis", duration_s=6.0, seed=1,
             events=(Event(0.0, "notch", {"enabled": False}),),
-            rate_cfg=RateLoopConfig(
+            rate_loop=RateLoopConfig(
                 kp=(0.054,) * 3, ki=(0.06,) * 3, kd=(0.006,) * 3,
                 notches=(None, default_notch_config(), None)),
             initial_pitch_rate=0.01,
         )
         stable = Scenario(
             name="stab", mode="linear-axis", duration_s=6.0, seed=1,
-            rate_cfg=diverging.rate_cfg,
+            rate_loop=diverging.rate_loop,
             initial_pitch_rate=0.01,
         )
         ra = run_scenario(diverging, tmp_path / "a")
@@ -550,16 +565,16 @@ def every_field_scenario():
                 Event(1.0, "pitch_ramp", {"pitch_to": 1.2, "duration": 0.5}),
                 Event(2.0, "attitude", {"roll": 0.1, "pitch": 1.5, "yaw": -0.1}),
                 Event(2.5, "notch", {"enabled": False})),
-        rate_cfg=RateLoopConfig(
+        rate_loop=RateLoopConfig(
             kp=(0.08, 0.09, 0.07), ki=(0.11, 0.1, 0.12), kd=(0.01, 0.011, 0.012),
             deriv_corner_hz=17.0,
             notches=(None, NotchConfig(13.5, 0.2, 0.02), None),
             integrator_limit=0.8, output_limit=0.9),
-        attitude_cfg=AttitudeLoopConfig((3.0, 4.5, 2.5)),
-        altitude_cfg=AltitudeLoopConfig(
+        attitude_loop=AttitudeLoopConfig((3.0, 4.5, 2.5)),
+        altitude_loop=AltitudeLoopConfig(
             alt_gain=0.9, ff_gain=0.8, kp_vz=0.2, ki_vz=0.04, v_z_limit=2.5,
             min_vertical_authority=0.1),
-        params=AircraftParams(
+        aircraft=AircraftParams(
             mass=1.3, gravity=9.80665,
             inertia=[[0.03, 0.001, 0.0], [0.001, 0.008, 0.0002],
                      [0.0, 0.0002, 0.036]],
@@ -574,9 +589,9 @@ def every_field_scenario():
             peak=ResonanceParams(14.5, 0.22, 0.031),
             anti=ResonanceParams(27.5, 0.021, 0.23), delay_s=0.02),
         flex_enabled=False, delay_enabled=False,
-        sensor_cfg=SensorConfig(gyro_noise_std=0.004, corner_hz=90.0),
-        vibration_cfg=VibrationConfig(amplitude=0.01, f_lo=76.0, f_hi=89.0,
-                                      n_tones=4, seed=2),
+        sensor=SensorConfig(gyro_noise_std=0.004, corner_hz=90.0),
+        vibration=VibrationConfig(amplitude=0.01, f_lo=76.0, f_hi=89.0,
+                                  n_tones=4, seed=2),
         meas_noise_std=0.001, initial_altitude_m=40.0, initial_pitch_rate=0.02,
         aero_table_path="table.csv", check_suite="transition",
     )
@@ -720,8 +735,8 @@ class TestScenarioSerialization:
     def test_round_trip_preserves_behavior(self, tmp_path):
         sc = short_ab_scenario(duration=4.0)
         a = run_linear_axis(sc)
-        for cfg in (scenario_to_config(sc), PARENT_FORMAT_AB_SHORT):
-            sc2 = scenario_from_config(json.loads(json.dumps(cfg)))
+        for cfg in (to_config(sc), PARENT_FORMAT_AB_SHORT):
+            sc2 = from_config(Scenario, json.loads(json.dumps(cfg)))
             b = run_linear_axis(sc2)
             np.testing.assert_array_equal(a.telemetry, b.telemetry)
         # every field, nested ones included, survives config -> JSON -> config
@@ -729,22 +744,27 @@ class TestScenarioSerialization:
                          (PipelineConfig, every_field_pipeline())):
             loaded = from_config(cls, json.loads(json.dumps(to_config(obj))))
             assert_same_fields(obj, loaded, cls.__name__)
-        sc = scenario_from_config(json.loads(json.dumps(
-            scenario_to_config(every_field_scenario()))))
-        assert sc.params.gravity == 9.80665
-        assert sc.params.inertia[0, 1] == 0.001
-        assert sc.altitude_cfg.min_vertical_authority == 0.1
+        sc = from_config(Scenario, json.loads(json.dumps(
+            to_config(every_field_scenario()))))
+        assert sc.aircraft.gravity == 9.80665
+        assert sc.aircraft.inertia[0, 1] == 0.001
+        assert sc.altitude_loop.min_vertical_authority == 0.1
+
+    def test_config_keys_are_field_names(self):
+        keys = [f.name for f in dataclasses.fields(Scenario)]
+        for sc in (*builtin_scenarios().values(), every_field_scenario()):
+            assert list(to_config(sc)) == keys
 
     def test_bad_event_kind_rejected(self):
         for cfg, path in BAD_SCENARIOS:
             with pytest.raises(ConfigError) as exc:
-                scenario_from_config(cfg)
+                from_config(Scenario, cfg)
             assert str(exc.value).startswith(path + ":"), (cfg, str(exc.value))
 
     def test_partial_section_keeps_defaults(self):
-        sc = scenario_from_config({"name": "x", "rate_loop": {"kp": [0.1, 0.1, 0.1]}})
-        assert sc.rate_cfg.kp == (0.1, 0.1, 0.1)
-        assert sc.rate_cfg.notches == RateLoopConfig.reference_pitch_design().notches
+        sc = from_config(Scenario, {"name": "x", "rate_loop": {"kp": [0.1, 0.1, 0.1]}})
+        assert sc.rate_loop.kp == (0.1, 0.1, 0.1)
+        assert sc.rate_loop.notches == RateLoopConfig.reference_pitch_design().notches
         p = from_config(PipelineConfig, {"true_params": {"peak": {"freq_hz": 15.0}}})
         ref = PlantFitParams.reference()
         assert p.true_params.peak == ResonanceParams(15.0, ref.peak.num_damp,
@@ -752,16 +772,16 @@ class TestScenarioSerialization:
         assert p.true_params.anti == ref.anti
 
     def test_aircraft_overrides(self):
-        sc = scenario_from_config({
+        sc = from_config(Scenario, {
             "name": "heavy", "mode": "nonlinear", "duration_s": 1.0,
             "aircraft": {"mass": 2.0, "hover_command": 0.6,
                          "thrust_coeff": 2.0 * 9.81 / 0.6},
         })
-        assert sc.params.mass == 2.0
+        assert sc.aircraft.mass == 2.0
         # hover identity still holds for the overridden airframe
-        assert sc.params.thrust_coeff * sc.params.hover_command == pytest.approx(
-            sc.params.mass * sc.params.gravity, rel=1e-12)
-        cfg = scenario_to_config(sc)
+        assert sc.aircraft.thrust_coeff * sc.aircraft.hover_command == pytest.approx(
+            sc.aircraft.mass * sc.aircraft.gravity, rel=1e-12)
+        cfg = to_config(sc)
         assert cfg["aircraft"]["mass"] == 2.0
 
     def test_aero_table_path(self, tmp_path):
@@ -771,7 +791,7 @@ class TestScenarioSerialization:
 
         table_path = tmp_path / "table.csv"
         save_aero_table(table_path, default_aero_table())
-        sc = scenario_from_config({
+        sc = from_config(Scenario, {
             "name": "tbl", "mode": "nonlinear", "duration_s": 0.5,
             "aero_table_path": str(table_path),
         })
@@ -1004,7 +1024,7 @@ class TestPipeline:
 
 class TestSaturationHonesty:
     def test_aggressive_altitude_step_logs_saturation(self, tmp_path):
-        from tailsitter.sim import FLAG_THRUST_SAT
+        from tailsitter.plant import FLAG_THRUST_SAT
 
         sc = Scenario(
             name="alt_step", mode="nonlinear", duration_s=4.0, seed=2,
@@ -1020,9 +1040,9 @@ class TestSaturationHonesty:
         assert sim_header[-1] == "sat_flag"
 
     def test_aero_and_feedforward_clamp_bits(self, tmp_path):
-        from tailsitter.plant import AeroTable, default_aero_table
-        from tailsitter.sim import (FLAG_AERO_CLAMP, FLAG_FF_AERO_CLAMP, FLAG_FF_CLAMP,
-                                    run_nonlinear)
+        from tailsitter.plant import (FLAG_AERO_CLAMP, FLAG_FF_AERO_CLAMP, FLAG_FF_CLAMP,
+                                      AeroTable, default_aero_table)
+        from tailsitter.sim import run_nonlinear
 
         def flags(sc):
             return run_nonlinear(sc).telemetry[:, -1].astype(int)
@@ -1042,7 +1062,7 @@ class TestSaturationHonesty:
         # a steep climb command asks the feedforward for more than full thrust
         climb = dataclasses.replace(
             base, events=(Event(0.0, "altitude", {"alt": 60.0}),),
-            altitude_cfg=AltitudeLoopConfig(ff_gain=10.0))
+            altitude_loop=AltitudeLoopConfig(ff_gain=10.0))
         assert np.any(flags(climb) & FLAG_FF_CLAMP)
 
 

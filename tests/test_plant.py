@@ -12,6 +12,8 @@ from tailsitter.harness import builtin_scenarios
 from tailsitter.lti import PlantFitParams, butterworth2, fitted_plant, tf_eval
 from tailsitter.biquad import discretize_tustin
 from tailsitter.plant import (
+    FLAG_AERO_CLAMP,
+    FLAG_FF_CLAMP,
     AeroTable,
     AircraftParams,
     RateSensor,
@@ -29,7 +31,7 @@ from tailsitter.plant import (
     rotor_vibration,
     step_dynamics,
 )
-from tailsitter.sim import FLAG_AERO_CLAMP, FLAG_FF_CLAMP, run_nonlinear
+from tailsitter.sim import run_nonlinear
 
 
 @pytest.fixture(scope="module")
@@ -477,7 +479,7 @@ class TestVibration:
         logs = {}
         for amp in (0.0, 0.1):
             sc = Scenario(name="vib", mode="nonlinear", duration_s=3.0,
-                          seed=4, vibration_cfg=VibrationConfig(amplitude=amp))
+                          seed=4, vibration=VibrationConfig(amplitude=amp))
             logs[amp] = run_nonlinear(sc)
 
         def band_power(log):

@@ -534,7 +534,7 @@ class TestSweepExperiment:
                 assert m.phase_margin_deg > 15.0
             sc = Scenario(
                 name="grid", mode="linear-axis", duration_s=8.0, seed=3,
-                rate_cfg=RateLoopConfig(
+                rate_loop=RateLoopConfig(
                     kp=(0.09 * gamma,) * 3, ki=(0.1 * gamma,) * 3,
                     kd=(0.01 * gamma,) * 3,
                     notches=(None, notch_cfg, None)),
