@@ -403,7 +403,6 @@ class PipelineConfig:
     true_params: PlantFitParams = field(default_factory=PlantFitParams.reference)
     n_freqs: int = 64
     cycles_per_window: float = 60.0
-    correct_hold: bool = True
     noise_std: float = 0.0
     seed: int = 3
     kp: float = _PITCH_DESIGN.kp[1]
@@ -481,7 +480,7 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
         sweep.total_input, sweep.measured, cfg.n_freqs,
         cfg.chirp.f0, cfg.chirp.f1,
         cycles_per_window=cfg.cycles_per_window,
-        correct_hold=cfg.correct_hold,
+        correct_hold=True,
     )
     report.artifacts.append(str(write_frf_csv(out_dir / "frf.csv", frf)))
     trusted = float(np.mean(frf.trusted))
@@ -500,8 +499,7 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     report.metrics["fit_evaluations"] = fit.evaluations
     if not fit.converged:
         report.add_check("fit_converged", False,
-                         f"fit stalled at cost/bin {fit.cost_per_bin:.2f}; "
-                         "stage-1 parameters reported")
+                         f"fit stalled at cost/bin {fit.cost_per_bin:.2f}")
         report.write(out_dir)
         return report
     p = fit.params

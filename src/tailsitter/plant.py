@@ -663,8 +663,8 @@ class TailsitterSim:
     def __init__(self, params: AircraftParams, table: AeroTable,
                  flex: FlexibleModeParams | None = None,
                  delay_s: float = PlantFitParams.delay_s,
-                 sensor_cfg: SensorConfig = SensorConfig(),
-                 vibration_cfg: VibrationConfig = VibrationConfig(),
+                 sensor: SensorConfig = SensorConfig(),
+                 vibration: VibrationConfig = VibrationConfig(),
                  seed: int = 0,
                  state: list[float] | None = None):
         self.params = params
@@ -672,9 +672,9 @@ class TailsitterSim:
         self.x = list(state) if state is not None else hover_state(params)
         self.t = 0.0
         self.dt = 1.0 / PLANT_RATE_HZ
-        self.sensor = RateSensor(sensor_cfg, seed)
-        self.vibration_cfg = vibration_cfg
-        self._vibrating = vibration_cfg.amplitude > 0.0
+        self.sensor = RateSensor(sensor, seed)
+        self.vibration = vibration
+        self._vibrating = vibration.amplitude > 0.0
         self._cmd = (0.0, 0.0, 0.0, float(params.hover_command))
         n_delay = int(round(delay_s * PLANT_RATE_HZ))
         self._delay_buf = [self._cmd] * n_delay
@@ -735,7 +735,7 @@ class TailsitterSim:
 
         wx, wy, wz = x[10], x[11], x[12]
         if self._vibrating:
-            vib = rotor_vibration(self.t, self.vibration_cfg).tolist()
+            vib = rotor_vibration(self.t, self.vibration).tolist()
             wx, wy, wz = wx + vib[0], wy + vib[1], wz + vib[2]
         self.last_measurement = self.sensor.process(wx, wy, wz)
 

@@ -264,8 +264,8 @@ def _build_sim(sc: Scenario) -> TailsitterSim:
         table,
         flex=flex,
         delay_s=sc.plant_params.delay_s if sc.delay_enabled else 0.0,
-        sensor_cfg=sc.sensor,
-        vibration_cfg=sc.vibration,
+        sensor=sc.sensor,
+        vibration=sc.vibration,
         seed=sc.seed,
         state=hover_state(sc.aircraft, sc.initial_altitude_m),
     )

@@ -21,9 +21,12 @@ the data side precomputed, evaluates the plant structure of
 as a composed transfer function, and returns the weighted residual rows.
 It takes a stack of parameter vectors, so the independent restarts run in
 lockstep and one numpy pass costs the Jacobians or trial steps all of them
-need next.  The solver works on an ordered parameter vector, in which the
-peak amplifies, the anti-resonance sits above the peak and attenuates, and
-the delay stays below 0.1 s for any value of the vector.
+need next.  The fit has one parameter vector, the ordered vector: stage 1
+writes it, the solver moves it, and one decode, ``_positive``, turns it into
+the 11 positive parameters for the objective and for the fitted
+``PlantFitParams``.  For any value of the vector the peak amplifies, the
+anti-resonance sits above the peak and attenuates, and the delay stays below
+0.1 s.
 """
 
 from __future__ import annotations
@@ -266,19 +269,25 @@ class FitResult:
     cost: float
     cost_per_bin: float
     converged: bool
-    stage1: PlantFitParams
     restart_costs: tuple
     evaluations: int  # points evaluated, summed over the restarts
 
 
-def _stage1_initial(frf: FRFEstimate) -> PlantFitParams:
-    """Heuristic initialization from the raw FRF.
+# entries of the ordered vector that hold the log of a gap above another
+# entry, and those entries
+_ABOVE, _BELOW = [5, 7, 9], [6, 4, 8]
+
+
+def _stage1_initial(frf: FRFEstimate) -> np.ndarray:
+    """Heuristic initialization from the raw FRF, as an ordered vector.
 
     Resonances come from coherence-weighted extrema of the detrended
     magnitude, the delay from the high-frequency phase slope, and the
     low-frequency gain from the |H * jw| plateau.  A bin whose magnitude
     has no finite log (a zero response) is filled by interpolation over the
-    finite bins, so it cannot sink the smoothed baseline.
+    finite bins, so it cannot sink the smoothed baseline.  A gap of the
+    ordered vector below 1e-3, such as that of a delay clamped to 0.1 s,
+    starts at 1e-3.
     """
     f = frf.freqs
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -322,89 +331,52 @@ def _stage1_initial(frf: FRFEstimate) -> PlantFitParams:
 
     peak_gain_db = float(resid[peak_idx])
     depth = 10.0 ** (max(peak_gain_db, 3.0) / 20.0)
-    return PlantFitParams(
-        lf_corner_hz=KNOWN_LF_CORNER_HZ,
-        main_num=(gain, gain / 70.0, gain / 19000.0),
-        main_pole_tc=0.06,
-        peak=ResonanceParams(f_peak, 0.2, 0.2 / depth),
-        anti=ResonanceParams(f_anti, 0.02, 0.2),
-        delay_s=delay,
-    )
+    # the logs of the features in the order of _positive, then the gaps
+    z = np.array([math.log(v) for v in (
+        gain, gain / 70.0, gain / 19000.0, 0.06,
+        f_peak, 0.2, 0.2 / depth,
+        f_anti, 0.02, 0.2,
+        delay)])
+    gap = np.append(z[_ABOVE] - z[_BELOW], math.log(0.1) - z[10])
+    z[_ABOVE + [10]] = np.log(np.maximum(gap, 1e-3))
+    return z
 
 
-def _params_to_vector(p: PlantFitParams):
-    return np.array([
-        math.log(p.main_num[0]),
-        math.log(p.main_num[1]),
-        math.log(p.main_num[2]),
-        math.log(p.main_pole_tc),
-        math.log(p.peak.freq_hz),
-        math.log(p.peak.num_damp),
-        math.log(p.peak.den_damp),
-        math.log(p.anti.freq_hz),
-        math.log(p.anti.num_damp),
-        math.log(p.anti.den_damp),
-        math.log(max(p.delay_s, 1e-5)),
-    ])
+def _positive(z):
+    """The 11 positive parameters of the rows of the ordered stack z: the
+    main numerator n0, n1, n2, the main pole time constant, the peak's
+    frequency, numerator and denominator damping, the anti-resonance's
+    three, and the delay.
 
-
-def _vector_to_params(x) -> PlantFitParams:
-    e = np.exp(np.clip(x, -40.0, 40.0))
-    return PlantFitParams(
-        lf_corner_hz=KNOWN_LF_CORNER_HZ,
-        main_num=(float(e[0]), float(e[1]), float(e[2])),
-        main_pole_tc=float(e[3]),
-        peak=ResonanceParams(float(e[4]), float(e[5]), float(e[6])),
-        anti=ResonanceParams(float(e[7]), float(e[8]), float(e[9])),
-        delay_s=float(min(e[10], 0.1)),
-    )
-
-
-# entries of the log vector that the ordered vector holds as a gap above
-# another entry, and those entries
-_ABOVE, _BELOW = [5, 7, 9], [6, 4, 8]
-
-
-def _ordered_to_log(z):
-    """The log-parameter vectors of the rows of the ordered stack z.
-
-    The ordered vector is the log vector with four entries replaced by the
+    Each entry of z is the log of its parameter, except four that hold the
     log of a positive gap: the peak's numerator damping sits e^z5 above its
     denominator damping (the peak amplifies), the anti-resonance e^z7 above
     the peak in log frequency, its denominator damping e^z9 above its
     numerator damping (it attenuates), and the log delay e^z10 below
     log 0.1 s.  The gaps are clipped to [e^-20, e^3] and the entries below
-    them to [-19, 19], so every entry written stays finite and inside the
-    objective's +-40 clip, and each pair stays strictly ordered for any z.
+    them to [-19, 19], so every log written stays finite and inside the
+    +-40 clip of the exponent, and each pair stays strictly ordered for any
+    z.
     """
     x = np.array(z, dtype=float)
     gap = np.exp(np.clip(x[..., _ABOVE + [10]], -20.0, 3.0))
     x[..., _BELOW] = np.clip(x[..., _BELOW], -19.0, 19.0)
     x[..., _ABOVE] = x[..., _BELOW] + gap[..., :3]
     x[..., 10] = math.log(0.1) - gap[..., 3]
-    return x
-
-
-def _log_to_ordered(x):
-    """The ordered vector of the log-parameter vector x.  A gap below 1e-3,
-    such as that of the stage-1 delay clamped to 0.1 s, starts at 1e-3."""
-    gap = np.append(x[_ABOVE] - x[_BELOW], math.log(0.1) - x[10])
-    z = x.copy()
-    z[_ABOVE + [10]] = np.log(np.maximum(gap, 1e-3))
-    return z
+    return np.exp(np.clip(x, -40.0, 40.0))
 
 
 class _FitObjective:
-    """The weighted fit residual of one FRF as a function of the
-    log-parameter vector.
+    """The weighted fit residual of one FRF as a function of the ordered
+    parameter vector.
 
     Everything that depends only on the data is computed once: the
     coherence weights, the data's log-magnitude and unwrapped phase, s and
     s^2 on the grid, and the fixed measurement-filter response.  Each call
-    then evaluates the factors of ``fitted_plant`` on the grid and
-    multiplies them, with the same clip and delay clamp as
-    ``_vector_to_params``; no transfer function is built.  The model's phase
-    follows the delay-phase convention of ``lti._unwrap_phase_deg``.
+    decodes the vectors with ``_positive``, evaluates the factors of
+    ``fitted_plant`` on the grid and multiplies them; no transfer function
+    is built.  The model's phase follows the delay-phase convention of
+    ``lti._unwrap_phase_deg``.
     """
 
     def __init__(self, frf: FRFEstimate):
@@ -423,11 +395,11 @@ class _FitObjective:
         self.lf = tf_eval(butterworth2(KNOWN_LF_CORNER_HZ), f)
         self.f = f
 
-    def rational_response(self, x):
+    def rational_response(self, e):
         """(delay-free model responses, delays in s) for the rows of the
-        log-parameter stack x, one row of the grid per row of x."""
-        e = np.exp(np.clip(np.atleast_2d(x), -40.0, 40.0))
-        b0, b1, b2, tc, fp, pn, pd, fa, an, ad, delay = e.T[:, :, np.newaxis]
+        positive-parameter stack e, one row of the grid per row of e."""
+        b0, b1, b2, tc, fp, pn, pd, fa, an, ad, delay = \
+            np.atleast_2d(e).T[:, :, np.newaxis]
         s, s2 = self.s, self.s2
         wp = 2.0 * math.pi * fp
         wa = 2.0 * math.pi * fa
@@ -436,17 +408,22 @@ class _FitObjective:
         h = (self.lf * (b0 + b1 * s + b2 * s2) / (s + tc * s2)
              * (q_p + (pn / wp) * s) / (q_p + (pd / wp) * s)
              * (q_a + (an / wa) * s) / (q_a + (ad / wa) * s))
-        return h, np.minimum(delay[:, 0], 0.1)
+        return h, delay[:, 0]
 
-    def __call__(self, x):
+    def residual(self, e):
         """The residual rows [sqrt(w) dmag_dB, sqrt(w PHASE_WEIGHT) dphase_deg]
-        of the rows of the log-parameter stack x (a 1-D x is a stack of one).
-        A row's sum of squares is its fit cost."""
-        h, delay = self.rational_response(x)
+        of the rows of the positive-parameter stack e.  A row's sum of
+        squares is its fit cost."""
+        h, delay = self.rational_response(e)
         dmag = 20.0 * (np.log10(np.abs(h)) - self.log_mag)
         dph = _unwrap_phase_deg(h, self.f, delay[:, np.newaxis]) - self.phase_deg
         return np.concatenate([self.mag_scale * dmag, self.phase_scale * dph],
                               axis=1)
+
+    def __call__(self, z):
+        """The residual rows of the rows of the ordered stack z (a 1-D z is
+        a stack of one)."""
+        return self.residual(_positive(z))
 
 
 def minimize(fun, x0s):
@@ -507,19 +484,19 @@ def minimize(fun, x0s):
 def fit_plant_model(frf: FRFEstimate, seed: int = 0) -> FitResult:
     """Two-stage fit of the identified-plant structure to an FRF.
 
-    Stage 1 initializes from FRF features; stage 2 runs ``minimize``'s
-    Levenberg-Marquardt on the coherence-weighted [log-magnitude,
-    unwrapped-phase] residual from the stage-1 point and from random
-    restarts around it drawn from ``seed`` (lowest cost wins, ties broken by
-    restart index), all in lockstep.  The solver moves the ordered vector of
-    ``_ordered_to_log``, so every fitted peak amplifies, every fitted
+    Stage 1 writes the ordered vector of FRF features; stage 2 runs
+    ``minimize``'s Levenberg-Marquardt on the coherence-weighted
+    [log-magnitude, unwrapped-phase] residual from the stage-1 point and
+    from random restarts around it drawn from ``seed`` (lowest cost wins,
+    ties broken by restart index), all in lockstep.  ``_positive`` decodes
+    the ordered vector, so every fitted peak amplifies, every fitted
     anti-resonance sits above the peak and attenuates, and the fitted delay
     is below 0.1 s.  The objective (``_FitObjective``) is built once per fit:
     it precomputes the data side and evaluates the model as a product of its
     factors on the FRF grid, for a stack of parameter vectors at once.
-    Requires a ``MIN_TRUSTED_SHARE`` of the bins trusted; a fit that never
-    reaches the convergence threshold is returned flagged, carrying the
-    stage-1 parameters.
+    Requires a ``MIN_TRUSTED_SHARE`` of the bins trusted.  The parameters
+    are those of the best restart; a fit whose cost per bin stays above
+    ``CONVERGENCE_COST_PER_BIN`` is flagged not converged.
     """
     if np.mean(frf.trusted) < MIN_TRUSTED_SHARE:
         raise ValueError(f"fewer than {MIN_TRUSTED_SHARE:.0%} of the FRF bins "
@@ -529,28 +506,28 @@ def fit_plant_model(frf: FRFEstimate, seed: int = 0) -> FitResult:
         i = int(zero[0])
         raise ValueError(f"FRF bin {i} ({frf.freqs[i]:.4g} Hz) is trusted but "
                          "its response is zero")
-    stage1 = _stage1_initial(frf)
-    z0 = _log_to_ordered(_params_to_vector(stage1))
+    z0 = _stage1_initial(frf)
     rng = np.random.default_rng(seed)
-    objective = _FitObjective(frf)
-
     starts = [z0] + [z0 + rng.normal(0.0, 0.2, z0.shape)
                      for _ in range(FIT_RESTARTS - 1)]
-    runs = minimize(lambda z: objective(_ordered_to_log(z)), starts)
+    runs = minimize(_FitObjective(frf), starts)
     costs = [float(cost) for _, cost, _ in runs]
     best = min(range(FIT_RESTARTS), key=costs.__getitem__)
 
-    n_bins = int(np.sum(frf.trusted))
-    cost_per_bin = costs[best] / max(n_bins, 1)
-    converged = cost_per_bin <= CONVERGENCE_COST_PER_BIN
-    params = (_vector_to_params(_ordered_to_log(runs[best][0])) if converged
-              else stage1)
+    cost_per_bin = costs[best] / max(int(np.sum(frf.trusted)), 1)
+    e = _positive(runs[best][0]).tolist()
     return FitResult(
-        params=params,
+        params=PlantFitParams(
+            lf_corner_hz=KNOWN_LF_CORNER_HZ,
+            main_num=tuple(e[0:3]),
+            main_pole_tc=e[3],
+            peak=ResonanceParams(*e[4:7]),
+            anti=ResonanceParams(*e[7:10]),
+            delay_s=e[10],
+        ),
         cost=costs[best],
         cost_per_bin=cost_per_bin,
-        converged=converged,
-        stage1=stage1,
+        converged=cost_per_bin <= CONVERGENCE_COST_PER_BIN,
         restart_costs=tuple(costs),
         evaluations=sum(n for _, _, n in runs),
     )

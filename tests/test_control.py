@@ -354,7 +354,7 @@ class TestFeedforwardConsistency:
 
         cfg = AltitudeLoopConfig()
         sim = TailsitterSim(params, table, flex=None, delay_s=0.0,
-                            sensor_cfg=SensorConfig(gyro_noise_std=0.0),
+                            sensor=SensorConfig(gyro_noise_std=0.0),
                             seed=0)
         att = AttitudeController(AttitudeLoopConfig())
         rate = RateController(RateLoopConfig.reference_pitch_design())

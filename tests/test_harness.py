@@ -602,7 +602,7 @@ def every_field_pipeline():
         chirp=ChirpConfig(2.0, 50.0, 30.0, 0.05),
         true_params=PlantFitParams(delay_s=0.02,
                                    peak=ResonanceParams(14.5, 0.22, 0.031)),
-        n_freqs=40, cycles_per_window=50.0, correct_hold=False, noise_std=0.01,
+        n_freqs=40, cycles_per_window=50.0, noise_std=0.01,
         seed=5, kp=0.08, ki=0.11, kd=0.012, deriv_corner_hz=17.0,
         notch_k1=0.16, notch_k2=0.017, slope_band=(0.5, 12.0))
 
@@ -980,6 +980,23 @@ class TestPipeline:
                 "are coherence-trusted, the fit needs 50%") in text
         assert not (out / "fit_report.txt").exists()
 
+    def test_stalled_fit_fails_fit_converged(self, tmp_path, monkeypatch):
+        # with no cost low enough to converge, the shipped pipeline reports
+        # the fit's cost and evaluations, fails fit_converged and stops
+        # before it writes any parameters
+        monkeypatch.setattr(sysid, "CONVERGENCE_COST_PER_BIN", 0.0)
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", "--out-dir", str(out)]) == EXIT_CHECK_FAILED
+        text = (out / "design_pipeline_report.txt").read_text()
+        assert "  fit_converged = False\n" in text
+        cost = re.search(r"^  fit_cost_per_bin = (\S+)$", text, re.M)
+        assert float(cost.group(1)) > 0.0
+        assert re.search(r"^  fit_evaluations = [1-9]\d*$", text, re.M)
+        assert (f"[FAIL] fit_converged: fit stalled at cost/bin "
+                f"{float(cost.group(1)):.2f}\n") in text
+        assert sorted(p.name for p in out.iterdir()) == [
+            "design_pipeline_report.txt", "frf.csv", "sweep_io.csv"]
+
     @pytest.mark.parametrize("gains", [
         {"kp": 100.0},
         {"kp": 1e-5, "ki": 1e-7, "kd": 0.0},
@@ -1113,6 +1130,7 @@ class TestCli:
             (["pipeline"], {"true_params": {"peak": {"freq_hz": 600.0}}},
              "true_params.peak.freq_hz"),
             (["pipeline"], {"skip_notch": True}, "skip_notch"),
+            (["pipeline"], {"correct_hold": False}, "correct_hold"),
             (["pipeline"], {"chirp": {"sample_hz": 300.0}}, "chirp.sample_hz"),
             (["bode"], {"num": [1.0], "den": [1.0, 0.1], "dealy": 0.02}, "dealy"),
             (["bode"], {"num": [float("nan")], "den": [1.0, 0.1]}, "num"),

@@ -359,7 +359,7 @@ def shipped_notch_free_loop():
     frf = estimate_frf(sw.total_input, sw.measured, cfg.n_freqs,
                        cfg.chirp.f0, cfg.chirp.f1,
                        cycles_per_window=cfg.cycles_per_window,
-                       correct_hold=cfg.correct_hold)
+                       correct_hold=True)
     fit = fit_plant_model(frf, seed=cfg.seed)
     return tf_series(fitted_plant(fit.params),
                      pid_tf(cfg.kp, cfg.ki, cfg.kd, cfg.deriv_corner_hz))

@@ -400,7 +400,7 @@ class TestNonlinearMatchesIdentifiedLowFrequency:
         for f in (1.0, 2.0, 5.0):
             sim = TailsitterSim(params, default_aero_table(), flex=None,
                                 delay_s=0.0,
-                                sensor_cfg=SensorConfig(gyro_noise_std=0.0),
+                                sensor=SensorConfig(gyro_noise_std=0.0),
                                 seed=0)
             amp = 0.002
             rates = []
@@ -583,7 +583,7 @@ class TestKernel:
         x = hover_state(params)
         x[3] = 5.0  # an airspeed, so that the aero lookup runs
         sim = TailsitterSim(params, table, state=x,
-                            vibration_cfg=VibrationConfig(amplitude=0.1))
+                            vibration=VibrationConfig(amplitude=0.1))
         counts = {}
 
         def counted(name, fn):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import oracles
 from oracles import (IDENTITY, axis_angle, conjugate, integrate_rates, negate,
                      quat_multiply, rotation_angle, same_rotation)
 from tailsitter.control import AttitudeController, AttitudeLoopConfig
@@ -12,7 +11,6 @@ from tailsitter.quat import (
     GimbalProximityError,
     attitude_error,
     euler_zxy_to_quat,
-    normalize,
     quat_to_euler_zxy,
     rotation_rows,
 )

@@ -6,15 +6,14 @@ import pytest
 from oracles import chirp_instantaneous_freq, frf_of_tf, integrator_tf
 from tailsitter import sysid
 from tailsitter.harness import PipelineConfig
-from tailsitter.lti import PlantFitParams, fitted_plant, tf_eval
+from tailsitter.lti import PlantFitParams, ResonanceParams, fitted_plant, tf_eval
 from tailsitter.plant import CONTROL_RATE_HZ, FlexibleModeParams, LinearAxisPlant
 from tailsitter.sysid import (
     ChirpConfig,
     FRFEstimate,
     SweepDivergence,
     _FitObjective,
-    _ordered_to_log,
-    _vector_to_params,
+    _positive,
     chirp,
     estimate_frf,
     fit_plant_model,
@@ -43,10 +42,28 @@ def _pipeline_frf(cfg: PipelineConfig):
                         correct_hold=True)
 
 
-def _cost(objective, x):
-    """The fit costs of the rows of x: the sums of squares of the
-    objective's residual rows."""
-    return np.sum(objective(x) ** 2, axis=1)
+def _cost(objective, z):
+    """The fit costs of the rows of the ordered stack z: the sums of squares
+    of the objective's residual rows."""
+    return np.sum(objective(z) ** 2, axis=1)
+
+
+def _log_decode(x):
+    """The positive parameters of the log-parameter vector x, as the fit
+    decoded it before it moved the ordered vector: every entry clipped to
+    +-40 before the exponent, and the delay clamped to 0.1 s."""
+    e = np.exp(np.clip(x, -40.0, 40.0))
+    e[10] = min(e[10], 0.1)
+    return e
+
+
+def _params(e):
+    """The PlantFitParams of the positive-parameter vector e."""
+    e = e.tolist()
+    return PlantFitParams(
+        lf_corner_hz=sysid.KNOWN_LF_CORNER_HZ, main_num=tuple(e[0:3]),
+        main_pole_tc=e[3], peak=ResonanceParams(*e[4:7]),
+        anti=ResonanceParams(*e[7:10]), delay_s=e[10])
 
 
 @pytest.fixture(scope="module")
@@ -281,8 +298,9 @@ class TestFit:
 
 class TestFitObjective:
     # (log-parameter vector, cost) on the shipped pipeline FRF, from the
-    # composed-transfer-function cost the factored objective replaced; the
-    # last two vectors hit the 0.1 s delay clamp and both ends of the clip
+    # composed-transfer-function cost the factored objective replaced, with
+    # the vector decoded by _log_decode; the last two vectors hit its 0.1 s
+    # delay clamp and both ends of its clip
     PINNED_COSTS = (
         ([5.3054, 1.0569, -4.5468, -2.8134, 2.6646, -1.6094, -2.7297,
           3.3145, -3.912, -1.6094, -3.9848], 3298.7210773264605),
@@ -324,11 +342,10 @@ class TestFitObjective:
             return terms.sum(axis=0) / np.abs(
                 np.polynomial.polynomial.polyval(1j * w, coeffs))
 
-        clamped = 0
         for x in xs:
-            (h,), (delay,) = objective.rational_response(x)
-            ref_params = _vector_to_params(x)
-            clamped += delay == 0.1
+            e = _log_decode(x)
+            (h,), (delay,) = objective.rational_response(e)
+            ref_params = _params(e)
             assert delay == ref_params.delay_s
             ref_tf = fitted_plant(ref_params)
             ref = tf_eval(ref_tf, freqs)
@@ -339,13 +356,12 @@ class TestFitObjective:
             tol = np.maximum(1e-12, 1e-15 * (condition(ref_tf.num)
                                              + condition(ref_tf.den)))
             assert np.all(np.abs(got - ref) / np.abs(ref) < tol)
-        assert clamped >= 2
 
     def test_costs_pinned_to_composed_model(self, pipeline_frf):
         objective = _FitObjective(pipeline_frf)
         for x, cost in self.PINNED_COSTS:
-            assert _cost(objective, np.array(x)) == pytest.approx(cost,
-                                                                  rel=1e-12)
+            r = objective.residual(_log_decode(np.array(x)))
+            assert np.sum(r ** 2) == pytest.approx(cost, rel=1e-12)
 
     @pytest.mark.parametrize("noise_std, seed, cost, peak_hz", [
         (0.0, 3, 17.91135665552254, 14.019400315858643),
@@ -377,24 +393,24 @@ class TestFitObjective:
     def test_stacked_rows_match_single_calls(self, pipeline_frf):
         # a row's cost and response do not depend on the stack it is in
         objective = _FitObjective(pipeline_frf)
-        x0 = np.array(self.PINNED_COSTS[0][0])
+        z0 = sysid._stage1_initial(pipeline_frf)
         rng = np.random.default_rng(12)
-        xs = x0 + rng.normal(0.0, 1.0, (60, x0.size))
-        xs[3, 2] = -45.0  # past either end of the clip
-        xs[7, 6] = 41.5
-        xs[11, 10] = math.log(0.5)  # a 0.5 s delay, past the 0.1 s clamp
-        xs[40, 10] = -1.0
+        zs = z0 + rng.normal(0.0, 1.0, (60, z0.size))
+        zs[3, 2] = -45.0  # past the -40 clip of the exponent
+        zs[7, 6] = 41.5  # past the clip of an entry below a gap
+        zs[11, 10] = 25.0  # the delay gap past either end of its clip
+        zs[40, 10] = -30.0
         for k in (1, 2, 5, 12, 60):
-            stack = xs[:k]
+            stack = zs[:k]
             costs = _cost(objective, stack)
-            h, delay = objective.rational_response(stack)
+            h, delay = objective.rational_response(_positive(stack))
             assert costs.shape == delay.shape == (k,)
-            for i, x in enumerate(stack):
+            for i, z in enumerate(stack):
                 assert repr(float(costs[i])) == repr(
-                    float(_cost(objective, x)[0]))
-                h1, delay1 = objective.rational_response(x)
+                    float(_cost(objective, z)[0]))
+                h1, delay1 = objective.rational_response(_positive(z))
                 assert np.array_equal(h[i], h1[0]) and delay[i] == delay1[0]
-        assert np.sum(objective.rational_response(xs)[1] == 0.1) >= 2
+        assert np.all(objective.rational_response(_positive(zs))[1] < 0.1)
 
 
 def _shipped_minimize_call(monkeypatch, frf, seed):
@@ -477,10 +493,11 @@ class TestOrderedFit:
         zs = np.concatenate([rng.normal(0.0, 1.0, (50, 11)),
                              rng.normal(0.0, 1e3, (50, 11)),
                              np.full((1, 11), 1e300), np.full((1, 11), -1e300)])
-        for x in _ordered_to_log(zs):
-            # the entries the map writes stay inside the objective's clip
-            assert np.all(np.isfinite(x)) and np.all(np.abs(x[4:]) < 40.0)
-            p = _vector_to_params(x)
+        for e in _positive(zs):
+            # the logs the decode writes stay inside the clip of its exponent
+            assert np.all(np.isfinite(e)) and np.all(e > 0.0)
+            assert np.all(np.abs(np.log(e[4:])) < 40.0)
+            p = _params(e)
             FlexibleModeParams(p.peak, p.anti)
             assert p.anti.freq_hz > p.peak.freq_hz and p.delay_s < 0.1
 
