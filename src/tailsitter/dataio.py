@@ -33,7 +33,6 @@ __all__ = [
     "write_bode_csv",
     "write_biquad_csv",
     "write_frf_csv",
-    "save_aero_table",
     "load_aero_table",
     "load_json",
     "to_config",
@@ -139,15 +138,6 @@ def write_frf_csv(path, frf):
     rows = np.column_stack([frf.freqs, frf.response.real, frf.response.imag,
                             frf.coherence])
     return write_csv(path, ["freq_hz", "re", "im", "coherence"], rows)
-
-
-def save_aero_table(path, table: AeroTable):
-    """Rectangular grid flattened to `alpha_rad,V_ms,CL,CD` rows."""
-    rows = []
-    for i, a in enumerate(table.alpha_grid):
-        for j, v in enumerate(table.v_grid):
-            rows.append((a, v, table.cl[i, j], table.cd[i, j]))
-    return write_csv(path, ["alpha_rad", "V_ms", "CL", "CD"], rows)
 
 
 def load_aero_table(path) -> AeroTable:

@@ -1,6 +1,6 @@
 """Simulation plant for the quadrotor tail-sitter.
 
-Two interchangeable plants back the closed-loop experiments:
+Two plants back the closed-loop experiments:
 
 * ``TailsitterSim`` - nonlinear rigid body in NED coordinates (z down) with
   table-lookup aerodynamic forces, quadrotor thrust allocation, first-order
@@ -11,25 +11,37 @@ Two interchangeable plants back the closed-loop experiments:
   transfer function (torque command in, measured rate out), used for
   frequency-domain-faithful loop verification.
 
-Both are deterministic under a fixed seed.
+They are not interchangeable.  The structural modes and the delay agree,
+but the pitch axis of ``TailsitterSim``, identified as the pipeline
+identifies ``LinearAxisPlant``, fits a numerator with its zeros near 71 Hz,
+where the reference transfer function has them at 21.7 and 22.3 Hz; those
+zeros give the linear plant about 40 degrees of phase lead at 8 Hz that the
+rigid body lacks (measured in ROADMAP.md).  Both are deterministic under
+a fixed seed.
 
 The 1 kHz substep of ``TailsitterSim`` is a scalar kernel: the vehicle state
 is one flat list of 13 floats (NED position and velocity, the attitude
 quaternion, body rates) and every stage of the substep (delay line, flex
 biquad, torque scaling, mixer headroom scaling, motor lag, the rigid-body
 derivatives, the RK4 combine and renormalization, and the gyro chain) runs
-on plain floats, with no array or state object built per substep.  The
-mixer is 4-motor scalar arithmetic, the motor lag a 4-tuple, and the aero
-lookup clamps by comparison against edges held on the table; each writes
-out the ``min``/``max`` calls it replaced with the same result bit for bit,
-NaN and signed zeros included.  It shares its body-frame math with the
-250 Hz tick of ``sim.run_nonlinear`` and the altitude feedforward:
-``quat.rotation_rows``, ``air_data`` and ``aero_force_ned``.  Each stage
-has one form, under its public name: ``mixer``, ``step_dynamics``,
-``aero_forces`` and ``RateSensor.process`` take and return floats, and
-``TailsitterSim.step`` calls them by those names, so the property tests
-exercise the code the simulator runs.  ``hover_state`` and
-``TailsitterSim.x`` hold the state as the same 13-float list.
+on plain floats.  ``step_dynamics`` unpacks the state once and forms each
+RK4 stage input as ``a + h * b`` on float locals; ``_derivatives`` takes
+the 10 floats it reads (velocity, quaternion, rates) and returns their 10
+derivatives, the position derivative being the stage velocity, so no
+list is built per stage and the new state is the one list per substep.
+The mixer is 4-motor scalar arithmetic, the motor lag a 4-tuple, and the
+aero lookup clamps by comparison against edges held on the table; each
+writes out the ``min``/``max`` calls it replaced with the same result bit
+for bit, NaN and signed zeros included.  ``tests/oracles.py`` keeps the
+list forms of the lookup, the mixer and the RK4 step as references.
+The kernel shares its body-frame math with the 250 Hz tick of
+``sim.run_nonlinear`` and the altitude feedforward: ``quat.rotation_rows``,
+``air_data`` and ``aero_force_ned``.  Each stage has one form, under its
+public name: ``mixer``, ``step_dynamics``, ``aero_forces`` and
+``RateSensor.process`` take and return floats, and ``TailsitterSim.step``
+calls them by those names, so the property tests exercise the code the
+simulator runs.  ``hover_state`` and ``TailsitterSim.x`` hold the state as
+the same 13-float list.
 """
 
 from __future__ import annotations
@@ -71,10 +83,10 @@ SUBSTEPS = round(PLANT_RATE_HZ / CONTROL_RATE_HZ)  # plant steps per control tic
 CONTROL_DT = 1.0 / CONTROL_RATE_HZ
 # Bits of the telemetry flags column: rate-loop saturation, thrust
 # saturation, the no-vertical-authority feedforward fallback, motor-command
-# saturation, an aero query clamped to the table edge in any substep of the
-# tick, feedforward thrust clamped to [0, 1], and the feedforward's own aero
-# query clamped to the table edge.  Bits are append-only: a bit keeps its
-# meaning once assigned.
+# saturation in any substep of the tick, an aero query clamped to the table
+# edge in any substep of the tick, feedforward thrust clamped to [0, 1], and
+# the feedforward's own aero query clamped to the table edge.  Bits are
+# append-only: a bit keeps its meaning once assigned.
 FLAG_RATE_SAT = 1
 FLAG_THRUST_SAT = 2
 FLAG_NO_AUTHORITY = 4
@@ -431,13 +443,15 @@ def _propeller_wrench(u, params: AircraftParams):
             -(y1 * t1 + y2 * t2 + y3 * t3 + y4 * t4))
 
 
-def _derivatives(x, wrench, params: AircraftParams, table: AeroTable):
-    """(d/dt of the flat 13-float state, aero query clamped) at fixed thrust.
+def _derivatives(vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, wrench,
+                 params: AircraftParams, table: AeroTable):
+    """d/dt of the velocity, quaternion and rates at fixed thrust, as 10
+    floats, then whether an aero query clamped: an 11-tuple.
 
-    The state is (p, v, q, omega): NED position and velocity, the attitude
-    quaternion (eta, ex, ey, ez), normalized here, and the body rates.
+    The inputs are the NED velocity, the attitude quaternion (eta, ex, ey,
+    ez), normalized here, and the body rates; the position derivative is the
+    velocity itself, so the caller forms it.
     """
-    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = x
     n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
     qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
     rot = quat.rotation_rows(qw, qx, qy, qz)
@@ -463,34 +477,62 @@ def _derivatives(x, wrench, params: AircraftParams, table: AeroTable):
     my = -(wz * hx - wx * hz) + tau_y + -dy * wy
     mz = -(wx * hy - wy * hx) + tau_z + -dz * wz
     m = params.mass
-    return (vx, vy, vz,
-            fx / m, fy / m, params.gravity + fz / m,
+    return (fx / m, fy / m, params.gravity + fz / m,
             0.5 * (-qx * wx - qy * wy - qz * wz),
             0.5 * (qw * wx + qy * wz - qz * wy),
             0.5 * (qw * wy - qx * wz + qz * wx),
             0.5 * (qw * wz + qx * wy - qy * wx),
             j00 * mx + j01 * my + j02 * mz,
             j10 * mx + j11 * my + j12 * mz,
-            j20 * mx + j21 * my + j22 * mz), clamped
+            j20 * mx + j21 * my + j22 * mz, clamped)
 
 
 def step_dynamics(x, motors, dt, params: AircraftParams, table: AeroTable):
     """One RK4 step of the flat 13-float state with the 4 normalized motor
     commands ``motors`` held: (new state list, any aero query clamped).
 
-    The motor lag, when simulated, lives in TailsitterSim.  Raises
-    SimNumericsError on a non-finite result; the quaternion is renormalized
-    after the step.
+    The state is unpacked once; each stage input is ``a + h * b`` on floats
+    and the position derivative of a stage is its input velocity.  The motor
+    lag, when simulated, lives in TailsitterSim.  Raises SimNumericsError on
+    a non-finite result; the quaternion is renormalized after the step.
     """
     wrench = _propeller_wrench(motors, params)
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = x
     h = 0.5 * dt
-    k1, c1 = _derivatives(x, wrench, params, table)
-    k2, c2 = _derivatives([a + h * b for a, b in zip(x, k1)], wrench, params, table)
-    k3, c3 = _derivatives([a + h * b for a, b in zip(x, k2)], wrench, params, table)
-    k4, c4 = _derivatives([a + dt * b for a, b in zip(x, k3)], wrench, params, table)
+    (ax1, ay1, az1, dqw1, dqx1, dqy1, dqz1, dwx1, dwy1, dwz1,
+     c1) = _derivatives(vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, wrench, params, table)
+    vx2, vy2, vz2 = vx + h * ax1, vy + h * ay1, vz + h * az1
+    (ax2, ay2, az2, dqw2, dqx2, dqy2, dqz2, dwx2, dwy2, dwz2,
+     c2) = _derivatives(vx2, vy2, vz2,
+                        qw + h * dqw1, qx + h * dqx1, qy + h * dqy1, qz + h * dqz1,
+                        wx + h * dwx1, wy + h * dwy1, wz + h * dwz1,
+                        wrench, params, table)
+    vx3, vy3, vz3 = vx + h * ax2, vy + h * ay2, vz + h * az2
+    (ax3, ay3, az3, dqw3, dqx3, dqy3, dqz3, dwx3, dwy3, dwz3,
+     c3) = _derivatives(vx3, vy3, vz3,
+                        qw + h * dqw2, qx + h * dqx2, qy + h * dqy2, qz + h * dqz2,
+                        wx + h * dwx2, wy + h * dwy2, wz + h * dwz2,
+                        wrench, params, table)
+    vx4, vy4, vz4 = vx + dt * ax3, vy + dt * ay3, vz + dt * az3
+    (ax4, ay4, az4, dqw4, dqx4, dqy4, dqz4, dwx4, dwy4, dwz4,
+     c4) = _derivatives(vx4, vy4, vz4,
+                        qw + dt * dqw3, qx + dt * dqx3, qy + dt * dqy3, qz + dt * dqz3,
+                        wx + dt * dwx3, wy + dt * dwy3, wz + dt * dwz3,
+                        wrench, params, table)
     h = dt / 6.0
-    out = [a + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-           for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    out = [px + h * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
+           py + h * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4),
+           pz + h * (vz + 2.0 * vz2 + 2.0 * vz3 + vz4),
+           vx + h * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
+           vy + h * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4),
+           vz + h * (az1 + 2.0 * az2 + 2.0 * az3 + az4),
+           qw + h * (dqw1 + 2.0 * dqw2 + 2.0 * dqw3 + dqw4),
+           qx + h * (dqx1 + 2.0 * dqx2 + 2.0 * dqx3 + dqx4),
+           qy + h * (dqy1 + 2.0 * dqy2 + 2.0 * dqy3 + dqy4),
+           qz + h * (dqz1 + 2.0 * dqz2 + 2.0 * dqz3 + dqz4),
+           wx + h * (dwx1 + 2.0 * dwx2 + 2.0 * dwx3 + dwx4),
+           wy + h * (dwy1 + 2.0 * dwy2 + 2.0 * dwy3 + dwy4),
+           wz + h * (dwz1 + 2.0 * dwz2 + 2.0 * dwz3 + dwz4)]
     if not all(map(math.isfinite, out)):
         raise SimNumericsError("state became non-finite during integration")
     qw, qx, qy, qz = out[6:10]

@@ -9,6 +9,7 @@ The telemetry flags column is the ``plant.FLAG_*`` bitmask.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,7 +185,9 @@ class SimLog:
     """In-memory run record; rows match the CSV schemas exactly.
 
     Each log is a 2-D float array as wide as its header, also when the run
-    logged no row.
+    logged no row.  The runners append each row to a flat ``array('d')``
+    buffer with ``fromlist``, which grows the buffer once per row where
+    ``extend`` grows it per value, and the log is a view of that buffer.
     """
 
     telemetry: np.ndarray
@@ -192,9 +195,10 @@ class SimLog:
     diverged_at: float | None = None
 
 
-def _table(rows, header):
-    """The logged rows as a (rows, len(header)) float array."""
-    return np.array(rows, dtype=float).reshape(-1, len(header))
+def _table(buf, header):
+    """The rows logged into the flat float buffer ``buf`` as a (rows,
+    len(header)) array that shares its memory."""
+    return np.frombuffer(buf, dtype=float).reshape(-1, len(header))
 
 
 def _flags_bits(rate_sat, thrust_bits, motor_sat, aero_clamped):
@@ -222,7 +226,7 @@ def run_linear_axis(sc: Scenario) -> SimLog:
     n = int(round(sc.duration_s / CONTROL_DT))
     events = list(sc.events)
     w_cmd = (0.0, 0.0, 0.0)
-    rows = []
+    rows = array("d")
     y = sc.initial_pitch_rate
     diverged_at = None
     qid = (1.0, 0.0, 0.0, 0.0)
@@ -242,7 +246,7 @@ def run_linear_axis(sc: Scenario) -> SimLog:
         for _ in range(SUBSTEPS):
             y = plant.step(ty)
         bits = _flags_bits(ctrl.saturated, 0, False, False)
-        rows.append((t, *qid, *qid, *w_cmd, *w_meas, tx, ty, tz, 0.0, bits))
+        rows.fromlist([t, *qid, *qid, *w_cmd, *w_meas, tx, ty, tz, 0.0, bits])
         if abs(y) > ABORT_LIMIT:
             diverged_at = t
             break
@@ -293,8 +297,8 @@ def run_nonlinear(sc: Scenario) -> SimLog:
     w_meas = (0.0, 0.0, 0.0)
     x = sim.x
     q_meas = quat.normalize(x[6:10])
-    telemetry = []
-    simrows = []
+    telemetry = array("d")
+    simrows = array("d")
     diverged_at = None
 
     for i in range(n):
@@ -330,11 +334,12 @@ def run_nonlinear(sc: Scenario) -> SimLog:
         torque = rate_ctrl.step(w_meas, w_cmd)
         thrust, alt_bits = alt_ctrl.step(sim.altitude(), alt_cmd, sim.v_z(),
                                          q_meas, speed, alpha)
-        aero_clamped = False
+        motor_sat = aero_clamped = False
         try:
             sim.set_command(torque, thrust)
             for _ in range(SUBSTEPS):
                 sim.step()
+                motor_sat = motor_sat or sim.saturated_last
                 aero_clamped = aero_clamped or sim.aero_clamped_last
         except SimNumericsError:
             diverged_at = t
@@ -342,12 +347,11 @@ def run_nonlinear(sc: Scenario) -> SimLog:
         if sim.last_measurement is not None:
             w_meas = sim.last_measurement
 
-        bits = _flags_bits(rate_ctrl.saturated, alt_bits, sim.saturated_last,
-                           aero_clamped)
+        bits = _flags_bits(rate_ctrl.saturated, alt_bits, motor_sat, aero_clamped)
         x = sim.x
         q_meas = quat.normalize(x[6:10])
-        telemetry.append((t, *q_cmd, *q_meas, *w_cmd, *w_meas, *torque, thrust, bits))
-        simrows.append((t, *x[0:6], *q_meas, *x[10:13], *sim.motor_states,
-                        int(sim.saturated_last)))
+        telemetry.fromlist([t, *q_cmd, *q_meas, *w_cmd, *w_meas, *torque, thrust, bits])
+        simrows.fromlist([t, *x[0:6], *q_meas, *x[10:13], *sim.motor_states,
+                          int(motor_sat)])
     return SimLog(_table(telemetry, TELEMETRY_HEADER),
                   _table(simrows, SIMLOG_HEADER), diverged_at)

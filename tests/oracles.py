@@ -6,10 +6,12 @@ chirp frequency law, an exact FRF, small helpers stated directly from their
 definitions, and the numpy-array versions of the 250 Hz rate-loop tick, the
 quaternion normalization and the attitude error that the float versions
 must match bit for bit, and the list-and-``min``/``max`` forms of the aero
-table lookup and the motor mixer that the plant kernel must match bit for
-bit.  The thrust allocation is built here from the airframe's public
-fields, the one-axis compensator from the rate-loop config, and a filter's
-block output from its per-sample ``process``.  Quaternions go in and come
+table lookup and the motor mixer and the list-and-``zip`` RK4 step that the
+plant kernel must match bit for bit.  The thrust allocation is built here
+from the airframe's public fields, the one-axis compensator from the
+rate-loop config, and a filter's block output from its per-sample
+``process``; ``save_aero_table`` writes the CSV that
+``dataio.load_aero_table`` reads.  Quaternions go in and come
 out as 4-tuples of floats, the package's one quaternion form.
 """
 
@@ -19,7 +21,9 @@ from bisect import bisect_right
 import numpy as np
 
 from tailsitter.control import RateController
+from tailsitter.dataio import write_csv
 from tailsitter.lti import ContinuousTF, pid_tf, tf_eval, tf_series
+from tailsitter.plant import SimNumericsError, _derivatives, _propeller_wrench
 from tailsitter.quat import _SMALL_HALF_ANGLE
 from tailsitter.sysid import FRFEstimate
 
@@ -299,3 +303,39 @@ def frf_of_tf(tf: ContinuousTF, freqs, coherence=1.0) -> FRFEstimate:
 def section_poles(section):
     """Poles (z-plane) of one biquad section."""
     return np.roots([1.0, section.a1, section.a2])
+
+
+def state_derivatives(x, wrench, params, table):
+    """(d/dt of the flat 13-float state as a tuple, aero query clamped): the
+    position derivative is the velocity, the rest ``plant._derivatives``."""
+    *d, clamped = _derivatives(*x[3:13], wrench, params, table)
+    return (x[3], x[4], x[5], *d), clamped
+
+
+def step_dynamics(x, motors, dt, params, table):
+    """``plant.step_dynamics`` with each RK4 stage input built as a list
+    ``[a + h * b for a, b in zip(x, k)]`` and the combine zipped over lists."""
+    wrench = _propeller_wrench(motors, params)
+    h = 0.5 * dt
+    k1, c1 = state_derivatives(x, wrench, params, table)
+    k2, c2 = state_derivatives([a + h * b for a, b in zip(x, k1)], wrench, params, table)
+    k3, c3 = state_derivatives([a + h * b for a, b in zip(x, k2)], wrench, params, table)
+    k4, c4 = state_derivatives([a + dt * b for a, b in zip(x, k3)], wrench, params, table)
+    h = dt / 6.0
+    out = [a + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+           for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
+        raise SimNumericsError("state became non-finite during integration")
+    qw, qx, qy, qz = out[6:10]
+    n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    out[6:10] = qw / n, qx / n, qy / n, qz / n
+    return out, c1 or c2 or c3 or c4
+
+
+def save_aero_table(path, table):
+    """Rectangular grid flattened to `alpha_rad,V_ms,CL,CD` rows."""
+    rows = []
+    for i, a in enumerate(table.alpha_grid):
+        for j, v in enumerate(table.v_grid):
+            rows.append((a, v, table.cl[i, j], table.cd[i, j]))
+    return write_csv(path, ["alpha_rad", "V_ms", "CL", "CD"], rows)

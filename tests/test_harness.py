@@ -2,11 +2,13 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from oracles import save_aero_table
 from tailsitter import cli, harness, metrics, sysid
 from tailsitter.control import (
     AltitudeLoopConfig,
@@ -20,7 +22,6 @@ from tailsitter.dataio import (
     from_config,
     load_aero_table,
     read_csv,
-    save_aero_table,
     tf_from_config,
     to_config,
     write_bode_csv,
@@ -785,7 +786,6 @@ class TestScenarioSerialization:
         assert cfg["aircraft"]["mass"] == 2.0
 
     def test_aero_table_path(self, tmp_path):
-        from tailsitter.dataio import save_aero_table
         from tailsitter.plant import default_aero_table
         from tailsitter.sim import run_nonlinear
 
@@ -1081,6 +1081,53 @@ class TestSaturationHonesty:
             base, events=(Event(0.0, "altitude", {"alt": 60.0}),),
             altitude_loop=AltitudeLoopConfig(ff_gain=10.0))
         assert np.any(flags(climb) & FLAG_FF_CLAMP)
+
+    def test_motor_saturation_in_first_substep_only(self, monkeypatch):
+        # the 21-sample delay line feeds substep 0 of tick k from tick k - 6
+        # and substeps 1-3 from tick k - 5, so a full roll torque commanded
+        # at tick 20 alone saturates substeps 1-3 of tick 25 and only
+        # substep 0 of tick 26
+        from tailsitter import plant, sim
+        from tailsitter.plant import FLAG_MOTOR_SAT
+
+        ticks = []
+
+        class SpikeAtTick20(sim.RateController):
+            def step(self, omega_meas, omega_cmd):
+                torque = super().step(omega_meas, omega_cmd)
+                ticks.append(None)
+                return (1.0, *torque[1:]) if len(ticks) == 21 else torque
+
+        saturated = []
+        step = plant.TailsitterSim.step
+
+        def recorded(self):
+            step(self)
+            saturated.append(self.saturated_last)
+
+        monkeypatch.setattr(sim, "RateController", SpikeAtTick20)
+        monkeypatch.setattr(plant.TailsitterSim, "step", recorded)
+        log = run_nonlinear(Scenario(name="spike", duration_s=0.2))
+        assert [i for i, s in enumerate(saturated) if s] == [101, 102, 103, 104]
+        flags = log.telemetry[:, -1].astype(int)
+        assert np.flatnonzero(flags & FLAG_MOTOR_SAT).tolist() == [25, 26]
+        assert np.flatnonzero(log.simlog[:, -1]).tolist() == [25, 26]
+
+
+def test_run_nonlinear_memory_bounded_by_logs():
+    # the logs fill flat float buffers that become the arrays; the peak
+    # traced memory of a run stays near their size plus a fixed slack
+    sc = dataclasses.replace(builtin_scenarios()["transition"], duration_s=4.0)
+    run_nonlinear(sc)  # fill the lazy caches outside the measurement
+    tracemalloc.start()
+    try:
+        log = run_nonlinear(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    logs = log.telemetry.nbytes + log.simlog.nbytes
+    assert logs == 1000 * (len(TELEMETRY_HEADER) + len(SIMLOG_HEADER)) * 8
+    assert peak < 1.5 * logs + 512 * 1024, (peak, logs)
 
 
 class TestCli:

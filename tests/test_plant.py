@@ -108,8 +108,9 @@ def edge_queries(grid):
 
 
 class TestKernelMatchesOracle:
-    """The scalar kernel pieces against the list-and-min/max forms they
-    replaced (``tests/oracles.py``), by repr, so a -0.0 or a NaN shows."""
+    """The scalar kernel pieces against the list-and-min/max and list RK4
+    forms they replaced (``tests/oracles.py``), by repr, so a -0.0 or a NaN
+    shows."""
 
     @pytest.mark.parametrize("which", ["builtin", "random"])
     def test_interpolate(self, table, which):
@@ -123,6 +124,29 @@ class TestKernelMatchesOracle:
         for a in edge_queries(table.alpha_grid):
             for v in edge_queries(table.v_grid):
                 assert repr(table.interpolate(a, v)) == repr(reference(a, v)), (a, v)
+
+    def test_step_dynamics(self, params, table):
+        rng = np.random.default_rng(11)
+        for k in range(200):
+            x = np.concatenate([rng.normal(0.0, 10.0, 3), rng.normal(0.0, 8.0, 3),
+                                rng.normal(size=4), rng.normal(0.0, 3.0, 3)]).tolist()
+            if k % 4 == 0:
+                x[3:6] = 0.0, 0.0, 0.0  # no airspeed: no aero lookup
+            # eta stays nonzero, so that the quaternion is never all zeros
+            x = [-0.0 if i != 6 and rng.random() < 0.2 else c for i, c in enumerate(x)]
+            motors = tuple(rng.uniform(0.0, 1.0, 4).tolist())
+            dt = (1e-3, 4e-3)[k % 2]
+            assert (repr(step_dynamics(x, motors, dt, params, table))
+                    == repr(oracles.step_dynamics(x, motors, dt, params, table))), x
+
+    @pytest.mark.parametrize("i, value", [(3, 1e200), (5, -1e200), (7, math.nan),
+                                          (0, math.inf)])
+    def test_step_dynamics_nonfinite(self, params, table, i, value):
+        x = hover_state(params)
+        x[i] = value
+        for kernel in (step_dynamics, oracles.step_dynamics):
+            with pytest.raises(SimNumericsError, match="non-finite"):
+                kernel(x, (0.5, 0.5, 0.5, 0.5), 1e-3, params, table)
 
     def test_nan_query_is_nan_and_clamped(self, table):
         for a, v in ((math.nan, 5.0), (0.1, math.nan)):
@@ -310,9 +334,8 @@ def random_unit_quat(rng):
 
 def kernel_aero_force(q, v, params, table):
     """Aero force the kernel's derivatives apply at zero thrust and rates."""
-    x = [0.0, 0.0, 0.0, *v, *q, 0.0, 0.0, 0.0]
-    d, _ = _derivatives(x, (0.0, 0.0, 0.0, 0.0), params, table)
-    return params.mass * (np.array(d[3:6]) - [0.0, 0.0, params.gravity])
+    d = _derivatives(*v, *q, 0.0, 0.0, 0.0, (0.0, 0.0, 0.0, 0.0), params, table)
+    return params.mass * (np.array(d[0:3]) - [0.0, 0.0, params.gravity])
 
 
 class TestAeroForceFrame:
