@@ -79,8 +79,12 @@ def write_csv(path, header, rows):
 def read_csv(path):
     """(header list, float ndarray of shape (rows, cols)); blank lines are
     skipped, and a row narrower or wider than the header, or a non-number,
-    is a ConfigError at its 1-based file line."""
-    with open(path, newline="") as fh:
+    is a ConfigError at its 1-based file line, as is a missing file."""
+    try:
+        fh = open(path, newline="")
+    except FileNotFoundError:
+        raise ConfigError(f"{path}: no such file")
+    with fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise ConfigError(f"{path}: empty file, no header row")

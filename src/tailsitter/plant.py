@@ -5,8 +5,7 @@ Two plants back the closed-loop experiments:
 * ``TailsitterSim`` - nonlinear rigid body in NED coordinates (z down) with
   table-lookup aerodynamic forces, quadrotor thrust allocation, first-order
   motor lag, an optional structural-resonance filter on the pitch torque
-  path, actuation transport delay, and a gyro measurement chain running at
-  1 kHz with 250 Hz decimated output.
+  path, actuation transport delay, and a 1 kHz gyro measurement chain.
 * ``LinearAxisPlant`` - a single-axis discrete realization of an identified
   transfer function (torque command in, measured rate out), used for
   frequency-domain-faithful loop verification.
@@ -18,6 +17,13 @@ where the reference transfer function has them at 21.7 and 22.3 Hz; those
 zeros give the linear plant about 40 degrees of phase lead at 8 Hz that the
 rigid body lacks (measured in ROADMAP.md).  Both are deterministic under
 a fixed seed.
+
+The command hold has one home, here.  Both plants integrate at
+``PLANT_RATE_HZ`` and their ``step`` advances one control tick: it holds the
+command over ``SUBSTEPS`` plant samples and returns the measurement at the
+end of the tick.  ``hold_response`` is that staircase in the frequency
+domain, the zero-order hold the identification divides out of the FRF.
+No other module names the plant rate or the substep count.
 
 The 1 kHz substep of ``TailsitterSim`` is a scalar kernel: the vehicle state
 is one flat list of 13 floats (NED position and velocity, the attitude
@@ -72,6 +78,7 @@ __all__ = [
     "hover_state",
     "LinearAxisPlant",
     "check_plant_peak",
+    "hold_response",
     "RateSensor",
     "rotor_vibration",
     "TailsitterSim",
@@ -110,6 +117,22 @@ def check_plant_peak(p: PlantFitParams, where: str):
     if not p.peak.freq_hz < 0.5 * PLANT_RATE_HZ:
         raise ValueError(f"{where}.peak.freq_hz: must lie below "
                          f"{0.5 * PLANT_RATE_HZ:g} Hz, half the plant rate")
+
+
+def hold_response(freqs):
+    """Frequency response of the control-rate command hold at the plant rate.
+
+    A command latched at tick t_k drives the ``SUBSTEPS`` plant samples over
+    (t_k, t_k + CONTROL_DT]: the zero-order hold of Franklin, Powell &
+    Workman (Digital Control of Dynamic Systems, ch. 6) as a staircase at
+    ``PLANT_RATE_HZ``, whose centroid sits half a plant sample later than a
+    continuous hold's.
+    """
+    f = np.asarray(freqs, dtype=float)
+    s = SUBSTEPS
+    theta = 2.0 * np.pi * f / PLANT_RATE_HZ
+    return (np.exp(-0.5j * theta * (s + 1))
+            * np.sin(0.5 * s * theta) / (s * np.sin(0.5 * theta)))
 
 
 class SimNumericsError(RuntimeError):
@@ -545,10 +568,10 @@ class LinearAxisPlant:
     """Stateful single-axis plant realized from an identified TF.
 
     Maps a normalized torque command to the measured rate, including the
-    transport delay as an integer-sample line.  Runs at the fixed 1 kHz
-    ``PLANT_RATE_HZ``; ``prewarp_hz``, when given (normally the resonance),
-    makes the response exact there, so the structural peak lands on its
-    continuous frequency.
+    transport delay as an integer-sample line.  ``cascade`` runs at the
+    fixed 1 kHz ``PLANT_RATE_HZ``; ``prewarp_hz``, when given (normally the
+    resonance), makes the response exact there, so the structural peak lands
+    on its continuous frequency.
     """
 
     def __init__(self, tf: ContinuousTF, prewarp_hz=None):
@@ -560,7 +583,13 @@ class LinearAxisPlant:
         return cls(fitted_plant(p), prewarp_hz=p.peak.freq_hz)
 
     def step(self, u: float) -> float:
-        return self.cascade.process(float(u))
+        """Hold ``u`` over one control tick of ``SUBSTEPS`` plant samples;
+        the rate at the end of the tick."""
+        u = float(u)
+        process = self.cascade.process
+        for _ in range(SUBSTEPS):
+            y = process(u)
+        return y
 
 
 @dataclass(frozen=True)
@@ -593,12 +622,15 @@ class SensorConfig:
     def __post_init__(self):
         if not self.gyro_noise_std >= 0.0:
             raise ValueError("gyro_noise_std must be >= 0")
+        if not self.corner_hz > 0.0:
+            raise ValueError("corner_hz must be > 0")
 
 
 class RateSensor:
-    """1 kHz true rates -> 250 Hz measured rates, deterministic under seed.
+    """1 kHz true rates -> filtered measured rates, deterministic under seed.
 
-    The chain runs at the fixed ``PLANT_RATE_HZ`` and decimates to
+    The chain runs at the fixed ``PLANT_RATE_HZ``; ``TailsitterSim.step``
+    keeps the sample at the end of each control tick, the decimation to
     ``CONTROL_RATE_HZ``.  Gyro noise is drawn ``NOISE_BLOCK`` samples at a
     time; the generator hands out the same normal stream whether it is
     asked for 3 values per sample or 3 * NOISE_BLOCK at once, so the
@@ -614,13 +646,12 @@ class RateSensor:
             for _ in range(3)
         ]
         self._rng = np.random.default_rng(seed)
-        self._count = 0
         self._noise = []
         self._noise_at = 0
 
     def process(self, wx, wy, wz):
-        """Feed one 1 kHz sample of true rates; the 250 Hz measurement as a
-        3-tuple of floats, or None between decimation ticks."""
+        """Feed one 1 kHz sample of true rates; the filtered measurement as
+        a 3-tuple of floats."""
         std = self.cfg.gyro_noise_std
         if std > 0.0:
             k = self._noise_at
@@ -631,11 +662,7 @@ class RateSensor:
             wx, wy, wz = wx + noise[k], wy + noise[k + 1], wz + noise[k + 2]
             self._noise_at = k + 3
         fx, fy, fz = self._filters
-        out = (fx.process(wx), fy.process(wy), fz.process(wz))
-        self._count += 1
-        if self._count % SUBSTEPS == 0:
-            return out
-        return None
+        return fx.process(wx), fy.process(wy), fz.process(wz)
 
 
 @dataclass(frozen=True)
@@ -685,14 +712,15 @@ def rotor_vibration(t, cfg: VibrationConfig):
 
 
 class TailsitterSim:
-    """Nonlinear closed-loop vehicle advanced at the 1 kHz plant rate.
+    """Nonlinear closed-loop vehicle integrated at the 1 kHz plant rate.
 
-    Commands (normalized torque 3-vector + collective) arrive at 250 Hz via
-    ``set_command`` and are zero-order held; ``step`` advances one 1 ms
-    substep through: transport delay -> structural-mode filter on the pitch
+    ``step`` advances one 250 Hz control tick: it holds the normalized
+    command (torque 3-vector + collective) over ``SUBSTEPS`` 1 ms substeps,
+    each through: transport delay -> structural-mode filter on the pitch
     torque channel -> torque scaling and thrust allocation -> motor lag ->
-    rigid-body RK4 -> vibration injection -> gyro chain.  Single-threaded,
-    stateful; run several instances for parallel scenarios.
+    rigid-body RK4 -> vibration injection -> gyro chain, and returns the
+    gyro sample of the tick's last substep.  Single-threaded, stateful; run
+    several instances for parallel scenarios.
 
     The substep runs on plain floats: the vehicle state ``x`` is one flat
     list of 13 floats (NED position and velocity, the attitude quaternion,
@@ -717,76 +745,66 @@ class TailsitterSim:
         self.sensor = RateSensor(sensor, seed)
         self.vibration = vibration
         self._vibrating = vibration.amplitude > 0.0
-        self._cmd = (0.0, 0.0, 0.0, float(params.hover_command))
         n_delay = int(round(delay_s * PLANT_RATE_HZ))
-        self._delay_buf = [self._cmd] * n_delay
+        self._delay_buf = [(0.0, 0.0, 0.0, float(params.hover_command))] * n_delay
         self._delay_idx = 0
         self._flex = None
         if flex is not None:
             self._flex = discretize_tustin(
                 flex.tf(), PLANT_RATE_HZ, prewarp_hz=flex.peak.freq_hz
             )
-            # settle the filter at the current (zero) pitch torque
-            for _ in range(8):
-                self._flex.process(0.0)
         self._torque_scale = tuple(params.torque_scale().tolist())
         # exact first-order motor lag over one substep
         self._motor_decay = math.exp(-self.dt / params.motor_tau_s)
         self._motor_u = mixer(0.0, 0.0, 0.0, float(params.hover_command), params)[:4]
-        self.saturated_last = False
-        self.aero_clamped_last = False
-        self.last_measurement = None
 
-    def set_command(self, torque_norm, thrust_norm):
-        """Latch the 250 Hz controller output (normalized units)."""
-        tx, ty, tz = (float(t) for t in torque_norm)
-        cmd = (tx, ty, tz, float(thrust_norm))
-        if not all(map(math.isfinite, cmd)):
-            raise SimNumericsError("controller command is non-finite")
-        self._cmd = cmd
+    def step(self, torque_norm, thrust_norm):
+        """Advance one control tick with the normalized command held.
 
-    def step(self):
-        """Advance one 1 ms plant substep.
-
-        Sets ``saturated_last`` (motor mixer saturated), ``aero_clamped_last``
-        (an aero query of the substep clamped to the table edge) and
-        ``last_measurement`` (the 250 Hz gyro sample as a 3-tuple of floats
-        on decimation ticks, None otherwise).
+        Returns (the tick's gyro measurement as a 3-tuple of floats, flag
+        bits): ``FLAG_MOTOR_SAT`` when the mixer saturated in any substep and
+        ``FLAG_AERO_CLAMP`` when an aero query clamped to the table edge in
+        any substep.  Raises SimNumericsError on a non-finite command or
+        state.
         """
+        tx, ty, tz = (float(t) for t in torque_norm)
+        held = (tx, ty, tz, float(thrust_norm))
+        if not all(map(math.isfinite, held)):
+            raise SimNumericsError("controller command is non-finite")
         params = self.params
-        cmd = self._cmd
         buf = self._delay_buf
-        if buf:
-            i = self._delay_idx
-            cmd, buf[i] = buf[i], cmd
-            self._delay_idx = (i + 1) % len(buf)
-        tx, ty, tz, thrust = cmd
-        if self._flex is not None:
-            ty = self._flex.process(ty)
+        flex = self._flex
         sx, sy, sz = self._torque_scale
-        u1, u2, u3, u4, self.saturated_last = mixer(sx * tx, sy * ty, sz * tz, thrust,
-                                                    params)
         decay = self._motor_decay
-        m1, m2, m3, m4 = self._motor_u
-        self._motor_u = u = (u1 + (m1 - u1) * decay, u2 + (m2 - u2) * decay,
-                             u3 + (m3 - u3) * decay, u4 + (m4 - u4) * decay)
+        dt = self.dt
+        motor_sat = aero_clamped = False
+        for _ in range(SUBSTEPS):
+            cmd = held
+            if buf:
+                i = self._delay_idx
+                cmd, buf[i] = buf[i], cmd
+                self._delay_idx = (i + 1) % len(buf)
+            tx, ty, tz, thrust = cmd
+            if flex is not None:
+                ty = flex.process(ty)
+            u1, u2, u3, u4, sat = mixer(sx * tx, sy * ty, sz * tz, thrust, params)
+            m1, m2, m3, m4 = self._motor_u
+            self._motor_u = u = (u1 + (m1 - u1) * decay, u2 + (m2 - u2) * decay,
+                                 u3 + (m3 - u3) * decay, u4 + (m4 - u4) * decay)
 
-        x, self.aero_clamped_last = step_dynamics(self.x, u, self.dt, params, self.table)
-        self.x = x
-        self.t += self.dt
+            x, clamped = step_dynamics(self.x, u, dt, params, self.table)
+            self.x = x
+            self.t += dt
+            motor_sat = motor_sat or sat
+            aero_clamped = aero_clamped or clamped
 
-        wx, wy, wz = x[10], x[11], x[12]
-        if self._vibrating:
-            vib = rotor_vibration(self.t, self.vibration).tolist()
-            wx, wy, wz = wx + vib[0], wy + vib[1], wz + vib[2]
-        self.last_measurement = self.sensor.process(wx, wy, wz)
-
-    def altitude(self):
-        return -self.x[2]
-
-    def v_z(self):
-        """Vertical velocity, NED down-positive."""
-        return self.x[5]
+            wx, wy, wz = x[10], x[11], x[12]
+            if self._vibrating:
+                vib = rotor_vibration(self.t, self.vibration).tolist()
+                wx, wy, wz = wx + vib[0], wy + vib[1], wz + vib[2]
+            meas = self.sensor.process(wx, wy, wz)
+        return meas, ((FLAG_MOTOR_SAT if motor_sat else 0)
+                      | (FLAG_AERO_CLAMP if aero_clamped else 0))
 
     @property
     def motor_states(self):

@@ -26,10 +26,8 @@ from .control import (
 from .lti import PlantFitParams
 from .plant import (
     CONTROL_DT,
-    FLAG_AERO_CLAMP,
     FLAG_MOTOR_SAT,
     FLAG_RATE_SAT,
-    SUBSTEPS,
     AircraftParams,
     FlexibleModeParams,
     LinearAxisPlant,
@@ -159,6 +157,11 @@ class Scenario:
         if not self.meas_noise_std >= 0.0:
             raise ValueError("meas_noise_std: must be >= 0")
         check_plant_peak(self.plant_params, "plant_params")
+        if self.mode == "nonlinear" and self.flex_enabled:
+            try:  # the pair _build_sim filters the pitch torque with
+                FlexibleModeParams(self.plant_params.peak, self.plant_params.anti)
+            except ValueError as e:
+                raise ValueError(f"plant_params: {e}") from None
         ts = [e.t for e in self.events]
         if ts != sorted(ts):
             raise ValueError("events: must be time-ordered")
@@ -201,23 +204,11 @@ def _table(buf, header):
     return np.frombuffer(buf, dtype=float).reshape(-1, len(header))
 
 
-def _flags_bits(rate_sat, thrust_bits, motor_sat, aero_clamped):
-    """The tick's flags: the altitude loop's bits plus the detected ones."""
-    bits = thrust_bits
-    if any(rate_sat):
-        bits |= FLAG_RATE_SAT
-    if motor_sat:
-        bits |= FLAG_MOTOR_SAT
-    if aero_clamped:
-        bits |= FLAG_AERO_CLAMP
-    return bits
-
-
 def run_linear_axis(sc: Scenario) -> SimLog:
     """Pitch-rate loop around the identified single-axis plant.
 
-    The plant integrates at 1 kHz; the controller ticks at 250 Hz on the
-    decimated measurement.  Divergence beyond ``ABORT_LIMIT`` rad/s stops
+    Each controller tick holds its torque over one plant ``step`` and reads
+    the rate at the end of it.  Divergence beyond ``ABORT_LIMIT`` rad/s stops
     the run and records the departure time instead of raising.
     """
     plant = LinearAxisPlant.identified(sc.plant_params)
@@ -243,9 +234,8 @@ def run_linear_axis(sc: Scenario) -> SimLog:
                     if sc.meas_noise_std > 0.0 else 0.0)
         w_meas = (0.0, meas, 0.0)
         tx, ty, tz = ctrl.step(w_meas, w_cmd)
-        for _ in range(SUBSTEPS):
-            y = plant.step(ty)
-        bits = _flags_bits(ctrl.saturated, 0, False, False)
+        y = plant.step(ty)
+        bits = FLAG_RATE_SAT if any(ctrl.saturated) else 0
         rows.fromlist([t, *qid, *qid, *w_cmd, *w_meas, tx, ty, tz, 0.0, bits])
         if abs(y) > ABORT_LIMIT:
             diverged_at = t
@@ -278,8 +268,11 @@ def _build_sim(sc: Scenario) -> TailsitterSim:
 def run_nonlinear(sc: Scenario) -> SimLog:
     """Full cascade (attitude + rate + altitude) on the rigid-body plant.
 
-    Each tick reads the plant's flat state ``sim.x``; the measured attitude
-    is its quaternion normalized once per tick, and both logs record it.
+    Each tick reads the plant's flat state ``sim.x`` and holds the
+    cascade's command over one ``sim.step``, which returns the gyro
+    measurement the next tick reads and the plant's flag bits.  The
+    measured attitude is the quaternion normalized once per tick, and both
+    logs record it.
     """
     sim = _build_sim(sc)
     rate_ctrl = RateController(sc.rate_loop)
@@ -332,26 +325,20 @@ def run_nonlinear(sc: Scenario) -> SimLog:
         alpha, speed = air_data(quat.rotation_rows(*q_meas), *x[3:6])
         w_cmd = att_ctrl.step(q_meas, q_cmd)
         torque = rate_ctrl.step(w_meas, w_cmd)
-        thrust, alt_bits = alt_ctrl.step(sim.altitude(), alt_cmd, sim.v_z(),
-                                         q_meas, speed, alpha)
-        motor_sat = aero_clamped = False
+        thrust, alt_bits = alt_ctrl.step(-x[2], alt_cmd, x[5], q_meas, speed, alpha)
         try:
-            sim.set_command(torque, thrust)
-            for _ in range(SUBSTEPS):
-                sim.step()
-                motor_sat = motor_sat or sim.saturated_last
-                aero_clamped = aero_clamped or sim.aero_clamped_last
+            w_meas, plant_bits = sim.step(torque, thrust)
         except SimNumericsError:
             diverged_at = t
             break
-        if sim.last_measurement is not None:
-            w_meas = sim.last_measurement
 
-        bits = _flags_bits(rate_ctrl.saturated, alt_bits, motor_sat, aero_clamped)
+        bits = alt_bits | plant_bits
+        if any(rate_ctrl.saturated):
+            bits |= FLAG_RATE_SAT
         x = sim.x
         q_meas = quat.normalize(x[6:10])
         telemetry.fromlist([t, *q_cmd, *q_meas, *w_cmd, *w_meas, *torque, thrust, bits])
         simrows.fromlist([t, *x[0:6], *q_meas, *x[10:13], *sim.motor_states,
-                          int(motor_sat)])
+                          bool(plant_bits & FLAG_MOTOR_SAT)])
     return SimLog(_table(telemetry, TELEMETRY_HEADER),
                   _table(simrows, SIMLOG_HEADER), diverged_at)

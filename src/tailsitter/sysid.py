@@ -38,7 +38,7 @@ import numpy as np
 
 from .lti import (PlantFitParams, ResonanceParams, _unwrap_phase_deg, butterworth2,
                   tf_eval)
-from .plant import CONTROL_RATE_HZ, PLANT_RATE_HZ, SUBSTEPS
+from .plant import CONTROL_RATE_HZ, hold_response
 
 WINDOW_OVERLAP = 0.5  # of consecutive FRF windows
 MIN_WINDOW_SAMPLES = 16  # shortest FRF window, and so the shortest series
@@ -213,13 +213,11 @@ def estimate_frf(u, y, n_freqs: int = 64, f_lo: float = 1.0, f_hi: float = 60.0,
     resolution uniformly across the band.  Coherence is
     |S_uy|^2 / (S_uu S_yy) over the averaged segments.
 
-    ``correct_hold`` deconvolves the exact discrete staircase of the
-    control-rate command hold at the 1 kHz ``PLANT_RATE_HZ`` so the estimate
-    refers to the plant alone: each command latched at t_k drives the plant
-    substeps over (t_k, t_k + CONTROL_DT], whose centroid sits half a plant
-    sample later than a continuous zero-order hold.  Resolving a resonance
-    whose relative width is 2*zeta requires roughly
-    ``cycles_per_window > 2/zeta``; the default favors variance.
+    ``correct_hold`` divides out ``plant.hold_response``, the staircase
+    each control-rate command is held as by the plant's ``step``, so the
+    estimate refers to the plant alone.  Resolving a resonance whose
+    relative width is 2*zeta requires roughly ``cycles_per_window >
+    2/zeta``; the default favors variance.
     """
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -249,18 +247,8 @@ def estimate_frf(u, y, n_freqs: int = 64, f_lo: float = 1.0, f_hi: float = 60.0,
         else:
             coh[i] = min(1.0, (abs(suy) ** 2) / (suu * syy))
     if correct_hold:
-        h = h / _hold_response(freqs)
+        h = h / hold_response(freqs)
     return FRFEstimate(freqs, h, coh)
-
-
-def _hold_response(freqs):
-    """Frequency response of the control-rate command hold's staircase at the
-    plant rate."""
-    f = np.asarray(freqs, dtype=float)
-    s = SUBSTEPS
-    theta = 2.0 * np.pi * f / PLANT_RATE_HZ
-    return (np.exp(-0.5j * theta * (s + 1))
-            * np.sin(0.5 * s * theta) / (s * np.sin(0.5 * theta)))
 
 
 @dataclass(frozen=True)
@@ -554,10 +542,11 @@ def sweep_experiment(plant, cfg: ChirpConfig, noise_std: float = 0.0,
                      seed: int = 0) -> SweepData:
     """Inject a chirp at the rate-controller output and record the response.
 
-    ``plant`` is a LinearAxisPlant-like object (``step(u) -> rate`` at the
-    1 kHz plant rate).  A plain proportional rate controller (gain
-    ``STABILIZING_GAIN``, no notch) holds the loop around zero command
-    while the sweep runs, as on the real vehicle; the chirp starts after
+    ``plant`` is a LinearAxisPlant-like object: ``step(u)`` holds ``u`` over
+    one control tick and returns the rate at its end, so the sweep makes one
+    ``step`` call per tick.  A plain proportional rate controller (gain
+    ``STABILIZING_GAIN``, no notch) holds the loop around zero command while
+    the sweep runs, as on the real vehicle; the chirp starts after
     ``SETTLE_S`` seconds.  The recorded total input is controller output
     plus injection; the output is the measured rate decimated to the
     control rate.  A response beyond ``DIVERGENCE_LIMIT`` rad/s aborts with
@@ -580,8 +569,7 @@ def sweep_experiment(plant, cfg: ChirpConfig, noise_std: float = 0.0,
         u = tau + inj
         u_total[i] = u
         y_meas[i] = meas
-        for _ in range(SUBSTEPS):
-            y = plant.step(u)
+        y = plant.step(u)
         if abs(y) > DIVERGENCE_LIMIT:
             raise SweepDivergence(i / CONTROL_RATE_HZ)
 

@@ -350,7 +350,6 @@ class TestFeedforwardConsistency:
         # feedforward-only thrust at trim: vertical acceleration must match
         # the commanded value within 0.2 m/s^2 (model-matched case)
         from tailsitter.plant import TailsitterSim, SensorConfig, air_data
-        from tailsitter.sim import SUBSTEPS
 
         cfg = AltitudeLoopConfig()
         sim = TailsitterSim(params, table, flex=None, delay_s=0.0,
@@ -362,18 +361,14 @@ class TestFeedforwardConsistency:
         v_zd = 0.5  # descend at 0.5 m/s -> a_zd = 0.5 m/s^2
         w_meas = np.zeros(3)
         accels = []
-        v_prev = sim.v_z()
+        v_prev = sim.x[5]
         for k in range(int(2.0 / (1.0 / 250.0))):
             q = quat.normalize(sim.x[6:10])
             alpha, speed = air_data(quat.rotation_rows(*q), *sim.x[3:6])
             u_ff, _ = altitude_ff_thrust(v_zd, q, speed, alpha, cfg, params, table)
             torque = rate.step(w_meas, att.step(q, q_cmd))
-            sim.set_command(torque, u_ff)
-            for _ in range(SUBSTEPS):
-                sim.step()
-            if sim.last_measurement is not None:
-                w_meas = sim.last_measurement
-            v_now = sim.v_z()
+            w_meas, _ = sim.step(torque, u_ff)
+            v_now = sim.x[5]
             if k >= 125:  # skip the motor-lag transient
                 accels.append((v_now - v_prev) * 250.0)
             v_prev = v_now

@@ -42,6 +42,23 @@ def test_all_names_are_defined_in_their_module():
         assert exported <= defined, f"{m.name} re-exports {sorted(exported - defined)}"
 
 
+def test_only_plant_names_the_plant_rate():
+    # the command hold has one home: the plants' step holds each command
+    # over the substeps, so no other module names the plant rate or the
+    # substep count, not even in an import
+    package = Path(tailsitter.__file__).parent
+    hold = {"SUBSTEPS", "PLANT_RATE_HZ"}
+    for m in pkgutil.iter_modules(tailsitter.__path__):
+        if m.name == "plant":
+            continue
+        tree = ast.parse((package / f"{m.name}.py").read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                  for a in n.names}
+        assert not names & hold, f"{m.name} names {sorted(names & hold)}"
+
+
 def test_benchmark_patch_targets_resolve(monkeypatch):
     # benchmarks/workloads.py wraps these by name for its --trace spans, so
     # a deleted or renamed target breaks tracing, not any other run

@@ -729,6 +729,12 @@ BAD_SCENARIOS = [
      "plant_params.peak.freq_hz"),
     ({"name": "x", "mode": "linear-axis", "plant_params": {"peak": {"freq_hz": 600.0}}},
      "plant_params.peak.freq_hz"),
+    # a gyro filter and a structural mode the simulator refuses to build
+    ({"name": "p", "mode": "nonlinear", "duration_s": 0.2, "sensor": {"corner_hz": 0.0}},
+     "sensor"),
+    ({"name": "flexbad", "mode": "nonlinear", "duration_s": 1.0, "plant_params": {
+        "peak": {"freq_hz": 14.0, "num_damp": 0.01, "den_damp": 0.2}}},
+     "plant_params"),
 ]
 
 
@@ -1099,16 +1105,20 @@ class TestSaturationHonesty:
                 return (1.0, *torque[1:]) if len(ticks) == 21 else torque
 
         saturated = []
-        step = plant.TailsitterSim.step
+        mixer = plant.mixer
 
-        def recorded(self):
-            step(self)
-            saturated.append(self.saturated_last)
+        def recorded(*args):
+            out = mixer(*args)
+            saturated.append(out[-1])
+            return out
 
         monkeypatch.setattr(sim, "RateController", SpikeAtTick20)
-        monkeypatch.setattr(plant.TailsitterSim, "step", recorded)
+        monkeypatch.setattr(plant, "mixer", recorded)
         log = run_nonlinear(Scenario(name="spike", duration_s=0.2))
-        assert [i for i, s in enumerate(saturated) if s] == [101, 102, 103, 104]
+        # the first call sets the initial motor state; call 1 + k is substep k
+        substeps = saturated[1:]
+        assert len(substeps) == 4 * 50
+        assert [i for i, s in enumerate(substeps) if s] == [101, 102, 103, 104]
         flags = log.telemetry[:, -1].astype(int)
         assert np.flatnonzero(flags & FLAG_MOTOR_SAT).tolist() == [25, 26]
         assert np.flatnonzero(log.simlog[:, -1]).tolist() == [25, 26]
@@ -1161,6 +1171,7 @@ class TestCli:
         rows = inf_table.read_text().splitlines()
         rows[1] = ",".join(rows[1].split(",")[:2] + ["inf", "0.0"])
         inf_table.write_text("\n".join(rows) + "\n")
+        missing_csv = tmp_path / "missing.csv"
         cases = [(["run"], cfg, path) for cfg, path in BAD_SCENARIOS]
         cases += [
             (["pipeline"], {"chirp": {"f0": -1.0}}, "chirp"),
@@ -1196,6 +1207,9 @@ class TestCli:
             (["compare", str(ok), str(narrow)], None, str(narrow)),
             (["run"], {"name": "x", "aero_table_path": str(inf_table)},
              str(inf_table)),
+            (["compare", str(missing_csv), str(ok)], None, str(missing_csv)),
+            (["run"], {"name": "x", "aero_table_path": str(missing_csv)},
+             str(missing_csv)),
         ]
         for i, (argv, cfg, path) in enumerate(cases):
             out = tmp_path / f"out{i}"

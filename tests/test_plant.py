@@ -14,6 +14,7 @@ from tailsitter.biquad import discretize_tustin
 from tailsitter.plant import (
     FLAG_AERO_CLAMP,
     FLAG_FF_CLAMP,
+    SUBSTEPS,
     AeroTable,
     AircraftParams,
     RateSensor,
@@ -377,9 +378,9 @@ class TestLinearAxisPlant:
     def test_step_input_reaches_constant_ramp(self):
         plant = LinearAxisPlant(fitted_plant())
         u = 0.01
-        y = [plant.step(u) for _ in range(3000)]
+        y = [plant.step(u) for _ in range(750)]  # 3 s of 4 ms ticks
         # integrator: late-time slope equals u * dc-gain of the non-integrating part
-        slope = (y[-1] - y[-501]) / 0.5
+        slope = (y[-1] - y[-126]) / 0.5
         assert slope == pytest.approx(0.01 * 260.0, rel=0.02)
 
     def test_sinusoid_gain_at_resonance(self):
@@ -388,10 +389,17 @@ class TestLinearAxisPlant:
         f = ref.peak.freq_hz
         t = np.arange(0, 10.0, 1e-3)
         u = 0.001 * np.sin(2 * np.pi * f * t)
-        y = np.array([plant.step(v) for v in u])
+        y = np.array([plant.cascade.process(v) for v in u])
         tail = slice(-2000, None)
         ratio = (np.max(y[tail]) - np.min(y[tail])) / (np.max(u[tail]) - np.min(u[tail]))
         assert ratio == pytest.approx(abs(tf_eval(fitted_plant(), f)), rel=0.02)
+
+    def test_step_holds_the_command_over_one_tick(self):
+        ticked = LinearAxisPlant(fitted_plant())
+        sampled = LinearAxisPlant(fitted_plant())
+        for u in np.random.default_rng(3).normal(0.0, 0.01, 50).tolist():
+            y = [sampled.cascade.process(u) for _ in range(SUBSTEPS)]
+            assert ticked.step(u) == y[-1]
 
     def test_improper_rejected(self):
         from tailsitter.lti import ContinuousTF
@@ -427,22 +435,23 @@ class TestNonlinearMatchesIdentifiedLowFrequency:
                                 seed=0)
             amp = 0.002
             rates = []
-            n = int(4.0 * 1000)
+            n = int(4.0 * 250)
             for k in range(n):
-                u = amp * math.sin(2.0 * math.pi * f * k / 1000.0)
-                sim.set_command(np.array([0.0, u, 0.0]), params.hover_command)
-                sim.step()
+                u = amp * math.sin(2.0 * math.pi * f * k / 250.0)
+                sim.step(np.array([0.0, u, 0.0]), params.hover_command)
                 rates.append(sim.x[11])
-            tail = np.array(rates[-int(2000 / f) :])
+            tail = np.array(rates[-int(500 / f) :])
             gain = (np.max(tail) - np.min(tail)) / (2.0 * amp)
             expected = abs(tf_eval(approx, f))
             assert abs(20.0 * math.log10(gain / expected)) < 3.0
 
 
 def sense(sensor, rates):
-    """(N, 3) true rates fed at 1 kHz -> (N/4, 3) measured at the control rate."""
-    out = (sensor.process(*row) for row in np.asarray(rates, dtype=float).tolist())
-    return np.array([m for m in out if m is not None])
+    """(N, 3) true rates fed at 1 kHz -> (N/4, 3) measured at the control
+    rate: the sample of each tick's last substep, as TailsitterSim.step
+    returns it."""
+    out = [sensor.process(*row) for row in np.asarray(rates, dtype=float).tolist()]
+    return np.array(out[SUBSTEPS - 1::SUBSTEPS])
 
 
 class TestSensor:
@@ -593,12 +602,12 @@ class TestKernel:
     def test_nonfinite_command_or_state_rejected(self, params, table):
         sim = TailsitterSim(params, table)
         with pytest.raises(SimNumericsError):
-            sim.set_command([0.0, math.inf, 0.0], 0.5)
+            sim.step([0.0, math.inf, 0.0], 0.5)
         x = hover_state(params)
         x[3] = 1e200
         sim = TailsitterSim(params, table, state=x)
         with pytest.raises(SimNumericsError):
-            sim.step()
+            sim.step((0.0, 0.0, 0.0), params.hover_command)
 
     def test_layer_spans_see_the_kernel(self, params, table, monkeypatch):
         # the benchmark's --trace spans wrap these names wherever the package
@@ -627,6 +636,6 @@ class TestKernel:
                             monkeypatch.setattr(mod, key, wrapped)
         monkeypatch.setattr(RateSensor, "process",
                             counted("RateSensor.process", RateSensor.process))
-        for _ in range(8):
-            sim.step()
+        for _ in range(2):
+            sim.step((0.0, 0.0, 0.0), params.hover_command)
         assert all(counts.values()), counts
