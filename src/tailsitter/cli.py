@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error,
-3 numerical abort inside a simulation.  ``compare`` exits 0 when the two
+Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
+A run that diverges, in a scenario or in the pipeline's sweep, writes its
+report and fails a check there (exit 1).  ``compare`` exits 0 when the two
 logs are identical and 1 when any column differs.
 """
 
@@ -19,7 +20,6 @@ from .dataio import (ConfigError, from_config, load_json, tf_from_config, to_con
 from .harness import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
-    EXIT_NUMERICAL_ABORT,
     EXIT_OK,
     PipelineConfig,
     builtin_scenarios,
@@ -28,8 +28,6 @@ from .harness import (
     run_scenario,
 )
 from .lti import magnitude_slope, margins
-from .plant import SimNumericsError
-from .sysid import SweepDivergence
 
 
 def _add_run_flags(p):
@@ -146,9 +144,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (SimNumericsError, SweepDivergence) as e:
-        print(f"numerical abort: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL_ABORT
     raise AssertionError("unreachable")
 
 

@@ -293,15 +293,7 @@ def tf_from_config(cfg) -> ContinuousTF:
     if not isinstance(cfg, dict):
         raise ConfigError("transfer-function config must be a JSON object")
     if "num" in cfg or "den" in cfg:
-        _reject_unknown(cfg, ("num", "den", "delay"))
-        try:
-            tf = ContinuousTF(cfg["num"], cfg["den"], float(cfg.get("delay", 0.0)))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"bad transfer-function config: {e}")
-        for key, v in (("num", tf.num), ("den", tf.den), ("delay", tf.delay)):
-            if not np.all(np.isfinite(v)):
-                raise ConfigError(f"{key}: values must be finite")
-        return tf
+        return from_config(ContinuousTF, cfg)
     if cfg.get("plant") == "reference":
         _reject_unknown(cfg, ("plant",))
         return fitted_plant()

@@ -52,8 +52,8 @@ from .sim import (
     run_linear_axis,
     run_nonlinear,
 )
-from .sysid import (MIN_TRUSTED_SHARE, ChirpConfig, averaged_bin_share, estimate_frf,
-                    fit_plant_model, sweep_experiment)
+from .sysid import (DIVERGENCE_LIMIT, MIN_TRUSTED_SHARE, ChirpConfig, averaged_bin_share,
+                    estimate_frf, fit_plant_model, sweep_experiment)
 
 __all__ = [
     "RunReport",
@@ -65,13 +65,11 @@ __all__ = [
     "EXIT_OK",
     "EXIT_CHECK_FAILED",
     "EXIT_CONFIG_ERROR",
-    "EXIT_NUMERICAL_ABORT",
 ]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
-EXIT_NUMERICAL_ABORT = 3
 
 
 @dataclass
@@ -280,7 +278,7 @@ def _checks_rate_step(sc: Scenario, telemetry: np.ndarray, report: RunReport,
     if not _cut_unmeasured(report, sc, steps[0].t, steps[0].t + STEP_WINDOW_S,
                            "rate_step_rise"):
         first = steps[0]
-        target = first.args.get("y", 0.3)
+        target = first.args.get("y", 0.0)
         rt = metrics.rise_time(t, w, first.t, 0.0, target)
         report.metrics["rise_time_s"] = rt
         if target == 0.0:
@@ -458,8 +456,10 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     fit, notch placement at the fitted peak, margins and slope of the
     designed loop, and the notch-free loop's resonance, Nyquist verdict and
     stability-limited bandwidth for comparison.  Emits Bode CSVs for plant,
-    compensator and open loop, the FRF, and a fit report.  Too few trusted
-    FRF bins to fit fail ``fit_converged``, as a stalled fit does.
+    compensator and open loop, the FRF, and a fit report.  A sweep that
+    diverges fails ``sweep_bounded`` after writing the rows it recorded, and
+    too few trusted FRF bins to fit fail ``fit_converged``, as a stalled fit
+    does; each of these writes the report and stops there.
     """
     cfg = cfg or PipelineConfig()
     out_dir = Path(out_dir)
@@ -475,6 +475,13 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
                          sweep.injected, sweep.total_input, sweep.measured]),
     )
     report.artifacts.append(str(sweep_path))
+    if sweep.diverged_at is not None:
+        report.metrics["sweep_diverged_at_s"] = sweep.diverged_at
+        report.add_check("sweep_bounded", False,
+                         f"the response passed {DIVERGENCE_LIMIT:g} rad/s at "
+                         f"{sweep.diverged_at:.3f} s, so nothing was identified")
+        report.write(out_dir)
+        return report
 
     frf = estimate_frf(
         sweep.total_input, sweep.measured, cfg.n_freqs,

@@ -167,9 +167,7 @@ def notch(center_hz: float, k1: float, k2: float) -> ContinuousTF:
         raise ValueError("center_hz must be > 0")
     if not (k1 > k2 > 0.0):
         raise ValueError("need k1 > k2 > 0 for an attenuating notch")
-    w0 = TWO_PI * center_hz
-    a = 1.0 / w0**2
-    return ContinuousTF([1.0, k2 / w0, a], [1.0, k1 / w0, a])
+    return ResonanceParams(center_hz, k2, k1).tf()
 
 
 def pid_tf(kp: float, ki: float, kd: float, deriv_corner_hz: float) -> ContinuousTF:

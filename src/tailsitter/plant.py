@@ -613,7 +613,11 @@ class FlexibleModeParams:
 class SensorConfig:
     """Gyro measurement chain: additive noise, anti-alias filter, decimate.
 
-    The chain decimates from the plant rate to the control rate.
+    The chain decimates from the plant rate to the control rate.  Its filter
+    is the unprewarped Tustin form of a second-order Butterworth, which warps
+    the corner down: the -3 dB point of the default 100 Hz lies at 96.9 Hz,
+    and a 600 Hz request would land at 344.8 Hz.  So ``corner_hz`` must lie
+    below half ``PLANT_RATE_HZ``, as a plant peak must.
     """
 
     gyro_noise_std: float = 0.005
@@ -622,8 +626,9 @@ class SensorConfig:
     def __post_init__(self):
         if not self.gyro_noise_std >= 0.0:
             raise ValueError("gyro_noise_std must be >= 0")
-        if not self.corner_hz > 0.0:
-            raise ValueError("corner_hz must be > 0")
+        if not 0.0 < self.corner_hz < 0.5 * PLANT_RATE_HZ:
+            raise ValueError(f"corner_hz must lie in (0, {0.5 * PLANT_RATE_HZ:g}) Hz, "
+                             "below half the plant rate")
 
 
 class RateSensor:

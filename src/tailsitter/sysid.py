@@ -54,7 +54,7 @@ FIT_DIFF_STEP = 1e-7  # forward-difference step of the Jacobian
 CONVERGENCE_COST_PER_BIN = 3.0
 KNOWN_LF_CORNER_HZ = PlantFitParams.reference().lf_corner_hz
 # Closed-loop sweep: the proportional rate loop that holds the vehicle, the
-# settling time before the chirp starts, and the response that aborts it.
+# settling time before the chirp starts, and the response that stops it.
 STABILIZING_GAIN = 0.05
 SETTLE_S = 2.0
 DIVERGENCE_LIMIT = 50.0  # rad/s
@@ -64,7 +64,6 @@ __all__ = [
     "FRFEstimate",
     "FitResult",
     "SweepData",
-    "SweepDivergence",
     "chirp",
     "averaged_bin_share",
     "estimate_frf",
@@ -521,21 +520,19 @@ def fit_plant_model(frf: FRFEstimate, seed: int = 0) -> FitResult:
     )
 
 
-class SweepDivergence(RuntimeError):
-    """Simulated response left the small-signal envelope during the sweep."""
-
-    def __init__(self, t):
-        super().__init__(f"sweep diverged at t = {t:.3f} s")
-        self.time_s = t
-
-
 @dataclass(frozen=True, eq=False)
 class SweepData:
-    """Recorded sweep experiment channels, 1-D arrays at ``CONTROL_RATE_HZ``."""
+    """Recorded sweep experiment channels, 1-D arrays at ``CONTROL_RATE_HZ``.
+
+    The rows start with the chirp.  A diverged sweep holds the rows up to the
+    tick whose response left the envelope, and ``diverged_at`` is that
+    tick's time from the start of the settling time, as in ``sim.SimLog``.
+    """
 
     injected: np.ndarray
     total_input: np.ndarray
     measured: np.ndarray
+    diverged_at: float | None = None
 
 
 def sweep_experiment(plant, cfg: ChirpConfig, noise_std: float = 0.0,
@@ -549,8 +546,8 @@ def sweep_experiment(plant, cfg: ChirpConfig, noise_std: float = 0.0,
     the sweep runs, as on the real vehicle; the chirp starts after
     ``SETTLE_S`` seconds.  The recorded total input is controller output
     plus injection; the output is the measured rate decimated to the
-    control rate.  A response beyond ``DIVERGENCE_LIMIT`` rad/s aborts with
-    the divergence time.
+    control rate.  A response beyond ``DIVERGENCE_LIMIT`` rad/s stops the
+    sweep and records the divergence time instead of raising.
     """
     rng = np.random.default_rng(seed)
     u_inj = chirp(cfg)
@@ -560,6 +557,7 @@ def sweep_experiment(plant, cfg: ChirpConfig, noise_std: float = 0.0,
     u_total = np.zeros(n)
     y_meas = np.zeros(n)
     y = 0.0
+    diverged_at = None
     for i in range(n):
         # the measurement the controller (and the log) sees is sampled at
         # the tick start, before this tick's input acts
@@ -571,6 +569,8 @@ def sweep_experiment(plant, cfg: ChirpConfig, noise_std: float = 0.0,
         y_meas[i] = meas
         y = plant.step(u)
         if abs(y) > DIVERGENCE_LIMIT:
-            raise SweepDivergence(i / CONTROL_RATE_HZ)
+            n, diverged_at = i + 1, i / CONTROL_RATE_HZ
+            break
 
-    return SweepData(u_inj, u_total[n_settle:], y_meas[n_settle:])
+    return SweepData(u_inj[:max(n - n_settle, 0)], u_total[n_settle:n],
+                     y_meas[n_settle:n], diverged_at)

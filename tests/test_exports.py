@@ -59,6 +59,22 @@ def test_only_plant_names_the_plant_rate():
         assert not names & hold, f"{m.name} names {sorted(names & hold)}"
 
 
+def test_one_way_a_run_fails():
+    # a run that leaves its envelope reports a failed check, so the CLI
+    # catches configuration errors only, and the simulator's numerics error
+    # stays inside the plant that raises it and the runner that records it
+    package = Path(tailsitter.__file__).parent
+    tree = ast.parse((package / "cli.py").read_text())
+    for h in (n for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)):
+        assert isinstance(h.type, ast.Name) and h.type.id == "ConfigError", \
+            f"cli.py:{h.lineno} catches {ast.unparse(h.type) if h.type else 'all'}"
+    for m in pkgutil.iter_modules(tailsitter.__path__):
+        if m.name in ("plant", "sim"):
+            continue
+        text = (package / f"{m.name}.py").read_text()
+        assert "SimNumericsError" not in text, m.name
+
+
 def test_benchmark_patch_targets_resolve(monkeypatch):
     # benchmarks/workloads.py wraps these by name for its --trace spans, so
     # a deleted or renamed target breaks tracing, not any other run

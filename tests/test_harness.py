@@ -175,6 +175,16 @@ class TestRunScenario:
             False, "not measured: the first rate_cmd, at 1 s, is a zero step")
         assert math.isnan(metrics.rise_time([0.0, 1.0], [0.2, 0.2], 0.0, 0.2, 0.2))
 
+    def test_first_step_without_y_is_a_zero_step(self, tmp_path):
+        # the runner commands a missing "y" as 0 rad/s, so the rise check
+        # must read it as the same zero step, not as a 0.3 rad/s one
+        sc = dataclasses.replace(builtin_scenarios()["rate_step"], events=(
+            Event(1.0, "rate_cmd", {"x": 0.3}), Event(3.0, "rate_cmd", {"y": 0.3})))
+        report = run_scenario(sc, tmp_path)
+        checks = {name: (ok, detail) for name, ok, detail in report.checks}
+        assert checks["rate_step_rise"] == (
+            False, "not measured: the first rate_cmd, at 1 s, is a zero step")
+
     def test_rate_loop_that_never_responds_fails_overshoot(self, tmp_path):
         # no excursion past the target is not 0 % overshoot when the
         # response never got near the target
@@ -732,6 +742,9 @@ BAD_SCENARIOS = [
     # a gyro filter and a structural mode the simulator refuses to build
     ({"name": "p", "mode": "nonlinear", "duration_s": 0.2, "sensor": {"corner_hz": 0.0}},
      "sensor"),
+    # unprewarped Tustin puts a 600 Hz corner's -3 dB point at 344.8 Hz
+    ({"name": "p", "mode": "nonlinear", "duration_s": 0.2,
+      "sensor": {"corner_hz": 600.0}}, "sensor"),
     ({"name": "flexbad", "mode": "nonlinear", "duration_s": 1.0, "plant_params": {
         "peak": {"freq_hz": 14.0, "num_damp": 0.01, "den_damp": 0.2}}},
      "plant_params"),
@@ -920,6 +933,12 @@ class TestDataIO:
         for bad in ({"nonsense": 1}, {"num": [1.0], "den": [1.0, 0.1], "dealy": 0.02},
                     {"plant": "reference", "delay": 0.02}):
             with pytest.raises(ConfigError):
+                tf_from_config(bad)
+        # a bool is no delay, and a missing key is named
+        for bad, message in (({"num": [1.0], "den": [1.0, 0.1], "delay": True},
+                              "delay: expected float, got bool"),
+                             ({"num": [1.0]}, "den: required")):
+            with pytest.raises(ConfigError, match=message):
                 tf_from_config(bad)
 
 
@@ -1192,8 +1211,7 @@ class TestCli:
             (["pipeline"], {"chirp": {"sample_hz": 300.0}}, "chirp.sample_hz"),
             (["bode"], {"num": [1.0], "den": [1.0, 0.1], "dealy": 0.02}, "dealy"),
             (["bode"], {"num": [float("nan")], "den": [1.0, 0.1]}, "num"),
-            (["bode"], {"num": [1.0], "den": [1.0, 0.1], "delay": [0.02]},
-             "bad transfer-function config"),
+            (["bode"], {"num": [1.0], "den": [1.0, 0.1], "delay": [0.02]}, "delay"),
             (["bode", "--f-lo", "10", "--f-hi", "1"], {"plant": "reference"},
              "--f-lo"),
             (["bode", "--f-lo", "0"], {"plant": "reference"}, "--f-lo"),
@@ -1266,15 +1284,22 @@ class TestCli:
         for name in builtin_scenarios():
             assert (tmp_path / f"{name}.json").exists()
 
-    def test_numerical_abort_exit_code(self, tmp_path, capsys):
-        from tailsitter.harness import EXIT_NUMERICAL_ABORT
-
+    def test_diverging_sweep_fails_a_check(self, tmp_path, capsys):
         # an oversized injection drives the sweep past its divergence guard
         # (20 s: a 10 s chirp is too short for the FRF windows and is
-        # rejected at load time)
+        # rejected at load time); the pipeline reports it like any failed
+        # check and keeps the rows the sweep recorded
         cfg = tmp_path / "pipe.json"
         cfg.write_text(json.dumps({"chirp": {"amplitude": 1e4,
                                              "duration_s": 20.0}}))
-        rc = cli.main(["pipeline", str(cfg), "--out-dir", str(tmp_path)])
-        assert rc == EXIT_NUMERICAL_ABORT
-        assert "numerical abort" in capsys.readouterr().err
+        out = tmp_path / "out"
+        rc = cli.main(["pipeline", str(cfg), "--out-dir", str(out)])
+        assert rc == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err == ""
+        text = (out / "design_pipeline_report.txt").read_text()
+        assert "sweep_diverged_at_s = 2.028" in text
+        assert "[FAIL] sweep_bounded: " in text
+        header, rows = read_csv(out / "sweep_io.csv")
+        assert header == ["t", "u_injected", "u_total", "omega_meas"]
+        assert rows.shape == (8, 4)
+        assert not (out / "frf.csv").exists()
