@@ -42,7 +42,8 @@ from .lti import (
     tf_eval,
     tf_series,
 )
-from .plant import CONTROL_RATE_HZ, LinearAxisPlant, check_plant_peak
+from .plant import (CONTROL_RATE_HZ, LinearAxisPlant, check_linear_axis_plant,
+                    check_plant_peak)
 from .sim import (
     CHECK_SUITE_NEEDS,
     SIMLOG_HEADER,
@@ -421,6 +422,7 @@ class PipelineConfig:
         if not self.noise_std >= 0.0:
             raise ValueError("noise_std: must be >= 0")
         check_plant_peak(self.true_params, "true_params")
+        check_linear_axis_plant(self.true_params, "true_params")
         # a bin the fit may trust averages two or more windows
         share = averaged_bin_share(self.chirp.n_samples, self.n_freqs,
                                    self.chirp.f0, self.chirp.f1,
@@ -479,7 +481,8 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
         report.metrics["sweep_diverged_at_s"] = sweep.diverged_at
         report.add_check("sweep_bounded", False,
                          f"the response passed {DIVERGENCE_LIMIT:g} rad/s at "
-                         f"{sweep.diverged_at:.3f} s, so nothing was identified")
+                         f"t = {sweep.diverged_at:.3f} s from the chirp start, "
+                         "so nothing was identified")
         report.write(out_dir)
         return report
 

@@ -8,7 +8,10 @@ Two plants back the closed-loop experiments:
   path, actuation transport delay, and a 1 kHz gyro measurement chain.
 * ``LinearAxisPlant`` - a single-axis discrete realization of an identified
   transfer function (torque command in, measured rate out), used for
-  frequency-domain-faithful loop verification.
+  frequency-domain-faithful loop verification.  It is built from the
+  plant-rate Tustin cascade and runs at the control rate: one update per
+  tick, exact for the held command (``tests/oracles.py`` keeps the cascade
+  run sample by sample as its reference).
 
 They are not interchangeable.  The structural modes and the delay agree,
 but the pitch axis of ``TailsitterSim``, identified as the pipeline
@@ -18,12 +21,14 @@ zeros give the linear plant about 40 degrees of phase lead at 8 Hz that the
 rigid body lacks (measured in ROADMAP.md).  Both are deterministic under
 a fixed seed.
 
-The command hold has one home, here.  Both plants integrate at
+The command hold has one home, here.  Both plants are models at
 ``PLANT_RATE_HZ`` and their ``step`` advances one control tick: it holds the
 command over ``SUBSTEPS`` plant samples and returns the measurement at the
-end of the tick.  ``hold_response`` is that staircase in the frequency
-domain, the zero-order hold the identification divides out of the FRF.
-No other module names the plant rate or the substep count.
+end of the tick.  ``TailsitterSim`` integrates the substeps one by one;
+``LinearAxisPlant`` is linear, so its constructor lifts the held substeps
+into one control-rate update.  ``hold_response`` is that staircase in the
+frequency domain, the zero-order hold the identification divides out of the
+FRF.  No other module names the plant rate or the substep count.
 
 The 1 kHz substep of ``TailsitterSim`` is a scalar kernel: the vehicle state
 is one flat list of 13 floats (NED position and velocity, the attitude
@@ -54,13 +59,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import quat
-from .biquad import discretize_tustin
+from .biquad import BiquadSection, discretize_tustin
 from .lti import (ContinuousTF, PlantFitParams, ResonanceParams, butterworth2,
                   fitted_plant, tf_series)
 
@@ -78,6 +84,7 @@ __all__ = [
     "hover_state",
     "LinearAxisPlant",
     "check_plant_peak",
+    "check_linear_axis_plant",
     "hold_response",
     "RateSensor",
     "rotor_vibration",
@@ -88,6 +95,9 @@ PLANT_RATE_HZ = 1000.0
 CONTROL_RATE_HZ = 250.0
 SUBSTEPS = round(PLANT_RATE_HZ / CONTROL_RATE_HZ)  # plant steps per control tick
 CONTROL_DT = 1.0 / CONTROL_RATE_HZ
+# relative error a LinearAxisPlant's control-rate sections may carry against
+# the held impulse response of the plant-rate cascade they realize
+LIFT_TOL = 1e-9
 # Bits of the telemetry flags column: rate-loop saturation, thrust
 # saturation, the no-vertical-authority feedforward fallback, motor-command
 # saturation in any substep of the tick, an aero query clamped to the table
@@ -117,6 +127,28 @@ def check_plant_peak(p: PlantFitParams, where: str):
     if not p.peak.freq_hz < 0.5 * PLANT_RATE_HZ:
         raise ValueError(f"{where}.peak.freq_hz: must lie below "
                          f"{0.5 * PLANT_RATE_HZ:g} Hz, half the plant rate")
+
+
+def check_linear_axis_plant(p: PlantFitParams, where: str):
+    """Reject a plant ``LinearAxisPlant.identified`` cannot build, such as
+    one whose poles coincide at the control rate; run ``check_plant_peak``
+    first.  ``where`` names the parameters' config field in the ValueError."""
+    error = _unrealizable(p)
+    if error is not None:
+        raise ValueError(f"{where}: {error}")
+
+
+@lru_cache(maxsize=16)
+def _unrealizable(p: PlantFitParams):
+    """Why ``LinearAxisPlant.identified(p)`` fails, or None; a float
+    overflow while building it fails it too.  Memoized: the builtin
+    scenarios, rebuilt on every run by name, check the same plants."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            LinearAxisPlant.identified(p)
+    except (ValueError, ArithmeticError) as e:
+        return str(e)
+    return None
 
 
 def hold_response(freqs):
@@ -181,6 +213,8 @@ class AircraftParams:
             raise ValueError("mass and wing area must be positive")
         if not self.motor_tau_s > 0.0:
             raise ValueError("motor_tau_s must be positive")
+        if not 0.0 < self.gravity < math.inf:
+            raise ValueError("gravity must be positive and finite")
         inertia = np.array(self.inertia, dtype=float)
         if inertia.shape == (3,):
             inertia = np.diag(inertia)
@@ -564,18 +598,99 @@ def step_dynamics(x, motors, dt, params: AircraftParams, table: AeroTable):
     return out, c1 or c2 or c3 or c4
 
 
-class LinearAxisPlant:
-    """Stateful single-axis plant realized from an identified TF.
+def _filtered(section: BiquadSection, xs):
+    """Output list of ``section`` run from rest over the input list ``xs``
+    (Direct Form II transposed); the section's own state is not touched."""
+    b0, b1, b2, a1, a2 = section.coefficients()
+    z1 = z2 = 0.0
+    out = []
+    for x in xs:
+        y = b0 * x + z1
+        z1 = b1 * x - a1 * y + z2
+        z2 = b2 * x - a2 * y
+        out.append(y)
+    return out
 
-    Maps a normalized torque command to the measured rate, including the
-    transport delay as an integer-sample line.  ``cascade`` runs at the
-    fixed 1 kHz ``PLANT_RATE_HZ``; ``prewarp_hz``, when given (normally the
-    resonance), makes the response exact there, so the structural peak lands
-    on its continuous frequency.
+
+class LinearAxisPlant:
+    """Stateful single-axis plant realized from an identified TF at the
+    control rate.
+
+    Maps a normalized torque command, held over one control tick, to the
+    measured rate at the end of the tick, transport delay included.  The TF
+    is discretized at ``PLANT_RATE_HZ`` first (Tustin sections and an
+    integer-sample delay line; ``prewarp_hz``, normally the resonance, puts
+    the structural peak on its continuous frequency).  The held input and
+    the end-of-tick sample make that cascade's map from command to rate
+    linear and time-invariant at ``CONTROL_RATE_HZ`` ("lifting", Chen &
+    Francis, Optimal Sampled-Data Control Systems, 1995), and the
+    constructor realizes it exactly, so ``step`` makes one update per tick:
+
+    * the delay splits into ``delay_ticks`` whole ticks, a delay line, and
+      fewer than ``SUBSTEPS`` plant samples left over;
+    * each section 1 + a1 z^-1 + a2 z^-2 with poles p lifts, without root
+      finding, to the section with poles p**4 (``SUBSTEPS`` = 4): its z^-2
+      coefficient is a2**4 and its value at z = 1 is D(1) D(-1) |D(i)|**2,
+      the product over the four fourth roots of 1, which keeps a pole at or
+      near z = 1 (the integrator) where rounding would move it;
+    * the rest is a parallel sum, one ``sections`` entry b0 + b1 z^-1 over
+      each lifted denominator plus the ``direct`` tap.  The held impulse
+      response is a sum of the lifted modes from its second tick on, so
+      these n unknowns solve its first 2n ticks exactly; the extra ticks
+      condition the solve.
+
+    A plant this cannot realize, for example one whose lifted poles
+    coincide, raises ValueError here: the solve's condition number times
+    the rounding unit, and its misfit relative to the held response, must
+    both stay within ``LIFT_TOL``.
     """
 
     def __init__(self, tf: ContinuousTF, prewarp_hz=None):
-        self.cascade = discretize_tustin(tf, PLANT_RATE_HZ, prewarp_hz)
+        cascade = discretize_tustin(tf, PLANT_RATE_HZ, prewarp_hz)
+        self.delay_ticks, lead = divmod(cascade.delay_samples, SUBSTEPS)
+        self.sections = []
+        for s in cascade.sections:
+            a1, a2 = s.a1, s.a2
+            if a1 == a2 == 0.0:
+                continue  # no pole: the direct tap carries it
+            a2_lifted = (a2 * a2) ** 2
+            at_one = (1.0 + a1 + a2) * (1.0 - a1 + a2) * ((1.0 - a2) ** 2 + a1 * a1)
+            self.sections.append(BiquadSection(1.0, 0.0, 0.0, at_one - 1.0 - a2_lifted,
+                                               a2_lifted))
+        # held impulse response: a unit command held over one tick, after
+        # the whole-tick delay, sampled at the end of each tick
+        n = sum(2 if s.a2 != 0.0 else 1 for s in self.sections) + 1
+        ticks = 2 * n
+        x = [0.0] * (SUBSTEPS * ticks)
+        x[lead:lead + SUBSTEPS] = [1.0] * SUBSTEPS
+        for s in cascade.sections:
+            x = _filtered(s, x)
+        held = np.array(x[SUBSTEPS - 1::SUBSTEPS])
+        # one column per unknown: each section's impulse response, delayed
+        # by a tick for b1, and the direct tap
+        impulse = [1.0] + [0.0] * (ticks - 1)
+        columns = []
+        for s in self.sections:
+            h = _filtered(s, impulse)
+            columns.append(h)
+            if s.a2 != 0.0:
+                columns.append([0.0] + h[:-1])
+        columns.append(impulse)
+        basis = np.array(columns).T
+        coef, _, _, sv = np.linalg.lstsq(basis, held)
+        misfit = np.max(np.abs(basis @ coef - held))
+        if not (sv[0] * np.finfo(float).eps <= LIFT_TOL * sv[-1]
+                and misfit <= LIFT_TOL * np.max(np.abs(held))):
+            raise ValueError("the plant has no parallel realization at the control "
+                             "rate: two of its poles coincide, or nearly, once "
+                             f"lifted to {CONTROL_RATE_HZ:g} Hz")
+        coef = coef.tolist()
+        for s in self.sections:
+            s.b0 = coef.pop(0)
+            if s.a2 != 0.0:
+                s.b1 = coef.pop(0)
+        (self.direct,) = coef
+        self._delay = deque([0.0] * self.delay_ticks)
 
     @classmethod
     def identified(cls, p: PlantFitParams) -> "LinearAxisPlant":
@@ -583,13 +698,28 @@ class LinearAxisPlant:
         return cls(fitted_plant(p), prewarp_hz=p.peak.freq_hz)
 
     def step(self, u: float) -> float:
-        """Hold ``u`` over one control tick of ``SUBSTEPS`` plant samples;
-        the rate at the end of the tick."""
-        u = float(u)
-        process = self.cascade.process
-        for _ in range(SUBSTEPS):
-            y = process(u)
+        """Hold ``u`` over one control tick; the rate at the end of the tick.
+
+        One pass of the delay line and the parallel sections, each in Direct
+        Form II transposed with b2 = 0.
+        """
+        delay = self._delay
+        delay.append(float(u))
+        u = delay.popleft()
+        y = self.direct * u
+        for s in self.sections:
+            v = s.b0 * u + s._z1
+            s._z1 = s.b1 * u - s.a1 * v + s._z2
+            s._z2 = -s.a2 * v
+            y += v
         return y
+
+    def response(self, freq_hz):
+        """Complex response at freq_hz (vectorized) of the 250 Hz map from
+        the held command to the end-of-tick rate, from its own coefficients."""
+        f = np.asarray(freq_hz, dtype=float)
+        h = self.direct + sum(s.response(f, CONTROL_RATE_HZ) for s in self.sections)
+        return h * np.exp(-2j * np.pi * f * self.delay_ticks / CONTROL_RATE_HZ)
 
 
 @dataclass(frozen=True)

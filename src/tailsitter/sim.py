@@ -36,6 +36,7 @@ from .plant import (
     TailsitterSim,
     VibrationConfig,
     air_data,
+    check_linear_axis_plant,
     check_plant_peak,
     default_aero_table,
     hover_state,
@@ -154,10 +155,15 @@ class Scenario:
             raise ValueError("mode: must be nonlinear or linear-axis")
         if not self.duration_s > 0.0:
             raise ValueError("duration_s: must be positive")
+        if not self.duration_s >= CONTROL_DT:  # a shorter run logs no row to check
+            raise ValueError(f"duration_s: must be at least one control tick, "
+                             f"{CONTROL_DT:g} s")
         if not self.meas_noise_std >= 0.0:
             raise ValueError("meas_noise_std: must be >= 0")
         check_plant_peak(self.plant_params, "plant_params")
-        if self.mode == "nonlinear" and self.flex_enabled:
+        if self.mode == "linear-axis":
+            check_linear_axis_plant(self.plant_params, "plant_params")
+        elif self.flex_enabled:
             try:  # the pair _build_sim filters the pitch torque with
                 FlexibleModeParams(self.plant_params.peak, self.plant_params.anti)
             except ValueError as e:

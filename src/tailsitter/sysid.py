@@ -32,6 +32,7 @@ anti-resonance sits above the peak and attenuates, and the delay stays below
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,9 @@ class ChirpConfig:
                              "half the control rate")
         if not (self.duration_s > 0.0 and self.amplitude > 0.0):
             raise ValueError("duration and amplitude must be positive")
+        if not self.duration_s * CONTROL_RATE_HZ < sys.maxsize:
+            raise ValueError(f"duration_s: {self.duration_s:g} s has more samples "
+                             "than an array can index")
 
     @property
     def n_samples(self) -> int:
@@ -526,7 +530,8 @@ class SweepData:
 
     The rows start with the chirp.  A diverged sweep holds the rows up to the
     tick whose response left the envelope, and ``diverged_at`` is that
-    tick's time from the start of the settling time, as in ``sim.SimLog``.
+    tick's time from the chirp start, the clock of the rows: the last row's
+    time, or a negative time when the sweep diverged while settling.
     """
 
     injected: np.ndarray
@@ -569,7 +574,7 @@ def sweep_experiment(plant, cfg: ChirpConfig, noise_std: float = 0.0,
         y_meas[i] = meas
         y = plant.step(u)
         if abs(y) > DIVERGENCE_LIMIT:
-            n, diverged_at = i + 1, i / CONTROL_RATE_HZ
+            n, diverged_at = i + 1, (i - n_settle) / CONTROL_RATE_HZ
             break
 
     return SweepData(u_inj[:max(n - n_settle, 0)], u_total[n_settle:n],

@@ -11,7 +11,10 @@ plant kernel must match bit for bit.  The thrust allocation is built here
 from the airframe's public fields, the one-axis compensator from the
 rate-loop config, and a filter's block output from its per-sample
 ``process``; ``save_aero_table`` writes the CSV that
-``dataio.load_aero_table`` reads.  Quaternions go in and come
+``dataio.load_aero_table`` reads.  ``CascadeAxisPlant`` is the linear-axis
+plant run sample by sample at the plant rate, and ``lifted_response`` the
+polyphase sum that gives its response at the control rate; the package's
+control-rate ``LinearAxisPlant`` must match both.  Quaternions go in and come
 out as 4-tuples of floats, the package's one quaternion form.
 """
 
@@ -20,10 +23,13 @@ from bisect import bisect_right
 
 import numpy as np
 
+from tailsitter.biquad import discretize_tustin
 from tailsitter.control import RateController
 from tailsitter.dataio import write_csv
-from tailsitter.lti import ContinuousTF, pid_tf, tf_eval, tf_series
-from tailsitter.plant import SimNumericsError, _derivatives, _propeller_wrench
+from tailsitter.lti import (ContinuousTF, PlantFitParams, fitted_plant, pid_tf, tf_eval,
+                            tf_series)
+from tailsitter.plant import (CONTROL_RATE_HZ, PLANT_RATE_HZ, SUBSTEPS, SimNumericsError,
+                              _derivatives, _propeller_wrench)
 from tailsitter.quat import _SMALL_HALF_ANGLE
 from tailsitter.sysid import FRFEstimate
 
@@ -339,3 +345,40 @@ def save_aero_table(path, table):
         for j, v in enumerate(table.v_grid):
             rows.append((a, v, table.cl[i, j], table.cd[i, j]))
     return write_csv(path, ["alpha_rad", "V_ms", "CL", "CD"], rows)
+
+
+class CascadeAxisPlant:
+    """The linear-axis plant at the plant rate: the Tustin cascade of the TF
+    at ``PLANT_RATE_HZ`` with its integer-sample delay line, run ``SUBSTEPS``
+    times per control tick with the command held, the rate sampled at the
+    end of the tick.  ``plant.LinearAxisPlant`` realizes the same map at the
+    control rate."""
+
+    def __init__(self, tf: ContinuousTF, prewarp_hz=None):
+        self.cascade = discretize_tustin(tf, PLANT_RATE_HZ, prewarp_hz)
+
+    @classmethod
+    def identified(cls, p: PlantFitParams) -> "CascadeAxisPlant":
+        return cls(fitted_plant(p), prewarp_hz=p.peak.freq_hz)
+
+    def step(self, u):
+        u = float(u)
+        for _ in range(SUBSTEPS):
+            y = self.cascade.process(u)
+        return y
+
+
+def lifted_response(cascade, freq_hz):
+    """Response at the control rate of ``cascade`` (at ``PLANT_RATE_HZ``)
+    driven by a command held over each tick and sampled at the tick's end:
+    the polyphase sum P(theta) = 1/4 sum_m G(w_m) e^{3j w_m} over the four
+    plant-rate frequencies w_m = (theta + 2 pi m) / 4 that alias to theta,
+    with G the cascade times the hold 1 + z^-1 + z^-2 + z^-3."""
+    theta = 2.0 * np.pi * np.asarray(freq_hz, dtype=float) / CONTROL_RATE_HZ
+    total = 0.0
+    for m in range(SUBSTEPS):
+        w = (theta + 2.0 * np.pi * m) / SUBSTEPS
+        hold = sum(np.exp(-1j * w * i) for i in range(SUBSTEPS))
+        g = cascade.response(w * PLANT_RATE_HZ / (2.0 * np.pi)) * hold
+        total = total + g * np.exp(1j * w * (SUBSTEPS - 1))
+    return total / SUBSTEPS

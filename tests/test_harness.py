@@ -8,8 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from oracles import save_aero_table
-from tailsitter import cli, harness, metrics, sysid
+from tailsitter import cli, harness, metrics, sim, sysid
 from tailsitter.control import (
     AltitudeLoopConfig,
     AttitudeLoopConfig,
@@ -278,9 +279,10 @@ class TestDivergedRun:
 
 
 # Telemetry rows of the builtin linear-axis runs as the numpy-array rate
-# loop computed them (t, q_cmd, q_meas, w_cmd, w_meas, torque, thrust,
-# flags): notch off and growing, just before the notch is enabled, and
-# after; inside the first, second and third rate step.
+# loop computed them against the plant-rate cascade (t, q_cmd, q_meas,
+# w_cmd, w_meas, torque, thrust, flags): notch off and growing, just before
+# the notch is enabled, and after; inside the first, second and third rate
+# step.  The same rows from the control-rate plant are LIFTED_LINEAR_AXIS_GOLDEN.
 LINEAR_AXIS_GOLDEN = {
     "hover_notch_ab": {
         500: [2.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -307,11 +309,51 @@ LINEAR_AXIS_GOLDEN = {
 }
 
 
+# The rows of LINEAR_AXIS_GOLDEN from the control-rate realization of the
+# plant; w_meas and torque moved by rounding, at most 4.3e-14 absolute.
+LIFTED_LINEAR_AXIS_GOLDEN = {
+    "hover_notch_ab": {
+        500: [2.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+              4.888080452011869e-05, 0.0, 0.0, -0.00013983221471849618, 0.0,
+              0.0, 0.0],
+        2499: [9.996, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+               0.0, -0.008383874992095681, 0.0, 0.0, 0.00324001378864538,
+               0.0, 0.0, 0.0],
+        3000: [12.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+               0.0, -0.00016303937378728584, 0.0, 0.0, -2.526306126094117e-05,
+               0.0, 0.0, 0.0],
+    },
+    "rate_step": {
+        300: [1.2, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.3, 0.0, 0.0,
+              0.24835306960479578, 0.0, 0.0, 0.001990771482252304, 0.0, 0.0,
+              0.0],
+        875: [3.5, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, -0.3, 0.0, 0.0,
+              -0.35532097440300686, 0.0, 0.0, 0.0009062435913532352, 0.0, 0.0,
+              0.0],
+        1750: [7.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.3, 0.0, 0.0,
+               0.3123007382852446, 0.0, 0.0, -6.259834475556422e-05, 0.0, 0.0,
+               0.0],
+    },
+}
+
+
 @pytest.mark.parametrize("name", sorted(LINEAR_AXIS_GOLDEN))
 def test_linear_axis_golden_rows(name):
     log = run_linear_axis(builtin_scenarios()[name])
+    for row, values in LIFTED_LINEAR_AXIS_GOLDEN[name].items():
+        assert log.telemetry[row].tolist() == values, (name, row)
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_AXIS_GOLDEN))
+def test_plant_rate_cascade_keeps_linear_axis_golden_rows(name, monkeypatch):
+    monkeypatch.setattr(sim, "LinearAxisPlant", oracles.CascadeAxisPlant)
+    log = run_linear_axis(builtin_scenarios()[name])
     for row, values in LINEAR_AXIS_GOLDEN[name].items():
         assert log.telemetry[row].tolist() == values, (name, row)
+    # the control-rate plant moves each logged value by rounding only
+    lifted = LIFTED_LINEAR_AXIS_GOLDEN[name]
+    for row, values in LINEAR_AXIS_GOLDEN[name].items():
+        assert np.allclose(lifted[row], values, rtol=0.0, atol=1e-13), (name, row)
 
 
 # Rows 0, 75, 150, 200 and 249 of a 1 s transition with a pitch ramp from
@@ -652,6 +694,7 @@ NAN_GUARDS = [
      "mass and wing area"),
     ("AircraftParams.motor_tau_s", lambda: AircraftParams(motor_tau_s=NAN),
      "motor_tau_s"),
+    ("AircraftParams.gravity", lambda: AircraftParams(gravity=NAN), "gravity"),
     ("NotchConfig.center_hz", lambda: NotchConfig(NAN, 0.15, 0.018), "center_hz > 0"),
     ("RateLoopConfig.deriv_corner_hz", lambda: RateLoopConfig(deriv_corner_hz=NAN),
      "deriv_corner_hz"),
@@ -682,6 +725,10 @@ def test_nan_fails_positive_value_guard(make, message):
     with pytest.raises(ValueError, match=message):
         make()
 
+
+# structural modes whose lifted poles coincide
+COINCIDING_MODES = {"peak": {"freq_hz": 14.0, "num_damp": 0.2, "den_damp": 0.03},
+                    "anti": {"freq_hz": 14.0, "num_damp": 0.02, "den_damp": 0.03}}
 
 BAD_SCENARIOS = [
     ({"name": "x", "events": [{"t": 0.0, "kind": "warp_drive"}]}, "events[0]"),
@@ -747,6 +794,21 @@ BAD_SCENARIOS = [
       "sensor": {"corner_hz": 600.0}}, "sensor"),
     ({"name": "flexbad", "mode": "nonlinear", "duration_s": 1.0, "plant_params": {
         "peak": {"freq_hz": 14.0, "num_damp": 0.01, "den_damp": 0.2}}},
+     "plant_params"),
+    # a zero gravity divided the hover thrust ratio by zero mid-run
+    ({"name": "g0", "mode": "nonlinear", "duration_s": 0.2, "aircraft": {"gravity": 0.0}},
+     "aircraft"),
+    # a run shorter than one control tick logged no row for its checks
+    ({**to_config(builtin_scenarios()["transition"]), "duration_s": 1e-6}, "duration_s"),
+    # a peak and an anti-resonance with one denominator: the linear-axis
+    # plant has no parallel realization at the control rate
+    ({"name": "x", "mode": "linear-axis", "plant_params": COINCIDING_MODES},
+     "plant_params"),
+    # coefficients that overflow the plant's discretization used to raise
+    # from np.roots or butterworth2 mid-run
+    ({"name": "x", "mode": "linear-axis",
+      "plant_params": {"main_num": [1e300, 3.764, 0.01362]}}, "plant_params"),
+    ({"name": "x", "mode": "linear-axis", "plant_params": {"lf_corner_hz": 1e300}},
      "plant_params"),
 ]
 
@@ -1209,6 +1271,8 @@ class TestCli:
             (["pipeline"], {"skip_notch": True}, "skip_notch"),
             (["pipeline"], {"correct_hold": False}, "correct_hold"),
             (["pipeline"], {"chirp": {"sample_hz": 300.0}}, "chirp.sample_hz"),
+            (["pipeline"], {"chirp": {"duration_s": 1e300}}, "chirp"),
+            (["pipeline"], {"true_params": COINCIDING_MODES}, "true_params"),
             (["bode"], {"num": [1.0], "den": [1.0, 0.1], "dealy": 0.02}, "dealy"),
             (["bode"], {"num": [float("nan")], "den": [1.0, 0.1]}, "num"),
             (["bode"], {"num": [1.0], "den": [1.0, 0.1], "delay": [0.02]}, "delay"),
@@ -1297,9 +1361,13 @@ class TestCli:
         assert rc == EXIT_CHECK_FAILED
         assert capsys.readouterr().err == ""
         text = (out / "design_pipeline_report.txt").read_text()
-        assert "sweep_diverged_at_s = 2.028" in text
-        assert "[FAIL] sweep_bounded: " in text
         header, rows = read_csv(out / "sweep_io.csv")
         assert header == ["t", "u_injected", "u_total", "omega_meas"]
         assert rows.shape == (8, 4)
+        # the divergence time is on the clock of the rows' t column: the
+        # last row's time, counted from the chirp start
+        assert "sweep_diverged_at_s = 0.028" in text
+        reported = re.search(r"^  sweep_diverged_at_s = (.*)$", text, re.M)[1]
+        assert reported == repr(float(rows[-1, 0]))
+        assert "[FAIL] sweep_bounded: the response passed 50 rad/s at t = 0.028 s " in text
         assert not (out / "frf.csv").exists()

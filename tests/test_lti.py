@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import integrator_tf
 from tailsitter import lti
 from tailsitter.dataio import read_csv, write_bode_csv
@@ -343,17 +344,15 @@ def _loop_shaping_candidates():
             yield tf_series(plant, comp)
 
 
-@pytest.fixture(scope="module")
-def shipped_notch_free_loop():
+def _shipped_notch_free_loop(plant_cls):
     """Fitted plant times PID of the shipped pipeline, as design_pipeline
-    builds it for its notch-free gain sweep."""
+    builds it for its notch-free gain sweep, with the sweep run against
+    ``plant_cls``."""
     from tailsitter.harness import PipelineConfig
-    from tailsitter.plant import LinearAxisPlant
     from tailsitter.sysid import estimate_frf, fit_plant_model, sweep_experiment
 
     cfg = PipelineConfig()
-    plant = LinearAxisPlant(fitted_plant(cfg.true_params),
-                            prewarp_hz=cfg.true_params.peak.freq_hz)
+    plant = plant_cls.identified(cfg.true_params)
     sw = sweep_experiment(plant, cfg.chirp, noise_std=cfg.noise_std,
                           seed=cfg.seed)
     frf = estimate_frf(sw.total_input, sw.measured, cfg.n_freqs,
@@ -365,11 +364,29 @@ def shipped_notch_free_loop():
                      pid_tf(cfg.kp, cfg.ki, cfg.kd, cfg.deriv_corner_hz))
 
 
+@pytest.fixture(scope="module")
+def shipped_notch_free_loop():
+    from tailsitter.plant import LinearAxisPlant
+
+    return _shipped_notch_free_loop(LinearAxisPlant)
+
+
 class TestMaxStableGain:
     def test_shipped_notch_free_loop_pinned(self, shipped_notch_free_loop):
         from tailsitter.harness import _max_stable_gain_crossover
 
         base = shipped_notch_free_loop
+        assert repr(max_stable_gain(base, 0.01, 8.0)) == "0.2967041685917322"
+        g, fc = _max_stable_gain_crossover(base)
+        assert repr((g, fc)) == "(0.2967041685917322, 1.3522359485169553)"
+
+    def test_plant_rate_cascade_keeps_its_pin(self):
+        # the sweep against the plant-rate cascade gives the gain pinned
+        # before the plant was realized at the control rate; the two differ
+        # by 6.3e-9 relative, the fit's rounding
+        from tailsitter.harness import _max_stable_gain_crossover
+
+        base = _shipped_notch_free_loop(oracles.CascadeAxisPlant)
         assert repr(max_stable_gain(base, 0.01, 8.0)) == "0.29670416673016076"
         g, fc = _max_stable_gain_crossover(base)
         assert repr((g, fc)) == "(0.29670416673016076, 1.3522359485169553)"

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from oracles import rotation_matrix, velocity_frame_force
 from tailsitter import plant, quat
-from tailsitter.harness import builtin_scenarios
+from tailsitter.harness import PipelineConfig, builtin_scenarios
 from tailsitter.lti import PlantFitParams, butterworth2, fitted_plant, tf_eval
 from tailsitter.biquad import discretize_tustin
 from tailsitter.plant import (
@@ -374,6 +374,18 @@ class TestAeroForceFrame:
             assert speed == pytest.approx(np.linalg.norm(v), rel=1e-15)
 
 
+# plants for the lifted realization: the reference (a 21-sample delay, 5
+# ticks and 1 sample), the shipped pipeline's true plant, and delays of 19,
+# 22 and 0 plant samples, which leave 3, 2 and 0 samples past whole ticks
+LIFTED_PLANTS = {
+    "reference": PlantFitParams.reference(),
+    "pipeline": PipelineConfig().true_params,
+    "delay_19": replace(PlantFitParams.reference(), delay_s=0.019),
+    "delay_22": replace(PlantFitParams.reference(), delay_s=0.022),
+    "no_delay": replace(PlantFitParams.reference(), delay_s=0.0),
+}
+
+
 class TestLinearAxisPlant:
     def test_step_input_reaches_constant_ramp(self):
         plant = LinearAxisPlant(fitted_plant())
@@ -385,7 +397,7 @@ class TestLinearAxisPlant:
 
     def test_sinusoid_gain_at_resonance(self):
         ref = PlantFitParams.reference()
-        plant = LinearAxisPlant(fitted_plant(), prewarp_hz=ref.peak.freq_hz)
+        plant = oracles.CascadeAxisPlant(fitted_plant(), prewarp_hz=ref.peak.freq_hz)
         f = ref.peak.freq_hz
         t = np.arange(0, 10.0, 1e-3)
         u = 0.001 * np.sin(2 * np.pi * f * t)
@@ -395,8 +407,8 @@ class TestLinearAxisPlant:
         assert ratio == pytest.approx(abs(tf_eval(fitted_plant(), f)), rel=0.02)
 
     def test_step_holds_the_command_over_one_tick(self):
-        ticked = LinearAxisPlant(fitted_plant())
-        sampled = LinearAxisPlant(fitted_plant())
+        ticked = oracles.CascadeAxisPlant(fitted_plant())
+        sampled = oracles.CascadeAxisPlant(fitted_plant())
         for u in np.random.default_rng(3).normal(0.0, 0.01, 50).tolist():
             y = [sampled.cascade.process(u) for _ in range(SUBSTEPS)]
             assert ticked.step(u) == y[-1]
@@ -408,12 +420,59 @@ class TestLinearAxisPlant:
 
     def test_discrete_realization_tracks_continuous_response(self):
         ref = PlantFitParams.reference()
-        plant = LinearAxisPlant(fitted_plant(),
-                                prewarp_hz=ref.peak.freq_hz)
+        plant = oracles.CascadeAxisPlant(fitted_plant(), prewarp_hz=ref.peak.freq_hz)
         f = np.linspace(0.5, 25.0, 80)
         ratio = plant.cascade.response(f) / tf_eval(fitted_plant(), f)
         assert np.max(np.abs(20.0 * np.log10(np.abs(ratio)))) < 1.0
         assert np.max(np.abs(np.degrees(np.angle(ratio)))) < 5.0
+
+    @pytest.mark.parametrize("name", sorted(LIFTED_PLANTS))
+    def test_response_equals_polyphase_sum(self, name):
+        # the control-rate sections, tap and delay line realize the held
+        # plant-rate cascade sampled at the end of each tick: its response
+        # is the polyphase sum over the cascade, to 1e-9 relative up to the
+        # 125 Hz Nyquist frequency of the control rate
+        p = LIFTED_PLANTS[name]
+        plant = LinearAxisPlant.identified(p)
+        oracle = oracles.CascadeAxisPlant.identified(p)
+        assert plant.delay_ticks == oracle.cascade.delay_samples // SUBSTEPS
+        f = np.geomspace(0.01, 125.0, 20001)
+        lifted = oracles.lifted_response(oracle.cascade, f)
+        assert np.max(np.abs(plant.response(f) / lifted - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("name", sorted(LIFTED_PLANTS))
+    def test_outputs_match_the_plant_rate_cascade(self, name):
+        # 15 000 ticks of random commands; the plants agree to 1e-9 of the
+        # largest rate (about 2 rad/s here: the integrator wanders)
+        p = LIFTED_PLANTS[name]
+        plant = LinearAxisPlant.identified(p)
+        oracle = oracles.CascadeAxisPlant.identified(p)
+        u = np.random.default_rng(1).normal(0.0, 0.01, 15_000).tolist()
+        y = np.array([plant.step(v) for v in u])
+        y_ref = np.array([oracle.step(v) for v in u])
+        assert np.max(np.abs(y - y_ref)) <= 1e-9 * np.max(np.abs(y_ref))
+
+    def test_step_runs_no_plant_rate_cascade(self, monkeypatch):
+        from tailsitter.biquad import BiquadCascade
+
+        plant = LinearAxisPlant.identified(PlantFitParams.reference())
+        monkeypatch.setattr(BiquadCascade, "process", None)
+        assert [plant.step(1.0) for _ in range(7)][-1] != 0.0
+
+    def test_coinciding_lifted_poles_rejected(self):
+        # a peak and an anti-resonance with one denominator: their lifted
+        # poles coincide, so the cascade has double poles that no parallel
+        # sum of second-order sections reproduces
+        ref = PlantFitParams.reference()
+        p = replace(ref, anti=replace(ref.anti, freq_hz=ref.peak.freq_hz,
+                                      den_damp=ref.peak.den_damp))
+        with pytest.raises(ValueError, match="no parallel realization"):
+            LinearAxisPlant.identified(p)
+        # 0.1 % apart they are realized, as exactly as the reference
+        near = replace(p, anti=replace(p.anti, freq_hz=1.001 * ref.peak.freq_hz))
+        f = np.geomspace(0.01, 125.0, 2001)
+        lifted = oracles.lifted_response(oracles.CascadeAxisPlant.identified(near).cascade, f)
+        assert np.max(np.abs(LinearAxisPlant.identified(near).response(f) / lifted - 1.0)) < 1e-9
 
 
 class TestNonlinearMatchesIdentifiedLowFrequency:
