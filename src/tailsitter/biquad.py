@@ -1,9 +1,10 @@
 """Digital realization of continuous filters for the 250 Hz control loop.
 
-A ContinuousTF is factored into first/second-order sections, each section is
-discretized with the bilinear (Tustin) transform, optionally prewarped so the
-response is exact at one chosen frequency, and the pure delay becomes an
-integer-sample delay line.  Sections run in Direct Form II transposed.
+A delay-free ContinuousTF is factored into first/second-order sections, each
+section is discretized with the bilinear (Tustin) transform, optionally
+prewarped so the response is exact at one chosen frequency, and the sections
+run in Direct Form II transposed.  A cascade has no transport delay: the
+plants in ``plant`` realize theirs.
 """
 
 from __future__ import annotations
@@ -47,27 +48,16 @@ class BiquadSection:
 
 
 class BiquadCascade:
-    """Series of biquad sections plus an integer-sample input delay line.
+    """Series of biquad sections.
 
     Carries mutable filter state: single-owner use.
     """
 
-    def __init__(self, sections, sample_rate_hz, delay_samples=0,
-                 delay_remainder_s=0.0):
+    def __init__(self, sections, sample_rate_hz):
         self.sections = list(sections)
         self.sample_rate_hz = float(sample_rate_hz)
-        self.delay_samples = int(delay_samples)
-        # fractional part of the continuous delay that the integer line drops
-        self.delay_remainder_s = float(delay_remainder_s)
-        self._delay_buf = [0.0] * self.delay_samples
-        self._delay_idx = 0
 
     def process(self, x: float) -> float:
-        if self.delay_samples:
-            buf = self._delay_buf
-            i = self._delay_idx
-            x, buf[i] = buf[i], x
-            self._delay_idx = (i + 1) % self.delay_samples
         # each section in Direct Form II transposed, run inline
         for s in self.sections:
             y = s.b0 * x + s._z1
@@ -77,12 +67,11 @@ class BiquadCascade:
         return x
 
     def response(self, freq_hz):
-        """Complex response at freq_hz including the integer-sample delay."""
+        """Complex response at freq_hz (vectorized)."""
         f = np.asarray(freq_hz, dtype=float)
         h = np.ones_like(f, dtype=complex)
         for s in self.sections:
             h = h * s.response(f, self.sample_rate_hz)
-        h = h * np.exp(-2j * np.pi * f * self.delay_samples / self.sample_rate_hz)
         if np.ndim(freq_hz) == 0:
             return complex(h)
         return h
@@ -182,17 +171,19 @@ def _tustin_section(num, den, order, k):
 
 def discretize_tustin(tf: ContinuousTF, sample_hz: float,
                       prewarp_hz: float | None = None) -> BiquadCascade:
-    """Discretize a proper ContinuousTF into a biquad cascade at sample_hz.
+    """Discretize a proper, delay-free ContinuousTF at sample_hz.
 
-    The rational part is factored into second-order sections (poles sorted
-    by natural frequency ascending; zeros paired nearest-first), each section
-    is Tustin-transformed, and the delay is rounded to the nearest integer
-    sample with the discarded fractional remainder recorded on the cascade.
-    With prewarp_hz given, the frequency axis is warped so the digital
-    response equals the continuous one exactly at that frequency.
+    The TF is factored into second-order sections (poles sorted by natural
+    frequency ascending; zeros paired nearest-first) and each section is
+    Tustin-transformed.  With prewarp_hz given, the frequency axis is warped
+    so the digital response equals the continuous one exactly at that
+    frequency.  A nonzero delay raises ValueError: no cascade drops it.
     """
     if sample_hz <= 0.0:
         raise ValueError("sample_hz must be > 0")
+    if tf.delay != 0.0:
+        raise ValueError(f"a Tustin cascade has no {tf.delay:g} s delay: "
+                         "discretize the rational part")
     if tf.num_degree > tf.den_degree:
         raise ImproperTFError(
             f"numerator degree {tf.num_degree} exceeds denominator degree "
@@ -230,7 +221,4 @@ def discretize_tustin(tf: ContinuousTF, sample_hz: float,
     s0.b0 *= gain
     s0.b1 *= gain
     s0.b2 *= gain
-
-    delay_samples = int(round(tf.delay * sample_hz))
-    remainder = tf.delay - delay_samples / sample_hz
-    return BiquadCascade(sections, sample_hz, delay_samples, remainder)
+    return BiquadCascade(sections, sample_hz)

@@ -15,8 +15,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .dataio import (ConfigError, from_config, load_json, tf_from_config, to_config,
-                     write_bode_csv)
+from .dataio import (BODE_BAND_HZ, ConfigError, from_config, load_json, tf_from_config,
+                     to_config, write_bode_csv)
 from .harness import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -62,8 +62,8 @@ def build_parser():
     bode_p = sub.add_parser("bode", help="export Bode CSV for a TF config")
     bode_p.add_argument("tf_config", help="transfer-function JSON config")
     bode_p.add_argument("--out", default=None, help="output CSV path")
-    bode_p.add_argument("--f-lo", type=float, default=0.1)
-    bode_p.add_argument("--f-hi", type=float, default=100.0)
+    bode_p.add_argument("--f-lo", type=float, default=BODE_BAND_HZ[0])
+    bode_p.add_argument("--f-hi", type=float, default=BODE_BAND_HZ[1])
     bode_p.add_argument("--out-dir", default="out",
                         help="directory of bode.csv when --out is not given")
 

@@ -82,7 +82,8 @@ class RateLoopConfig:
     the identification conditions.  Torque output is in normalized units,
     the same channel the plant model was identified against;
     ``integrator_limit`` bounds the integral state (rad), ``output_limit``
-    the commanded torque.
+    the commanded torque.  The derivative filter is an unprewarped Tustin
+    Butterworth at the control rate, so its corner lies below half of it.
     """
 
     kp: tuple[float, float, float] = (0.09, 0.09, 0.09)
@@ -98,8 +99,9 @@ class RateLoopConfig:
             g = np.asarray(getattr(self, name), dtype=float)
             if g.shape != (3,) or np.any(g < 0.0):
                 raise ValueError(f"{name} must be three nonnegative gains")
-        if not self.deriv_corner_hz > 0.0:
-            raise ValueError("deriv_corner_hz must be > 0")
+        if not 0.0 < self.deriv_corner_hz < 0.5 * CONTROL_RATE_HZ:
+            raise ValueError(f"deriv_corner_hz: must lie in (0, {0.5 * CONTROL_RATE_HZ:g}) "
+                             "Hz, below half the control rate")
         if not (self.integrator_limit > 0.0 and self.output_limit > 0.0):
             raise ValueError("limits must be > 0")
         if len(self.notches) != 3:

@@ -43,6 +43,7 @@ __all__ = [
 
 
 BODE_POINTS_PER_DECADE = 100
+BODE_BAND_HZ = (0.1, 100.0)  # default [f_lo, f_hi] of write_bode_csv
 
 
 class ConfigError(ValueError):
@@ -118,7 +119,7 @@ def _bad_row(path, width, error):
     return f"{path}: {error}"
 
 
-def write_bode_csv(path, tf: ContinuousTF, f_lo=0.1, f_hi=100.0):
+def write_bode_csv(path, tf: ContinuousTF, f_lo=BODE_BAND_HZ[0], f_hi=BODE_BAND_HZ[1]):
     """`freq_hz,mag_db,phase_deg` at ``BODE_POINTS_PER_DECADE`` log-spaced
     points per decade over [f_lo, f_hi]."""
     if not 0.0 < f_lo < f_hi:

@@ -32,6 +32,7 @@ from .dataio import (
     write_frf_csv,
 )
 from .lti import (
+    MARGINS_BAND_HZ,
     PlantFitParams,
     fitted_plant,
     magnitude_slope,
@@ -433,6 +434,7 @@ class PipelineConfig:
                              f"{MIN_TRUSTED_SHARE:.0%}")
         if not 0.0 < self.slope_band[0] < self.slope_band[1]:
             raise ValueError("slope_band: need 0 < f_lo < f_hi")
+        RateLoopConfig(deriv_corner_hz=self.deriv_corner_hz)  # the loop's bound
         try:
             pid_tf(self.kp, self.ki, self.kd, self.deriv_corner_hz)
         except ValueError as e:
@@ -467,7 +469,7 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     out_dir = Path(out_dir)
     report = RunReport("design_pipeline")
 
-    plant = LinearAxisPlant.identified(cfg.true_params)
+    plant = LinearAxisPlant(cfg.true_params)
     sweep = sweep_experiment(plant, cfg.chirp, noise_std=cfg.noise_std,
                              seed=cfg.seed)
     sweep_path = write_csv(
@@ -562,7 +564,7 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     slope = magnitude_slope(loop, *cfg.slope_band)
     report.metrics["slope_db_per_decade"] = slope
 
-    no_crossover = "no gain crossover in [0.05, 100] Hz"
+    no_crossover = "no gain crossover in [{:g}, {:g}] Hz".format(*MARGINS_BAND_HZ)
     report.add_check(
         "crossover_band", m.has_gain_crossover
         and 5.8 <= m.gain_crossover_hz <= 7.8,

@@ -53,6 +53,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 # log-spaced grid densities (points per decade) and the Nyquist band
 MARGINS_POINTS_PER_DECADE = 400
+MARGINS_BAND_HZ = (0.05, 100.0)  # the default search band of margins
 NYQUIST_POINTS_PER_DECADE = 2000
 NYQUIST_BAND_HZ = (1e-4, 500.0)
 SLOPE_POINTS = 50  # over the whole slope band
@@ -316,8 +317,8 @@ class StabilityMargins:
         return self.gain_crossover_hz is not None
 
 
-def margins(loop: ContinuousTF, f_lo: float = 0.05,
-            f_hi: float = 100.0) -> StabilityMargins:
+def margins(loop: ContinuousTF, f_lo: float = MARGINS_BAND_HZ[0],
+            f_hi: float = MARGINS_BAND_HZ[1]) -> StabilityMargins:
     """Stability margins of an open loop over a search band.
 
     The gain crossover is the lowest frequency where |L| crosses 1 downward,

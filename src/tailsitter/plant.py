@@ -6,12 +6,12 @@ Two plants back the closed-loop experiments:
   table-lookup aerodynamic forces, quadrotor thrust allocation, first-order
   motor lag, an optional structural-resonance filter on the pitch torque
   path, actuation transport delay, and a 1 kHz gyro measurement chain.
-* ``LinearAxisPlant`` - a single-axis discrete realization of an identified
-  transfer function (torque command in, measured rate out), used for
-  frequency-domain-faithful loop verification.  It is built from the
-  plant-rate Tustin cascade and runs at the control rate: one update per
-  tick, exact for the held command (``tests/oracles.py`` keeps the cascade
-  run sample by sample as its reference).
+* ``LinearAxisPlant`` - a single-axis discrete realization of the
+  identified plant ``fitted_plant(p)`` (torque command in, measured rate
+  out), used for frequency-domain-faithful loop verification.  It is built
+  from the plant-rate Tustin cascade and runs at the control rate: one
+  update per tick, exact for the held command (``tests/oracles.py`` keeps
+  the cascade run sample by sample as its reference).
 
 They are not interchangeable.  The structural modes and the delay agree,
 but the pitch axis of ``TailsitterSim``, identified as the pipeline
@@ -29,6 +29,11 @@ end of the tick.  ``TailsitterSim`` integrates the substeps one by one;
 into one control-rate update.  ``hold_response`` is that staircase in the
 frequency domain, the zero-order hold the identification divides out of the
 FRF.  No other module names the plant rate or the substep count.
+
+The transport delay has its home here too: ``biquad`` realizes rational
+sections only, and both plants round the delay to ``round(delay_s *
+PLANT_RATE_HZ)`` plant samples, a line of commands in ``TailsitterSim`` and
+whole ticks plus a lead in ``LinearAxisPlant``.
 
 The 1 kHz substep of ``TailsitterSim`` is a scalar kernel: the vehicle state
 is one flat list of 13 floats (NED position and velocity, the attitude
@@ -121,16 +126,17 @@ INDUCED_FACTOR = 0.0654
 
 
 def check_plant_peak(p: PlantFitParams, where: str):
-    """Reject a plant whose structural peak ``LinearAxisPlant.identified``
-    could not prewarp: it must lie below half ``PLANT_RATE_HZ``.  ``where``
-    names the parameters' config field in the ValueError."""
-    if not p.peak.freq_hz < 0.5 * PLANT_RATE_HZ:
-        raise ValueError(f"{where}.peak.freq_hz: must lie below "
-                         f"{0.5 * PLANT_RATE_HZ:g} Hz, half the plant rate")
+    """Reject a plant whose structural modes, Tustin sections at
+    ``PLANT_RATE_HZ``, lie at or above half the plant rate.  ``where`` names
+    the parameters' config field in the ValueError."""
+    for mode in ("peak", "anti"):
+        if not getattr(p, mode).freq_hz < 0.5 * PLANT_RATE_HZ:
+            raise ValueError(f"{where}.{mode}.freq_hz: must lie below "
+                             f"{0.5 * PLANT_RATE_HZ:g} Hz, half the plant rate")
 
 
 def check_linear_axis_plant(p: PlantFitParams, where: str):
-    """Reject a plant ``LinearAxisPlant.identified`` cannot build, such as
+    """Reject a plant ``LinearAxisPlant`` cannot build, such as
     one whose poles coincide at the control rate; run ``check_plant_peak``
     first.  ``where`` names the parameters' config field in the ValueError."""
     error = _unrealizable(p)
@@ -140,12 +146,12 @@ def check_linear_axis_plant(p: PlantFitParams, where: str):
 
 @lru_cache(maxsize=16)
 def _unrealizable(p: PlantFitParams):
-    """Why ``LinearAxisPlant.identified(p)`` fails, or None; a float
+    """Why ``LinearAxisPlant(p)`` fails, or None; a float
     overflow while building it fails it too.  Memoized: the builtin
     scenarios, rebuilt on every run by name, check the same plants."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            LinearAxisPlant.identified(p)
+            LinearAxisPlant(p)
     except (ValueError, ArithmeticError) as e:
         return str(e)
     return None
@@ -613,21 +619,21 @@ def _filtered(section: BiquadSection, xs):
 
 
 class LinearAxisPlant:
-    """Stateful single-axis plant realized from an identified TF at the
-    control rate.
+    """Stateful single-axis plant ``fitted_plant(p)``, realized at the
+    control rate by ``LinearAxisPlant(p)``.
 
     Maps a normalized torque command, held over one control tick, to the
-    measured rate at the end of the tick, transport delay included.  The TF
-    is discretized at ``PLANT_RATE_HZ`` first (Tustin sections and an
-    integer-sample delay line; ``prewarp_hz``, normally the resonance, puts
-    the structural peak on its continuous frequency).  The held input and
-    the end-of-tick sample make that cascade's map from command to rate
-    linear and time-invariant at ``CONTROL_RATE_HZ`` ("lifting", Chen &
+    measured rate at the end of the tick, transport delay included.  The
+    rational part is discretized at ``PLANT_RATE_HZ`` first, in Tustin
+    sections prewarped at ``p.peak.freq_hz`` to keep the structural peak on
+    its continuous frequency; the delay rounds to whole plant samples, as in
+    ``TailsitterSim``.  The held input and the end-of-tick sample make that
+    map linear and time-invariant at ``CONTROL_RATE_HZ`` ("lifting", Chen &
     Francis, Optimal Sampled-Data Control Systems, 1995), and the
     constructor realizes it exactly, so ``step`` makes one update per tick:
 
     * the delay splits into ``delay_ticks`` whole ticks, a delay line, and
-      fewer than ``SUBSTEPS`` plant samples left over;
+      a lead of fewer than ``SUBSTEPS`` plant samples;
     * each section 1 + a1 z^-1 + a2 z^-2 with poles p lifts, without root
       finding, to the section with poles p**4 (``SUBSTEPS`` = 4): its z^-2
       coefficient is a2**4 and its value at z = 1 is D(1) D(-1) |D(i)|**2,
@@ -635,9 +641,9 @@ class LinearAxisPlant:
       near z = 1 (the integrator) where rounding would move it;
     * the rest is a parallel sum, one ``sections`` entry b0 + b1 z^-1 over
       each lifted denominator plus the ``direct`` tap.  The held impulse
-      response is a sum of the lifted modes from its second tick on, so
-      these n unknowns solve its first 2n ticks exactly; the extra ticks
-      condition the solve.
+      response, the lead included, is a sum of the lifted modes from its
+      second tick on, so these n unknowns solve its first 2n ticks exactly;
+      the extra ticks condition the solve.
 
     A plant this cannot realize, for example one whose lifted poles
     coincide, raises ValueError here: the solve's condition number times
@@ -645,9 +651,11 @@ class LinearAxisPlant:
     both stay within ``LIFT_TOL``.
     """
 
-    def __init__(self, tf: ContinuousTF, prewarp_hz=None):
-        cascade = discretize_tustin(tf, PLANT_RATE_HZ, prewarp_hz)
-        self.delay_ticks, lead = divmod(cascade.delay_samples, SUBSTEPS)
+    def __init__(self, p: PlantFitParams):
+        tf = fitted_plant(p)
+        cascade = discretize_tustin(ContinuousTF(tf.num, tf.den), PLANT_RATE_HZ,
+                                    prewarp_hz=p.peak.freq_hz)
+        self.delay_ticks, lead = divmod(round(p.delay_s * PLANT_RATE_HZ), SUBSTEPS)
         self.sections = []
         for s in cascade.sections:
             a1, a2 = s.a1, s.a2
@@ -691,11 +699,6 @@ class LinearAxisPlant:
                 s.b1 = coef.pop(0)
         (self.direct,) = coef
         self._delay = deque([0.0] * self.delay_ticks)
-
-    @classmethod
-    def identified(cls, p: PlantFitParams) -> "LinearAxisPlant":
-        """The plant ``fitted_plant(p)``, prewarped at its structural peak."""
-        return cls(fitted_plant(p), prewarp_hz=p.peak.freq_hz)
 
     def step(self, u: float) -> float:
         """Hold ``u`` over one control tick; the rate at the end of the tick.
@@ -880,7 +883,7 @@ class TailsitterSim:
         self.sensor = RateSensor(sensor, seed)
         self.vibration = vibration
         self._vibrating = vibration.amplitude > 0.0
-        n_delay = int(round(delay_s * PLANT_RATE_HZ))
+        n_delay = round(delay_s * PLANT_RATE_HZ)
         self._delay_buf = [(0.0, 0.0, 0.0, float(params.hover_command))] * n_delay
         self._delay_idx = 0
         self._flex = None

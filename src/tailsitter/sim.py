@@ -217,7 +217,7 @@ def run_linear_axis(sc: Scenario) -> SimLog:
     the rate at the end of it.  Divergence beyond ``ABORT_LIMIT`` rad/s stops
     the run and records the departure time instead of raising.
     """
-    plant = LinearAxisPlant.identified(sc.plant_params)
+    plant = LinearAxisPlant(sc.plant_params)
     ctrl = RateController(sc.rate_loop)
     rng = np.random.default_rng(sc.seed)
     n = int(round(sc.duration_s / CONTROL_DT))

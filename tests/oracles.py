@@ -348,37 +348,49 @@ def save_aero_table(path, table):
 
 
 class CascadeAxisPlant:
-    """The linear-axis plant at the plant rate: the Tustin cascade of the TF
-    at ``PLANT_RATE_HZ`` with its integer-sample delay line, run ``SUBSTEPS``
-    times per control tick with the command held, the rate sampled at the
-    end of the tick.  ``plant.LinearAxisPlant`` realizes the same map at the
-    control rate."""
+    """The linear-axis plant at the plant rate: a delay line of
+    ``round(p.delay_s * PLANT_RATE_HZ)`` samples ahead of the Tustin cascade
+    of the rational part of ``fitted_plant(p)`` at ``PLANT_RATE_HZ``,
+    prewarped at the peak, run ``SUBSTEPS`` times per control tick with the
+    command held, the rate sampled at the end of the tick.
+    ``plant.LinearAxisPlant`` realizes the same map at the control rate."""
 
-    def __init__(self, tf: ContinuousTF, prewarp_hz=None):
-        self.cascade = discretize_tustin(tf, PLANT_RATE_HZ, prewarp_hz)
+    def __init__(self, p: PlantFitParams):
+        tf = fitted_plant(p)
+        self.cascade = discretize_tustin(ContinuousTF(tf.num, tf.den), PLANT_RATE_HZ,
+                                         prewarp_hz=p.peak.freq_hz)
+        self.delay_samples = round(p.delay_s * PLANT_RATE_HZ)
+        self._line = [0.0] * self.delay_samples
 
-    @classmethod
-    def identified(cls, p: PlantFitParams) -> "CascadeAxisPlant":
-        return cls(fitted_plant(p), prewarp_hz=p.peak.freq_hz)
+    def process(self, u):
+        """One plant-rate sample through the delay line and the cascade."""
+        self._line.append(float(u))
+        return self.cascade.process(self._line.pop(0))
 
     def step(self, u):
-        u = float(u)
         for _ in range(SUBSTEPS):
-            y = self.cascade.process(u)
+            y = self.process(u)
         return y
 
+    def response(self, freq_hz):
+        """Plant-rate response of the delay line and the cascade."""
+        f = np.asarray(freq_hz, dtype=float)
+        return (self.cascade.response(f)
+                * np.exp(-2j * np.pi * f * self.delay_samples / PLANT_RATE_HZ))
 
-def lifted_response(cascade, freq_hz):
-    """Response at the control rate of ``cascade`` (at ``PLANT_RATE_HZ``)
+
+def lifted_response(plant, freq_hz):
+    """Response at the control rate of the ``CascadeAxisPlant`` ``plant``
     driven by a command held over each tick and sampled at the tick's end:
     the polyphase sum P(theta) = 1/4 sum_m G(w_m) e^{3j w_m} over the four
     plant-rate frequencies w_m = (theta + 2 pi m) / 4 that alias to theta,
-    with G the cascade times the hold 1 + z^-1 + z^-2 + z^-3."""
+    with G the plant's delay line and cascade times the hold
+    1 + z^-1 + z^-2 + z^-3."""
     theta = 2.0 * np.pi * np.asarray(freq_hz, dtype=float) / CONTROL_RATE_HZ
     total = 0.0
     for m in range(SUBSTEPS):
         w = (theta + 2.0 * np.pi * m) / SUBSTEPS
         hold = sum(np.exp(-1j * w * i) for i in range(SUBSTEPS))
-        g = cascade.response(w * PLANT_RATE_HZ / (2.0 * np.pi)) * hold
+        g = plant.response(w * PLANT_RATE_HZ / (2.0 * np.pi)) * hold
         total = total + g * np.exp(1j * w * (SUBSTEPS - 1))
     return total / SUBSTEPS

@@ -173,7 +173,7 @@ class TestSysidRoundTrip:
     def test_identification_recovers_plant(self):
         t0 = time.time()
         ref = PlantFitParams.reference()
-        plant = LinearAxisPlant(fitted_plant(), prewarp_hz=ref.peak.freq_hz)
+        plant = LinearAxisPlant(ref)
         cfg = ChirpConfig(f0=1.0, f1=60.0, duration_s=60.0, amplitude=0.1)
         sweep = sweep_experiment(plant, cfg, seed=1)
         frf = estimate_frf(sweep.total_input, sweep.measured, 64, 1.0, 60.0,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import process_block, section_poles
-from tailsitter.biquad import BiquadCascade, ImproperTFError, discretize_tustin
+from tailsitter.biquad import ImproperTFError, discretize_tustin
 from tailsitter.lti import (
     ContinuousTF,
     butterworth2,
@@ -67,16 +67,17 @@ class TestTustin:
         with pytest.raises(ImproperTFError):
             discretize_tustin(ContinuousTF([0.0, 0.0, 1.0], [1.0, 1.0]), FS)
 
-    def test_delay_rounded_to_integer_samples(self):
-        c = discretize_tustin(ContinuousTF([1.0], [1.0], 0.021), FS)
-        assert c.delay_samples == 5
-        assert abs(c.delay_remainder_s - 0.001) < 1e-12
-        c2 = discretize_tustin(ContinuousTF([1.0], [1.0], 0.021), 1000.0)
-        assert c2.delay_samples == 21
-        assert abs(c2.delay_remainder_s) < 1e-12
+    def test_delay_rejected(self):
+        # a cascade realizes rational sections only: the plants realize the
+        # delay, so a delayed TF cannot lose its delay here without a trace
+        with pytest.raises(ValueError, match="0.021 s delay"):
+            discretize_tustin(ContinuousTF([1.0], [1.0], 0.021), FS)
+        with pytest.raises(ValueError, match="delay"):
+            discretize_tustin(fitted_plant(), 1000.0)
 
     def test_section_order_deterministic(self):
-        tf = fitted_plant()
+        delayed = fitted_plant()
+        tf = ContinuousTF(delayed.num, delayed.den)
         a = discretize_tustin(tf, 1000.0)
         b = discretize_tustin(tf, 1000.0)
         for sa, sb in zip(a.sections, b.sections):
@@ -108,9 +109,3 @@ class TestProcessing:
         hc = tf_eval(tf, frf.freqs)
         err_db = 20.0 * np.log10(np.abs(frf.response / hc))
         assert np.max(np.abs(err_db[frf.trusted])) < 0.5
-
-    def test_delay_line(self):
-        c = BiquadCascade([], FS, delay_samples=5)
-        out = process_block(c, np.arange(1.0, 11.0))
-        np.testing.assert_array_equal(out[:5], np.zeros(5))
-        np.testing.assert_array_equal(out[5:], np.arange(1.0, 6.0))

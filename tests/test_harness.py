@@ -681,6 +681,17 @@ def assert_same_fields(a, b, path=""):
 NAN = float("nan")
 
 
+def builtin_config_with(name, key, value):
+    """The config of the builtin scenario ``name`` with the dotted ``key`` set."""
+    cfg = to_config(builtin_scenarios()[name])
+    *sections, last = key.split(".")
+    node = cfg
+    for k in sections:
+        node = node[k]
+    node[last] = value
+    return cfg
+
+
 NAN_GUARDS = [
     ("Scenario.duration_s", lambda: Scenario(name="x", mode="linear-axis",
                                              duration_s=NAN),
@@ -810,6 +821,12 @@ BAD_SCENARIOS = [
       "plant_params": {"main_num": [1e300, 3.764, 0.01362]}}, "plant_params"),
     ({"name": "x", "mode": "linear-axis", "plant_params": {"lf_corner_hz": 1e300}},
      "plant_params"),
+    # a derivative corner and an anti-resonance that overflowed their
+    # filters' design with an OverflowError mid-run
+    (builtin_config_with("rate_step", "rate_loop.deriv_corner_hz", 1e300),
+     "rate_loop: deriv_corner_hz"),
+    (builtin_config_with("transition", "plant_params.anti.freq_hz", 1e300),
+     "plant_params.anti.freq_hz"),
 ]
 
 
@@ -1273,6 +1290,7 @@ class TestCli:
             (["pipeline"], {"chirp": {"sample_hz": 300.0}}, "chirp.sample_hz"),
             (["pipeline"], {"chirp": {"duration_s": 1e300}}, "chirp"),
             (["pipeline"], {"true_params": COINCIDING_MODES}, "true_params"),
+            (["pipeline"], {"deriv_corner_hz": 1e300}, "deriv_corner_hz"),
             (["bode"], {"num": [1.0], "den": [1.0, 0.1], "dealy": 0.02}, "dealy"),
             (["bode"], {"num": [float("nan")], "den": [1.0, 0.1]}, "num"),
             (["bode"], {"num": [1.0], "den": [1.0, 0.1], "delay": [0.02]}, "delay"),

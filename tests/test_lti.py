@@ -352,7 +352,7 @@ def _shipped_notch_free_loop(plant_cls):
     from tailsitter.sysid import estimate_frf, fit_plant_model, sweep_experiment
 
     cfg = PipelineConfig()
-    plant = plant_cls.identified(cfg.true_params)
+    plant = plant_cls(cfg.true_params)
     sw = sweep_experiment(plant, cfg.chirp, noise_std=cfg.noise_std,
                           seed=cfg.seed)
     frf = estimate_frf(sw.total_input, sw.measured, cfg.n_freqs,

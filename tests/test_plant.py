@@ -376,11 +376,13 @@ class TestAeroForceFrame:
 
 # plants for the lifted realization: the reference (a 21-sample delay, 5
 # ticks and 1 sample), the shipped pipeline's true plant, and delays of 19,
-# 22 and 0 plant samples, which leave 3, 2 and 0 samples past whole ticks
+# 22 and 0 plant samples, which leave 3, 2 and 0 samples past whole ticks;
+# 21.6 ms is no whole number of plant samples and rounds to 22
 LIFTED_PLANTS = {
     "reference": PlantFitParams.reference(),
     "pipeline": PipelineConfig().true_params,
     "delay_19": replace(PlantFitParams.reference(), delay_s=0.019),
+    "delay_21.6": replace(PlantFitParams.reference(), delay_s=0.0216),
     "delay_22": replace(PlantFitParams.reference(), delay_s=0.022),
     "no_delay": replace(PlantFitParams.reference(), delay_s=0.0),
 }
@@ -388,7 +390,7 @@ LIFTED_PLANTS = {
 
 class TestLinearAxisPlant:
     def test_step_input_reaches_constant_ramp(self):
-        plant = LinearAxisPlant(fitted_plant())
+        plant = LinearAxisPlant(PlantFitParams.reference())
         u = 0.01
         y = [plant.step(u) for _ in range(750)]  # 3 s of 4 ms ticks
         # integrator: late-time slope equals u * dc-gain of the non-integrating part
@@ -397,32 +399,27 @@ class TestLinearAxisPlant:
 
     def test_sinusoid_gain_at_resonance(self):
         ref = PlantFitParams.reference()
-        plant = oracles.CascadeAxisPlant(fitted_plant(), prewarp_hz=ref.peak.freq_hz)
+        plant = oracles.CascadeAxisPlant(ref)
         f = ref.peak.freq_hz
         t = np.arange(0, 10.0, 1e-3)
         u = 0.001 * np.sin(2 * np.pi * f * t)
-        y = np.array([plant.cascade.process(v) for v in u])
+        y = np.array([plant.process(v) for v in u])
         tail = slice(-2000, None)
         ratio = (np.max(y[tail]) - np.min(y[tail])) / (np.max(u[tail]) - np.min(u[tail]))
         assert ratio == pytest.approx(abs(tf_eval(fitted_plant(), f)), rel=0.02)
 
     def test_step_holds_the_command_over_one_tick(self):
-        ticked = oracles.CascadeAxisPlant(fitted_plant())
-        sampled = oracles.CascadeAxisPlant(fitted_plant())
+        ticked = oracles.CascadeAxisPlant(PlantFitParams.reference())
+        sampled = oracles.CascadeAxisPlant(PlantFitParams.reference())
         for u in np.random.default_rng(3).normal(0.0, 0.01, 50).tolist():
-            y = [sampled.cascade.process(u) for _ in range(SUBSTEPS)]
+            y = [sampled.process(u) for _ in range(SUBSTEPS)]
             assert ticked.step(u) == y[-1]
-
-    def test_improper_rejected(self):
-        from tailsitter.lti import ContinuousTF
-        with pytest.raises(ValueError):
-            LinearAxisPlant(ContinuousTF([0, 0, 1.0], [1.0, 1.0]))
 
     def test_discrete_realization_tracks_continuous_response(self):
         ref = PlantFitParams.reference()
-        plant = oracles.CascadeAxisPlant(fitted_plant(), prewarp_hz=ref.peak.freq_hz)
+        plant = oracles.CascadeAxisPlant(ref)
         f = np.linspace(0.5, 25.0, 80)
-        ratio = plant.cascade.response(f) / tf_eval(fitted_plant(), f)
+        ratio = plant.response(f) / tf_eval(fitted_plant(), f)
         assert np.max(np.abs(20.0 * np.log10(np.abs(ratio)))) < 1.0
         assert np.max(np.abs(np.degrees(np.angle(ratio)))) < 5.0
 
@@ -433,11 +430,11 @@ class TestLinearAxisPlant:
         # is the polyphase sum over the cascade, to 1e-9 relative up to the
         # 125 Hz Nyquist frequency of the control rate
         p = LIFTED_PLANTS[name]
-        plant = LinearAxisPlant.identified(p)
-        oracle = oracles.CascadeAxisPlant.identified(p)
-        assert plant.delay_ticks == oracle.cascade.delay_samples // SUBSTEPS
+        plant = LinearAxisPlant(p)
+        oracle = oracles.CascadeAxisPlant(p)
+        assert plant.delay_ticks == oracle.delay_samples // SUBSTEPS
         f = np.geomspace(0.01, 125.0, 20001)
-        lifted = oracles.lifted_response(oracle.cascade, f)
+        lifted = oracles.lifted_response(oracle, f)
         assert np.max(np.abs(plant.response(f) / lifted - 1.0)) < 1e-9
 
     @pytest.mark.parametrize("name", sorted(LIFTED_PLANTS))
@@ -445,8 +442,8 @@ class TestLinearAxisPlant:
         # 15 000 ticks of random commands; the plants agree to 1e-9 of the
         # largest rate (about 2 rad/s here: the integrator wanders)
         p = LIFTED_PLANTS[name]
-        plant = LinearAxisPlant.identified(p)
-        oracle = oracles.CascadeAxisPlant.identified(p)
+        plant = LinearAxisPlant(p)
+        oracle = oracles.CascadeAxisPlant(p)
         u = np.random.default_rng(1).normal(0.0, 0.01, 15_000).tolist()
         y = np.array([plant.step(v) for v in u])
         y_ref = np.array([oracle.step(v) for v in u])
@@ -455,7 +452,7 @@ class TestLinearAxisPlant:
     def test_step_runs_no_plant_rate_cascade(self, monkeypatch):
         from tailsitter.biquad import BiquadCascade
 
-        plant = LinearAxisPlant.identified(PlantFitParams.reference())
+        plant = LinearAxisPlant(PlantFitParams.reference())
         monkeypatch.setattr(BiquadCascade, "process", None)
         assert [plant.step(1.0) for _ in range(7)][-1] != 0.0
 
@@ -467,12 +464,12 @@ class TestLinearAxisPlant:
         p = replace(ref, anti=replace(ref.anti, freq_hz=ref.peak.freq_hz,
                                       den_damp=ref.peak.den_damp))
         with pytest.raises(ValueError, match="no parallel realization"):
-            LinearAxisPlant.identified(p)
+            LinearAxisPlant(p)
         # 0.1 % apart they are realized, as exactly as the reference
         near = replace(p, anti=replace(p.anti, freq_hz=1.001 * ref.peak.freq_hz))
         f = np.geomspace(0.01, 125.0, 2001)
-        lifted = oracles.lifted_response(oracles.CascadeAxisPlant.identified(near).cascade, f)
-        assert np.max(np.abs(LinearAxisPlant.identified(near).response(f) / lifted - 1.0)) < 1e-9
+        lifted = oracles.lifted_response(oracles.CascadeAxisPlant(near), f)
+        assert np.max(np.abs(LinearAxisPlant(near).response(f) / lifted - 1.0)) < 1e-9
 
 
 class TestNonlinearMatchesIdentifiedLowFrequency:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,15 +25,14 @@ from tailsitter.sysid import (
 def reference_sweep():
     """One noiseless closed-loop sweep against the reference plant, shared."""
     ref = PlantFitParams.reference()
-    plant = LinearAxisPlant(fitted_plant(), prewarp_hz=ref.peak.freq_hz)
+    plant = LinearAxisPlant(ref)
     cfg = ChirpConfig(1.0, 60.0, 60.0, 0.1)
     return sweep_experiment(plant, cfg, seed=1)
 
 
 def _pipeline_frf(cfg: PipelineConfig):
     """The sweep and hold-corrected FRF that design_pipeline fits."""
-    plant = LinearAxisPlant(fitted_plant(cfg.true_params),
-                            prewarp_hz=cfg.true_params.peak.freq_hz)
+    plant = LinearAxisPlant(cfg.true_params)
     sw = sweep_experiment(plant, cfg.chirp,
                           noise_std=cfg.noise_std, seed=cfg.seed)
     return estimate_frf(sw.total_input, sw.measured, cfg.n_freqs,
@@ -147,7 +147,7 @@ class TestEstimateFRF:
 
         smooth = PlantFitParams(peak=ResonanceParams(14.0128, 0.2, 0.2),
                                 anti=ResonanceParams(26.979, 0.2, 0.2))
-        plant = LinearAxisPlant(fitted_plant(smooth))
+        plant = LinearAxisPlant(smooth)
         sw = sweep_experiment(plant, ChirpConfig(1.0, 60.0, 60.0, 0.1),
                               seed=1)
         frf = estimate_frf(sw.total_input, sw.measured, n_freqs=64,
@@ -175,8 +175,7 @@ class TestEstimateFRF:
         cfg2 = ChirpConfig(1.0, 60.0, 30.0, 0.10)
         out = []
         for cfg in (cfg1, cfg2):
-            plant = LinearAxisPlant(fitted_plant(),
-                                    prewarp_hz=ref.peak.freq_hz)
+            plant = LinearAxisPlant(ref)
             sw = sweep_experiment(plant, cfg, seed=2)
             u = sw.total_input
             spec = np.abs(np.fft.rfft(u * np.hanning(u.size))) ** 2
@@ -213,8 +212,7 @@ class TestEstimateFRF:
         for noise in (0.0, 0.01, 0.05, 0.2):
             vals = []
             for seed in range(10):
-                plant = LinearAxisPlant(fitted_plant(),
-                                        prewarp_hz=ref.peak.freq_hz)
+                plant = LinearAxisPlant(ref)
                 sw = sweep_experiment(plant, cfg, noise_std=noise,
                                       seed=seed)
                 frf = estimate_frf(sw.total_input, sw.measured, n_freqs=24,
@@ -249,7 +247,7 @@ class TestFit:
 
     def test_noisy_roundtrip_relaxed_tolerances(self):
         ref = PlantFitParams.reference()
-        plant = LinearAxisPlant(fitted_plant(), prewarp_hz=ref.peak.freq_hz)
+        plant = LinearAxisPlant(ref)
         sw = sweep_experiment(plant, ChirpConfig(1.0, 60.0, 60.0, 0.1),
                               noise_std=0.005, seed=9)
         frf = estimate_frf(sw.total_input, sw.measured, 64, 1.0, 60.0,
@@ -517,8 +515,7 @@ class TestSweepExperiment:
         ref = PlantFitParams.reference()
         # a sign-flipped plant turns the stabilizing loop into positive
         # feedback, which diverges
-        plant = LinearAxisPlant(-1.0 * fitted_plant(),
-                                prewarp_hz=ref.peak.freq_hz)
+        plant = LinearAxisPlant(replace(ref, main_num=tuple(-c for c in ref.main_num)))
         cfg = ChirpConfig(1.0, 60.0, 30.0, 0.1)
         sweep = sweep_experiment(plant, cfg)
         assert sweep.diverged_at >= 0.0
