@@ -33,12 +33,13 @@ from .dataio import (
 )
 from .lti import (
     MARGINS_BAND_HZ,
+    NYQUIST_BAND_HZ,
     PlantFitParams,
     fitted_plant,
     magnitude_slope,
     margins,
     max_stable_gain,
-    nyquist_stable,
+    nyquist_encirclements,
     pid_tf,
     tf_eval,
     tf_series,
@@ -463,7 +464,9 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     compensator and open loop, the FRF, and a fit report.  A sweep that
     diverges fails ``sweep_bounded`` after writing the rows it recorded, and
     too few trusted FRF bins to fit fail ``fit_converged``, as a stalled fit
-    does; each of these writes the report and stops there.
+    does, and a designed or notch-free loop whose response is not finite on
+    the Nyquist grid fails ``loop_finite``; each of these writes the report
+    and stops there.
     """
     cfg = cfg or PipelineConfig()
     out_dir = Path(out_dir)
@@ -550,11 +553,26 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     comp = tf_series(pid, NotchConfig(p.peak.freq_hz, cfg.notch_k1,
                                       cfg.notch_k2).tf())
     loop = tf_series(plant_fit_tf, comp)
+    base = tf_series(plant_fit_tf, pid)  # the same loop without the notch
+    # a response that is not finite on the Nyquist grid (an overflow, or a
+    # sample tf_eval flags as on a pole) has no winding count
+    turns = nyquist_encirclements(loop)
+    free_turns = nyquist_encirclements(base)
+    unbounded = [name for name, n in (("designed", turns), ("notch-free", free_turns))
+                 if n is None]
+    if unbounded:
+        f_lo, f_hi = NYQUIST_BAND_HZ
+        report.add_check("loop_finite", False,
+                         f"{' and '.join(unbounded)} open-loop response not finite "
+                         f"on the Nyquist grid [{f_lo:g}, {f_hi:g}] Hz (an overflow, "
+                         "or a sample on a pole): nothing past the fit is measured")
+        report.write(out_dir)
+        return report
 
     m = margins(loop)
     report.metrics["loop_peak_mag_db"] = 20.0 * math.log10(
         abs(tf_eval(loop, p.peak.freq_hz)))
-    report.metrics["closed_loop_stable"] = nyquist_stable(loop)
+    report.metrics["closed_loop_stable"] = turns == 0
     if m.has_gain_crossover:
         report.metrics["crossover_hz"] = m.gain_crossover_hz
         report.metrics["phase_margin_deg"] = m.phase_margin_deg
@@ -589,9 +607,8 @@ def design_pipeline(cfg: PipelineConfig | None = None, out_dir="out") -> RunRepo
     # the same loop without the notch: the mode's resonance above 0 dB makes
     # it unstable, and a pure gain sweep finds its best stable bandwidth,
     # which the notch must beat
-    base = tf_series(plant_fit_tf, pid)
     free_peak_db = 20.0 * math.log10(abs(tf_eval(base, p.peak.freq_hz)))
-    free_stable = nyquist_stable(base)
+    free_stable = free_turns == 0
     report.metrics["notch_free_peak_mag_db"] = free_peak_db
     report.metrics["notch_free_stable"] = free_stable
     report.add_check(

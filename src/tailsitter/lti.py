@@ -9,24 +9,36 @@ Everything downstream of system identification speaks this type: the fitted
 plant, the notch filter, the PID compensator and the open loop are all
 ContinuousTF values composed with tf_series.
 
+_polyval_jw is the one polynomial evaluator, in real arithmetic on a
+Python float (a point) or a numpy array (a grid), with the floats of the
+complex sum over the powers of s = jw.  A point skips numpy's per-call
+overhead, and _divide copies numpy's complex division, so a point keeps
+the floats numpy gives a 0-d frequency.  A point and the same frequency on
+a grid can differ in the last bit, as they always did: numpy multiplies
+complex arrays with fused multiply-adds and complex scalars without.
+
 _unwrap_phase_deg is the one home of a model's phase: it unwraps the
 rational part's phase and subtracts the delay phase 360 f delay exactly.
 unwrapped_phase_deg (so margins and the Bode export) and sysid's fit
-objective read phase from it.  The FRF's trusted-bin unwrap and
-_return_difference_angle stay apart: they unwrap measured data and 1 + L.
+objective read phase from it.  The FRF's trusted-bin unwrap stays apart:
+it unwraps measured data.
 
-_encirclements is the one home of the Nyquist winding count.  nyquist_stable
-applies it to a loop's response h on the Nyquist grid; max_stable_gain
-evaluates h once and applies it to k h for each trial gain k.  That is the
-test nyquist_stable(k * loop) makes, because a gain scales only the
-numerator: the denominator, and with it the integrator count that closes
-the contour, is the same for every k.  k h differs from a fresh evaluation
-of k * loop by rounding alone, so a verdict could differ only at a gain
-within rounding of a change in the winding count.
+_encirclements is the one home of the Nyquist winding count; it counts
+the wraps of the angle of 1 + h block by block, as only the end-to-end
+angle is used.  nyquist_stable applies it to a loop's response h on the
+Nyquist grid; max_stable_gain evaluates h once and applies it to k h for each
+trial gain k.  That is the test nyquist_stable(k * loop) makes, because a
+gain scales only the numerator: the denominator, and with it the
+integrator count that closes the contour, is the same for every k.  k h
+differs from a fresh evaluation of k * loop by rounding alone, so a
+verdict could differ only at a gain within rounding of a change in the
+winding count.  A response that is not finite on the whole grid has no
+winding number, and its loop is not shown stable.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -46,6 +58,7 @@ __all__ = [
     "unwrapped_phase_deg",
     "margins",
     "magnitude_slope",
+    "nyquist_encirclements",
     "nyquist_stable",
     "max_stable_gain",
 ]
@@ -110,36 +123,74 @@ class ContinuousTF:
 
 
 def _polyval_jw(coeffs, w):
-    """Evaluate an ascending-power polynomial at s = jw (vectorized in w)."""
-    s = 1j * np.asarray(w, dtype=float)
-    out = np.zeros_like(s, dtype=complex)
-    p = np.ones_like(s, dtype=complex)
-    for c in coeffs:
-        out += c * p
-        p *= s
-    return out
+    """(Re, Im) of an ascending-power polynomial at s = jw, w > 0 a float or
+    an array: term k adds c_k w^k to the real or imaginary part with the
+    sign of j^k, which gives the floats of the complex sum wherever the
+    powers stay finite."""
+    re = w * 0.0
+    im = w * 0.0
+    pw = re + 1.0
+    for k, c in enumerate(coeffs):
+        t = (-c if k & 2 else c) * pw
+        if k & 1:
+            im += t
+        else:
+            re += t
+        pw *= w
+    return re, im
+
+
+def _divide(ar, ai, br, bi):
+    """(ar + j ai) / (br + j bi) in floats as numpy divides complex numbers:
+    Smith's method scaled by a reciprocal, where Python's complex division
+    divides and can differ in the last bit.  Raises ZeroDivisionError where
+    numpy divides by zero: a NaN real part over a zero imaginary part (a
+    zero divisor is flagged on a pole before)."""
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return (ar + ai * rat) * scl, (ai - ar * rat) * scl
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return (ar * rat + ai) * scl, (ai * rat - ar) * scl
 
 
 def tf_eval(tf: ContinuousTF, freq_hz):
-    """Complex response at positive frequencies in Hz.
+    """Complex response at finite positive frequencies in Hz.
 
     A sample whose denominator magnitude falls within 1e-12 (relative to the
     largest denominator coefficient) of zero sits on a pole and is flagged
-    as unbounded (complex inf) rather than returning garbage.
+    as unbounded (complex inf) rather than returning garbage.  A scalar
+    frequency runs on Python floats and returns a complex with the floats
+    numpy gives for a 0-d frequency; an array runs on numpy arrays.
     """
-    f = np.asarray(freq_hz, dtype=float)
-    if np.any(f <= 0.0):
-        raise ValueError("tf_eval requires freq_hz > 0")
-    w = TWO_PI * f
-    num = _polyval_jw(tf.num, w)
-    den = _polyval_jw(tf.den, w)
-    scale = np.max(np.abs(tf.den))
-    on_pole = np.abs(den) < 1e-12 * scale
-    h = num / np.where(on_pole, 1.0, den) * np.exp(-1j * w * tf.delay)
-    h = np.where(on_pole, np.inf + 0j, h)
     if np.ndim(freq_hz) == 0:
-        return complex(h)
-    return h
+        f = float(freq_hz)
+        if not 0.0 < f < math.inf:
+            raise ValueError("tf_eval requires finite freq_hz > 0")
+        w = TWO_PI * f
+        den = tf.den.tolist()
+        dr, di = _polyval_jw(den, w)
+        # numpy's magnitude: Python's abs can differ from it in the last bit
+        if np.abs(complex(dr, di)) < 1e-12 * max(map(abs, den)):
+            return complex(math.inf, 0.0)
+        try:
+            qr, qi = _divide(*_polyval_jw(tf.num.tolist(), w), dr, di)
+        except ZeroDivisionError:  # a NaN divisor's zero part: numpy gives NaN
+            return complex(math.nan, math.nan)
+        e = cmath.exp(complex(0.0, 0.0 - w * tf.delay))
+        return complex(qr * e.real - qi * e.imag, qr * e.imag + qi * e.real)
+    f = np.asarray(freq_hz, dtype=float)
+    if not np.all((f > 0.0) & (f < math.inf)):
+        raise ValueError("tf_eval requires finite freq_hz > 0")
+    w = TWO_PI * f
+    num = np.empty(f.shape, dtype=complex)
+    num.real, num.imag = _polyval_jw(tf.num, w)
+    den = np.empty(f.shape, dtype=complex)
+    den.real, den.imag = _polyval_jw(tf.den, w)
+    on_pole = np.abs(den) < 1e-12 * np.max(np.abs(tf.den))
+    h = num / np.where(on_pole, 1.0, den) * np.exp(-1j * w * tf.delay)
+    return np.where(on_pole, np.inf + 0j, h)
 
 
 def tf_series(a: ContinuousTF, b: ContinuousTF) -> ContinuousTF:
@@ -392,30 +443,57 @@ def magnitude_slope(loop: ContinuousTF, f_lo_hz: float, f_hi_hz: float) -> float
 _NYQUIST_GRID = _log_grid(*NYQUIST_BAND_HZ, NYQUIST_POINTS_PER_DECADE, 64)
 _NYQUIST_GRID.flags.writeable = False
 _NYQUIST_BLOCKS = np.array_split(_NYQUIST_GRID, 4)
+# np.unwrap wraps a step d > pi only when d + pi rounds above 2 pi, which
+# the float after pi does not
+_WRAP_UP = math.nextafter(math.pi, math.inf)
 
 
 def _nyquist_response(loop: ContinuousTF):
-    """L(jw) on the Nyquist grid, one array per block."""
-    return [tf_eval(loop, fb) for fb in _NYQUIST_BLOCKS]
+    """L(jw) on the Nyquist grid, one block at a time; an overflow is no
+    error here, as the winding count answers it."""
+    for fb in _NYQUIST_BLOCKS:
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = tf_eval(loop, fb)
+        yield h
 
 
-def _return_difference_angle(h_blocks):
-    """Unwrapped angle of 1 + h on the Nyquist grid, taken block by block."""
-    return np.unwrap(np.concatenate([np.angle(hb + 1.0) for hb in h_blocks]))
-
-
-def _encirclements(h_blocks, den) -> int:
+def _encirclements(h_blocks, den):
     """Net encirclements of -1 by an open-loop response h on the Nyquist grid.
 
     Winds 1 + h over w > 0, mirrors it for w < 0, and closes the contour
     with the indentation arc around the integrators at the origin, which
     are the leading zero coefficients of the open loop's denominator
-    ``den``; each maps the arc to a -pi sweep at infinite radius.
+    ``den``; each maps the arc to a -pi sweep at infinite radius.  The
+    swept angle of 1 + h is its end-to-end angle less 2 pi per step past
+    pi and plus 2 pi per step past -pi, within and across the blocks, with
+    ``np.unwrap``'s rounding at the boundary.  None when h is not finite
+    everywhere (an overflow, or a sample ``tf_eval`` flags as on a pole):
+    such a contour has no winding number.
     """
-    ang = _return_difference_angle(h_blocks)
-    delta = ang[-1] - ang[0]
+    first = last = None
+    wraps = 0
+    for hb in h_blocks:
+        if not np.isfinite(hb).all():
+            return None
+        ang = np.angle(hb + 1.0)
+        step = np.diff(ang)
+        wraps += int(np.count_nonzero(step > _WRAP_UP)
+                     - np.count_nonzero(step < -math.pi))
+        if first is None:
+            first = ang[0]
+        else:
+            step = ang[0] - last
+            wraps += int(step > _WRAP_UP) - int(step < -math.pi)
+        last = ang[-1]
+    delta = float(last - first) - TWO_PI * wraps
     n_integrators = int(np.nonzero(den)[0][0])
-    return round((2.0 * delta - n_integrators * math.pi) / (2.0 * math.pi))
+    return round((2.0 * delta - n_integrators * math.pi) / TWO_PI)
+
+
+def nyquist_encirclements(loop: ContinuousTF) -> int | None:
+    """Net encirclements of -1 by L(jw), counted by ``_encirclements`` on
+    the Nyquist grid; None when L(jw) is not finite on the whole grid."""
+    return _encirclements(_nyquist_response(loop), loop.den)
 
 
 def nyquist_stable(loop: ContinuousTF) -> bool:
@@ -427,15 +505,21 @@ def nyquist_stable(loop: ContinuousTF) -> bool:
     denominator, and so the integrator count, unchanged.  Assumes the open
     loop has no right-half-plane poles apart from integrators at the
     origin, which holds for every loop built from the identified plant
-    family.  Zero net encirclement means the closed loop is stable.
+    family.  Zero net encirclement means the closed loop is stable; a
+    response that is not finite on the grid has no count and reads False.
     """
-    return _encirclements(_nyquist_response(loop), loop.den) == 0
+    return nyquist_encirclements(loop) == 0
 
 
 def _scaled_nyquist(loop: ContinuousTF):
     """k -> nyquist_stable(k * loop), from one evaluation of loop's response."""
-    h_blocks = _nyquist_response(loop)
-    return lambda k: _encirclements([k * hb for hb in h_blocks], loop.den) == 0
+    h_blocks = list(_nyquist_response(loop))
+
+    def stable(k):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _encirclements((k * hb for hb in h_blocks), loop.den) == 0
+
+    return stable
 
 
 def max_stable_gain(loop: ContinuousTF, lo: float, hi: float) -> float:

@@ -14,8 +14,12 @@ rate-loop config, and a filter's block output from its per-sample
 ``dataio.load_aero_table`` reads.  ``CascadeAxisPlant`` is the linear-axis
 plant run sample by sample at the plant rate, and ``lifted_response`` the
 polyphase sum that gives its response at the control rate; the package's
-control-rate ``LinearAxisPlant`` must match both.  Quaternions go in and come
-out as 4-tuples of floats, the package's one quaternion form.
+control-rate ``LinearAxisPlant`` must match both.  ``complex_tf_eval`` is a
+transfer function's response in numpy complex arithmetic and
+``unwrap_encirclements`` the Nyquist winding count from ``np.unwrap`` of the
+whole contour, which ``lti.tf_eval`` and ``lti._encirclements`` must match
+bit for bit and count for count.  Quaternions go in and come out as 4-tuples
+of floats, the package's one quaternion form.
 """
 
 import math
@@ -394,3 +398,38 @@ def lifted_response(plant, freq_hz):
         g = plant.response(w * PLANT_RATE_HZ / (2.0 * np.pi)) * hold
         total = total + g * np.exp(1j * w * (SUBSTEPS - 1))
     return total / SUBSTEPS
+
+
+def complex_tf_eval(tf: ContinuousTF, freq_hz):
+    """Response of ``tf`` at positive frequencies in Hz in numpy complex
+    arithmetic: each polynomial summed over the powers of s = jw, numpy's
+    complex division, exp and on-pole flag (complex inf where the
+    denominator magnitude is below 1e-12 of its largest coefficient).  A
+    scalar frequency gives a complex, as ``tf_eval`` does."""
+    w = 2.0 * np.pi * np.asarray(freq_hz, dtype=float)
+    s = 1j * w
+
+    def polyval(coeffs):
+        out = np.zeros_like(s)
+        p = np.ones_like(s)
+        for c in coeffs:
+            out += c * p
+            p *= s
+        return out
+
+    num, den = polyval(tf.num), polyval(tf.den)
+    on_pole = np.abs(den) < 1e-12 * np.max(np.abs(tf.den))
+    h = num / np.where(on_pole, 1.0, den) * np.exp(-1j * w * tf.delay)
+    h = np.where(on_pole, np.inf + 0j, h)
+    return complex(h) if np.ndim(freq_hz) == 0 else h
+
+
+def unwrap_encirclements(h, den) -> int:
+    """Net encirclements of -1 by the open-loop response ``h`` on a grid over
+    w > 0: the end-to-end angle of ``np.unwrap`` of the angle of 1 + h,
+    doubled for the mirrored half, less pi per integrator (the leading zero
+    coefficients of ``den``) for the arc around the origin."""
+    ang = np.unwrap(np.angle(np.asarray(h) + 1.0))
+    n_integrators = int(np.nonzero(den)[0][0])
+    return round((2.0 * (ang[-1] - ang[0]) - n_integrators * math.pi)
+                 / (2.0 * math.pi))

@@ -1348,6 +1348,35 @@ class TestCli:
         assert rc == EXIT_OK
         assert (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize("cfg, loops", [
+        ({"deriv_corner_hz": 1e-6}, "designed and notch-free"),
+        ({"kp": 1e300}, "designed and notch-free"),
+        ({"ki": 1e300}, "designed and notch-free"),
+        ({"kd": 1e300}, "designed and notch-free"),
+        ({"notch_k1": 1e300}, "designed"),
+    ], ids=["deriv_corner_1e-6", "kp_1e300", "ki_1e300", "kd_1e300",
+            "notch_k1_1e300"])
+    def test_unbounded_loop_fails_loop_finite(self, tmp_path, capsys, cfg, loops):
+        # each config loads and its fit converges, but the loop's response
+        # is not finite on the Nyquist grid: the gains overflow it, and a
+        # 1e-6 Hz derivative corner makes tf_eval flag low frequencies as on
+        # a pole.  The run fails loop_finite after the fit report, where it
+        # used to end in a traceback from the winding count
+        path = tmp_path / "pipe.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", str(path), "--out-dir", str(out)]) \
+            == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err == ""
+        text = (out / "design_pipeline_report.txt").read_text()
+        assert (f"[FAIL] loop_finite: {loops} open-loop response not finite on "
+                "the Nyquist grid [0.0001, 500] Hz (an overflow, or a sample on "
+                "a pole): nothing past the fit is measured\n") in text
+        assert "closed_loop_stable" not in text
+        assert sorted(p.name for p in out.iterdir()) == [
+            "design_pipeline_report.txt", "fit_report.txt", "frf.csv",
+            "sweep_io.csv"]
+
     def test_compare_command(self, tmp_path, capsys):
         run_scenario(short_ab_scenario(duration=3.0), tmp_path)
         run_scenario(short_ab_scenario("ab_noisy", duration=3.0, noise=1e-4),

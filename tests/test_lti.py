@@ -7,10 +7,12 @@ import pytest
 import oracles
 from oracles import integrator_tf
 from tailsitter import lti
-from tailsitter.dataio import read_csv, write_bode_csv
+from tailsitter.dataio import (BODE_BAND_HZ, BODE_POINTS_PER_DECADE, read_csv,
+                               write_bode_csv)
 from tailsitter.lti import (
     ContinuousTF,
     PlantFitParams,
+    ResonanceParams,
     StabilityMargins,
     butterworth2,
     fitted_plant,
@@ -26,6 +28,13 @@ from tailsitter.lti import (
 
 TWO_PI = 2.0 * math.pi
 UNITY = ContinuousTF([1.0], [1.0])
+
+
+def _same_bits(a, b):
+    """Equal to the last bit, signed zeros included."""
+    a = np.atleast_1d(np.asarray(a, dtype=complex))
+    b = np.atleast_1d(np.asarray(b, dtype=complex))
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def eval_oracle(num, den, delay, f):
@@ -60,9 +69,23 @@ class TestEval:
         h = tf_eval(osc, 5.0)
         assert np.isinf(abs(h))
 
+    def test_overflowed_denominator_is_nan(self):
+        # the denominator's real part overflows to inf - inf = NaN over a
+        # zero imaginary part: NaN at a point, as on a grid and in numpy
+        tf = ContinuousTF([1.0], [0.0, 0.0, 1e300, 0.0, 1e300])
+        assert cmath.isnan(tf_eval(tf, 1e5))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cmath.isnan(tf_eval(tf, np.array([1e5]))[0])
+            assert cmath.isnan(oracles.complex_tf_eval(tf, 1e5))
+
     def test_requires_positive_freq(self):
-        with pytest.raises(ValueError):
-            tf_eval(UNITY, 0.0)
+        # zero, negative, NaN and infinite frequencies fail alike at a point
+        # and on a grid
+        for f in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite freq_hz > 0"):
+                tf_eval(UNITY, f)
+            with pytest.raises(ValueError, match="finite freq_hz > 0"):
+                tf_eval(UNITY, np.array([1.0, f]))
 
 
 class TestSeries:
@@ -315,21 +338,27 @@ class TestNyquist:
 
     def test_blocked_contour_matches_whole_grid(self):
         # the contour is evaluated in four blocks; on the loop-shaping
-        # candidate grid (PID gain scale x notch shape) its angles equal
-        # those of one tf_eval over the whole grid
+        # candidate grid (PID gain scale x notch shape) the blocks equal one
+        # tf_eval over the whole grid, and their wrap count equals the
+        # winding of np.unwrap over the whole contour
         f = lti._log_grid(*lti.NYQUIST_BAND_HZ, lti.NYQUIST_POINTS_PER_DECADE, 64)
-        plant = fitted_plant()
-        peak_hz = PlantFitParams.reference().peak.freq_hz
-        for g in (0.5, 0.7, 1.0, 1.2, 1.3, 1.5, 2.0):
-            for k1, k2 in ((0.15, 0.018), (0.08, 0.01), (0.3, 0.03),
-                           (0.3, 0.12), (0.15, 0.1)):
-                comp = tf_series(pid_tf(g * 0.09, g * 0.1, g * 0.01, 18.0),
-                                 notch(peak_hz, k1, k2))
-                loop = tf_series(plant, comp)
-                whole = np.unwrap(np.angle(tf_eval(loop, f) + 1.0))
-                assert np.array_equal(
-                    lti._return_difference_angle(lti._nyquist_response(loop)),
-                    whole)
+        for loop in _loop_shaping_candidates():
+            whole = tf_eval(loop, f)
+            assert _same_bits(np.concatenate(list(lti._nyquist_response(loop))),
+                              whole)
+            assert (lti.nyquist_encirclements(loop)
+                    == oracles.unwrap_encirclements(whole, loop.den))
+
+    def test_response_not_finite_has_no_count(self):
+        # a PID gain of 1e300 overflows the loop's response on the grid:
+        # there is no winding number, and the loop is not shown stable
+        # (quietly: RuntimeWarnings fail this suite)
+        loop = tf_series(fitted_plant(), pid_tf(1e300, 0.1, 0.01, 18.0))
+        assert lti.nyquist_encirclements(loop) is None
+        assert not nyquist_stable(loop)
+        assert max_stable_gain(loop, 0.01, 8.0) == 0.0
+        assert lti._encirclements([np.array([1.0, np.nan + 0j])], [1.0]) is None
+        assert lti._encirclements([np.array([1.0, np.inf + 0j])], [1.0]) is None
 
 
 def _loop_shaping_candidates():
@@ -342,6 +371,30 @@ def _loop_shaping_candidates():
             comp = tf_series(pid_tf(g * 0.09, g * 0.1, g * 0.01, 18.0),
                              notch(peak_hz, k1, k2))
             yield tf_series(plant, comp)
+
+
+def _random_identified_loops(n, seed):
+    """Seeded loops of the identified-plant family: every plant parameter
+    jittered within +-30 % of the reference, times the reference PID at a
+    gain scale within a factor e of 1."""
+    rng = np.random.default_rng(seed)
+    ref = PlantFitParams.reference()
+
+    def j(x, r=0.3):
+        return float(x * math.exp(rng.uniform(-r, r)))
+
+    for _ in range(n):
+        p = PlantFitParams(
+            lf_corner_hz=j(ref.lf_corner_hz),
+            main_num=tuple(j(c) for c in ref.main_num),
+            main_pole_tc=j(ref.main_pole_tc),
+            peak=ResonanceParams(j(ref.peak.freq_hz), j(ref.peak.num_damp),
+                                 j(ref.peak.den_damp)),
+            anti=ResonanceParams(j(ref.anti.freq_hz), j(ref.anti.num_damp),
+                                 j(ref.anti.den_damp)),
+            delay_s=j(ref.delay_s))
+        g = j(1.0, 1.0)
+        yield tf_series(fitted_plant(p), pid_tf(g * 0.09, g * 0.1, g * 0.01, 18.0))
 
 
 def _shipped_notch_free_loop(plant_cls):
@@ -436,3 +489,129 @@ class TestFrequencyResponse:
         _, rows = read_csv(write_bode_csv(tmp_path / "bode.csv", UNITY, 1.0, 100.0))
         assert rows.shape[0] >= 200
         assert np.all(np.diff(rows[:, 0]) > 0.0)
+
+
+# Transfer functions whose responses hold exact zeros, negative and zero
+# coefficients, integrators and delays: the signed-zero corners.
+EDGE_TFS = (
+    UNITY,
+    ContinuousTF([-1.0], [1.0]),
+    ContinuousTF([1.0], [-1.0]),
+    ContinuousTF([2.0, 0.0, -1.0], [-1.0, 0.0, 0.25]),
+    ContinuousTF([10.0], [1.0, 1.0]),
+    ContinuousTF([-2.0], [0.0, 1.0], 0.02),
+    ContinuousTF([-1.0, 0.0, 3.0], [1.0, 0.0, 1e-3]),
+    ContinuousTF([0.0, -1.0], [1.0]),
+    ContinuousTF([-0.0, 0.0, 2.0], [1.0, -0.0, 0.5], 0.004),
+    ContinuousTF([1.0, -0.5], [0.0, 0.0, 1.0], 0.1),
+    -1.0 * fitted_plant(),
+)
+ORACLE_GRIDS = {
+    "nyquist": lti._NYQUIST_GRID,
+    "margins": lti._log_grid(*lti.MARGINS_BAND_HZ, lti.MARGINS_POINTS_PER_DECADE, 16),
+    "bode": lti._log_grid(*BODE_BAND_HZ, BODE_POINTS_PER_DECADE),
+}
+
+
+def _oracle_loops():
+    yield from _loop_shaping_candidates()
+    yield from _random_identified_loops(20, 30)
+    yield from EDGE_TFS
+
+
+class TestRealArithmetic:
+    """The real-arithmetic evaluator and the wrap count give the floats and
+    counts of numpy's complex evaluation and np.unwrap (``oracles``), to
+    the last bit, so a drift on another Python or numpy build fails here."""
+
+    def test_point_matches_complex_oracle(self):
+        rng = np.random.default_rng(31)
+        for loop in _oracle_loops():
+            for tf in (loop, ContinuousTF(loop.num, loop.den, 0.0)):
+                for f in ORACLE_GRIDS.values():
+                    for x in rng.choice(f, 8).tolist():
+                        got = tf_eval(tf, x)
+                        assert type(got) is complex
+                        assert _same_bits(got, oracles.complex_tf_eval(tf, x)), (tf, x)
+
+    def test_grid_matches_complex_oracle(self):
+        for loop in _oracle_loops():
+            for f in ORACLE_GRIDS.values():
+                assert _same_bits(tf_eval(loop, f), oracles.complex_tf_eval(loop, f))
+
+    def test_signed_zero_parts_reach_the_result(self):
+        # the corners are live: some edge responses carry an exact zero part
+        parts = [z for tf in EDGE_TFS for x in (0.3, 7.0, 40.0)
+                 for z in (tf_eval(tf, x).real, tf_eval(tf, x).imag)]
+        assert any(math.copysign(1.0, z) < 0.0 for z in parts if z == 0.0)
+        assert any(math.copysign(1.0, z) > 0.0 for z in parts if z == 0.0)
+
+    def test_divide_matches_numpy(self):
+        rng = np.random.default_rng(32)
+        vals = np.concatenate([rng.normal(size=400) * 10.0 ** rng.integers(-8, 8, 400),
+                               [0.0, -0.0, 1.0, -1.0]])
+        for _ in range(2000):
+            ar, ai, br, bi = rng.choice(vals, 4).tolist()
+            if br == bi == 0.0:
+                continue
+            want = complex(np.asarray(complex(ar, ai)) / np.asarray(complex(br, bi)))
+            assert _same_bits(complex(*lti._divide(ar, ai, br, bi)), want)
+
+    def test_winding_matches_unwrap_oracle(self):
+        gains = np.geomspace(0.01, 8.0, 25)
+        for loop in _oracle_loops():
+            h = oracles.complex_tf_eval(loop, lti._NYQUIST_GRID)
+            blocks = list(lti._nyquist_response(loop))
+            limit = max_stable_gain(loop, 0.01, 8.0)
+            near = []
+            if 0.0 < limit < 8.0:
+                near = [limit, limit * (1.0 + 1e-12), limit * (1.0 - 1e-12),
+                        math.nextafter(limit, math.inf)]
+            for k in [*gains.tolist(), *near]:
+                assert (lti._encirclements((k * hb for hb in blocks), loop.den)
+                        == oracles.unwrap_encirclements(k * h, loop.den)), (loop, k)
+
+    def test_wraps_across_block_boundaries(self):
+        # the count is the same when every wrap falls on a block boundary
+        wrapped = 0
+        for loop in _loop_shaping_candidates():
+            h = oracles.complex_tf_eval(loop, lti._NYQUIST_GRID)
+            at = np.flatnonzero(np.abs(np.diff(np.angle(h + 1.0))) > math.pi) + 1
+            wrapped += at.size > 0
+            assert (lti._encirclements(np.split(h, at), loop.den)
+                    == oracles.unwrap_encirclements(h, loop.den))
+        assert wrapped >= 10
+
+    def test_unwrap_boundary_steps(self):
+        # 1 + h steps from angle -t to angle pi (or -pi, from a tiny
+        # negative imaginary part).  np.unwrap leaves a step of exactly
+        # +-pi alone, and one of the float after pi too (it adds to pi to
+        # exactly 2 pi), and unwraps a larger one; so does the count
+        ulp = math.nextafter(math.pi, math.inf) - math.pi
+        counts = []
+        for t, end in ((0.0, 0.0), (-1e-300, -1e-300), (ulp, 0.0),
+                       (2.0 * ulp, 0.0), (-ulp, -1e-300)):
+            h = np.array([complex(1.0, -t), complex(-1.0, end)]) - 1.0
+            count = lti._encirclements([h], [1.0])
+            assert count == oracles.unwrap_encirclements(h, [1.0]), (t, end)
+            counts.append(count)
+        # steps pi, -pi, the float after pi: none wraps; pi + 2 ulp and
+        # -pi - ulp wrap
+        assert counts == [1, -1, 1, -1, 1]
+
+    def test_margins_bisects_on_floats(self, monkeypatch):
+        # margins refines its crossovers at Python-float frequencies: the
+        # evaluator sees a float or a 1-D grid, never a 0-d array
+        seen = []
+        polyval = lti._polyval_jw
+
+        def recorded(coeffs, w):
+            seen.append(type(w) if type(w) is float else np.ndim(w))
+            return polyval(coeffs, w)
+
+        monkeypatch.setattr(lti, "_polyval_jw", recorded)
+        loop = next(_loop_shaping_candidates())
+        m = margins(loop)
+        assert m.gain_crossover_hz is not None and m.phase_crossover_hz is not None
+        assert float in seen and 1 in seen
+        assert set(seen) == {float, 1}
